@@ -359,7 +359,8 @@ def _cmd_needle(args) -> int:
     if out:
         write_json(out / "needle.json", {
             "estimate": est.estimate, "se": est.standard_error,
-            "hits": est.hits, "trials": est.trials, "seed": est.seed,
+            "hits": est.hits, "trials": est.trials, "tests": est.tests,
+            "seed": est.seed,
             "generation": est.generation,
             "strip_halfwidth": est.strip_halfwidth,
         })
@@ -496,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_counterexample)
 
     p = subs.add_parser("needle", help="Buffon needle Monte Carlo oracle")
-    common(p, backend_default="float")
+    _add_source(p)      # float geometry only: no --backend
+    p.add_argument("--out", help="directory for CSV/JSON outputs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)

@@ -13,18 +13,29 @@ With theta uniform on [0, 2*pi) and c uniform on [-W, W],
     Fav = integral of projected length over the full turn
         = 2*pi * 2*W * P(hit),
 
-provided W covers the circumradius of the base about its center.  Trials are
-split into fixed-size batches; each batch runs its own counter-based Philox
-stream keyed by (seed, batch index), so results are bit-reproducible for a
-given seed and trial count regardless of chunking internals.
+provided W covers the circumradius of the base about its center.
+
+Lines descend the cylinder tree instead of meeting every square.  Leaves
+are enumerated word by word, first map most significant, so the parent of
+node i is node i // m for m maps.  Each inner node carries the bounding box
+of the leaf squares below it (not its own cylinder image, so pruning stays
+safe when children overlap or stick out of their parent).  A line tests a
+node's children only if it meets the node's box widened by a pad that
+covers float rounding (see ``_node_boxes``).  Every leaf square lies in the
+box of each of its ancestors, so a line that passes the leaf predicate
+reaches that leaf, and the leaf predicate is the all-squares one with the
+same float operations on the same floats.  The hit count is therefore
+identical to testing every line against all m^n squares.
+
+Trials are split into fixed-size batches; each batch runs its own
+counter-based Philox stream keyed by (seed, batch index), so results are
+bit-reproducible for a given seed and trial count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -34,7 +45,6 @@ from .ifs import IFS2D
 
 BATCH_SIZE = 1 << 17
 MAX_SQUARES = 65_536
-_CHUNK_TARGET = 1 << 24
 
 
 def circumradius(ifs: IFS2D) -> float:
@@ -57,6 +67,12 @@ class NeedleConfig:
             raise PreconditionError("generation must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise PreconditionError("seed must fit in 64 bits")
+        # the estimate scales by the strip's span 4*pi*W, which must be finite
+        w = self.strip_halfwidth
+        if w is not None and not (w > 0 and math.isfinite(4.0 * math.pi * w)):
+            raise PreconditionError(
+                f"strip halfwidth must be positive with a finite span, "
+                f"got {w}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +84,16 @@ class NeedleEstimate:
     seed: int
     generation: int
     strip_halfwidth: float
+    tests: int          # (line, node) predicate evaluations, inner and leaf
 
 
 def _generation_squares(ifs: IFS2D, n: int):
     """Centers (relative to the base center) and half-side of every
-    generation-n square, by direct composition of the maps."""
+    generation-n square, by direct composition of the maps.
+
+    Each center is an exact rational; all of them are built as integer
+    numerators over one common denominator and converted by Python's
+    correctly rounded int / int, which is what float(Fraction) does."""
     x0, y0, x1, y1 = ifs.base
     if x1 - x0 != y1 - y0:
         raise PreconditionError("needle sampling expects a square base")
@@ -86,20 +107,52 @@ def _generation_squares(ifs: IFS2D, n: int):
         raise PreconditionError(
             f"{count} generation squares exceed the enumeration limit "
             f"{MAX_SQUARES}")
-    origins = [(Fraction(0), Fraction(0))]
-    scale = Fraction(1)
-    for _ in range(n):
-        origins = [(ox + scale * m.translation[0], oy + scale * m.translation[1])
-                   for ox, oy in origins for m in ifs.maps]
-        scale *= rho
+    scale = rho ** n
     half = scale * side / 2
-    cx0, cy0 = x0 + side / 2, y0 + side / 2
-    # cylinder image of the base is origin + scale*[x0, x0+side]^2, so its
-    # center sits at origin + scale*base_corner + half, taken relative to
-    # the base center
-    cx = np.array([float(ox + scale * x0 + half - cx0) for ox, _ in origins])
-    cy = np.array([float(oy + scale * y0 + half - cy0) for _, oy in origins])
-    return cx, cy, float(half)
+
+    def centers(axis):
+        # cylinder image of the base is origin + scale*[lo, lo+side]^2 with
+        # origin = sum_k rho^k * t(word_k), so its center sits at
+        # origin + scale*lo + half, taken relative to the base center
+        lo = ifs.base[axis]
+        offset = scale * lo + half - (lo + side / 2)
+        levels = [[rho ** k * mp.translation[axis] for mp in ifs.maps]
+                  for k in range(n)]
+        den = math.lcm(offset.denominator,
+                       *(f.denominator for level in levels for f in level))
+        nums = [int(offset * den)]
+        for level in levels:
+            step = [int(f * den) for f in level]
+            nums = [a + b for a in nums for b in step]
+        return np.array([a / den for a in nums])
+
+    return centers(0), centers(1), float(half)
+
+
+def _node_boxes(cx, cy, half, m: int, n: int, w: float):
+    """Per inner level k < n: float center and half-extents of the box that
+    bounds the leaf squares under each node, plus the rounding pad.
+
+    Pad: let S bound every magnitude in both predicates,
+    S = W + max|cx| + max|cy| + 2*half (|cos|, |sin| <= 1, |c| <= W).  Each
+    side of the leaf predicate is at most three rounded operations on terms
+    summing to at most S, so it is within about 4u*S of its exact value
+    (u = 2^-53); a float leaf hit is an exact hit up to 8u*S.  The box center
+    (lo+hi)/2 and half-extent (hi-lo)/2 + half carry at most 2u*S of error,
+    and the node test adds about 6u*S on each side.  Every leaf square lies
+    inside its ancestors' exact boxes, so a float leaf hit passes every
+    ancestor's float node test once the pad exceeds ~25u*S; the pad is
+    2^-44*S = 512u*S."""
+    pad = math.ldexp(w + np.abs(cx).max() + np.abs(cy).max()
+                     + 2.0 * half, -44)
+    boxes = []
+    for k in range(n):
+        shape = (m ** k, m ** (n - k))
+        lo_x, hi_x = cx.reshape(shape).min(1), cx.reshape(shape).max(1)
+        lo_y, hi_y = cy.reshape(shape).min(1), cy.reshape(shape).max(1)
+        boxes.append(((lo_x + hi_x) / 2, (lo_y + hi_y) / 2,
+                      (hi_x - lo_x) / 2 + half, (hi_y - lo_y) / 2 + half))
+    return boxes, pad
 
 
 def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
@@ -111,9 +164,11 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
             f"strip halfwidth {w} misses lines through the base "
             f"(circumradius {rad})")
     cx, cy, half = _generation_squares(ifs, cfg.generation)
-    n_sq = len(cx)
-    chunk = max(1, min(BATCH_SIZE, _CHUNK_TARGET // max(1, n_sq)))
+    m = len(ifs.maps)
+    boxes, pad = _node_boxes(cx, cy, half, m, cfg.generation, w)
+    children = np.arange(m)
     hits = 0
+    tests = 0
     done = 0
     batch_index = 0
     while done < cfg.trials:
@@ -124,13 +179,27 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
         theta = rng.uniform(0.0, 2.0 * math.pi, take)
         c = rng.uniform(-w, w, take)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        reach = half * (np.abs(cos_t) + np.abs(sin_t))
-        for start in range(0, take, chunk):
-            sl = slice(start, start + chunk)
-            centers = (np.multiply.outer(cos_t[sl], cx)
-                       + np.multiply.outer(sin_t[sl], cy))
-            inside = np.abs(centers - c[sl, None]) <= reach[sl, None]
-            hits += int(np.count_nonzero(inside.any(axis=1)))
+        abs_cos, abs_sin = np.abs(cos_t), np.abs(sin_t)
+        reach = half * (abs_cos + abs_sin)
+        # active (line, node) pairs, starting from the root
+        line = np.arange(take)
+        node = np.zeros(take, dtype=np.intp)
+        for bx, by, hx, hy in boxes:
+            tests += line.size
+            keep = (np.abs(cos_t[line] * bx[node] + sin_t[line] * by[node]
+                           - c[line])
+                    <= hx[node] * abs_cos[line] + hy[node] * abs_sin[line]
+                    + pad)
+            line = np.repeat(line[keep], m)
+            node = (node[keep, None] * m + children).ravel()
+        tests += line.size
+        # the all-squares predicate: same floats, same operations and order
+        inside = (np.abs(cos_t[line] * cx[node] + sin_t[line] * cy[node]
+                         - c[line])
+                  <= reach[line])
+        hit = np.zeros(take, dtype=bool)
+        hit[line[inside]] = True
+        hits += int(np.count_nonzero(hit))
         done += take
         batch_index += 1
     p_hat = hits / cfg.trials
@@ -138,4 +207,4 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
     estimate = span * p_hat
     se = span * math.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)
     return NeedleEstimate(estimate, se, hits, cfg.trials, cfg.seed,
-                          cfg.generation, w)
+                          cfg.generation, w, tests)

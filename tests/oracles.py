@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive and self-contained: plain Fraction
 arithmetic, quadratic algorithms, no imports from the package under test.
-The package must agree with these on small instances.
+The package must agree with these on small instances.  The needle oracle
+uses numpy only to replay the same Philox line stream.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def union_measure(pairs) -> Fraction:
@@ -94,3 +98,53 @@ def expand_components(pairs, radius) -> list:
     r = Fraction(radius)
     grown = [(Fraction(a) - r, Fraction(b) + r) for a, b in pairs]
     return union_components(grown)
+
+
+def needle_squares_bruteforce(maps2d, base2d, n):
+    """Centers (relative to the base center, as floats of exact Fractions)
+    and half-side of every generation-n square of planar homotheties
+    (ratio, (dx, dy)) with one common ratio, enumerated word by word with
+    the first map most significant."""
+    x0, y0, x1, y1 = (Fraction(v) for v in base2d)
+    side = x1 - x0
+    rho = Fraction(maps2d[0][0])
+    origins = [(Fraction(0), Fraction(0))]
+    scale = Fraction(1)
+    for _ in range(n):
+        origins = [(ox + scale * Fraction(dx), oy + scale * Fraction(dy))
+                   for ox, oy in origins for _, (dx, dy) in maps2d]
+        scale *= rho
+    half = scale * side / 2
+    cx0, cy0 = x0 + side / 2, y0 + side / 2
+    cx = np.array([float(ox + scale * x0 + half - cx0) for ox, _ in origins])
+    cy = np.array([float(oy + scale * y0 + half - cy0) for _, oy in origins])
+    return cx, cy, float(half)
+
+
+def needle_hits_bruteforce(maps2d, base2d, n, seed, trials, halfwidth,
+                           batch_size):
+    """Lines of the needle estimator that hit generation n, counted by
+    testing every line against every square.
+
+    Batch b of at most batch_size lines draws theta uniform on [0, 2*pi)
+    and then c uniform on [-halfwidth, halfwidth] from Philox keyed by
+    (seed, b); the line hits a square of center (x, y) and half-side h when
+    |cos(theta)*x + sin(theta)*y - c| <= h*(|cos(theta)| + |sin(theta)|)."""
+    cx, cy, half = needle_squares_bruteforce(maps2d, base2d, n)
+    rows = max(1, (1 << 22) // len(cx))
+    hits = 0
+    for batch, start in enumerate(range(0, trials, batch_size)):
+        take = min(batch_size, trials - start)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+        theta = rng.uniform(0.0, 2.0 * math.pi, take)
+        c = rng.uniform(-halfwidth, halfwidth, take)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        reach = half * (np.abs(cos_t) + np.abs(sin_t))
+        for lo in range(0, take, rows):
+            sl = slice(lo, lo + rows)
+            centers = (np.multiply.outer(cos_t[sl], cx)
+                       + np.multiply.outer(sin_t[sl], cy))
+            inside = np.abs(centers - c[sl, None]) <= reach[sl, None]
+            hits += int(np.count_nonzero(inside.any(axis=1)))
+    return hits

@@ -61,6 +61,17 @@ class TestExitCodes:
                    "--n", "1") == 2
         capsys.readouterr()
 
+    def test_usage_needle_nan_strip(self, capsys):
+        assert run("needle", "--preset", "four-corner", "--n", "1",
+                   "--strip-halfwidth", "nan") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_usage_needle_has_no_backend(self, capsys):
+        # the needle is float geometry only; --backend used to be ignored
+        assert run("needle", "--preset", "four-corner", "--n", "1",
+                   "--trials", "10", "--backend", "exact") == 2
+        capsys.readouterr()
+
     def test_claim_certificate_fails(self, overlap_config, capsys):
         assert run("certificate", "--config", overlap_config, "--n", "3",
                    "--grid", "16") == 3
@@ -272,15 +283,21 @@ class TestOutputs:
         capsys.readouterr()
 
     def test_needle_json(self, tmp_path, capsys):
-        out = tmp_path / "ndl"
-        assert run("needle", "--preset", "four-corner", "--n", "1",
-                   "--trials", "20000", "--seed", "7",
-                   "--out", str(out)) == 0
-        payload = json.loads((out / "needle.json").read_text())
+        payloads = []
+        for name in ("ndl", "ndl-replay"):
+            out = tmp_path / name
+            assert run("needle", "--preset", "four-corner", "--n", "1",
+                       "--trials", "20000", "--seed", "7",
+                       "--out", str(out)) == 0
+            payloads.append(json.loads((out / "needle.json").read_text()))
+        payload, replay = payloads
         assert payload["trials"] == 20000
         assert payload["seed"] == 7
         assert payload["hits"] > 0
         assert payload["estimate"] == pytest.approx(6.6, abs=0.5)
+        assert payload["tests"] >= payload["trials"]
+        assert replay["tests"] == payload["tests"]
+        assert replay["hits"] == payload["hits"]
         capsys.readouterr()
 
     def test_validate_json(self, tmp_path, capsys):

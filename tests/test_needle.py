@@ -1,16 +1,32 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from favardlab.errors import PreconditionError
 from favardlab.favard import favard
-from favardlab.ifs import IFS2D, Similitude2D, four_corner
+from favardlab.ifs import IFS2D, Similitude2D, four_corner, preset
 from favardlab.needle import (
+    BATCH_SIZE,
     NeedleConfig,
+    _generation_squares,
     circumradius,
     estimate_favard_mc,
 )
+
+from oracles import needle_hits_bruteforce, needle_squares_bruteforce
+
+
+def _maps(ifs):
+    return [(m.ratio, m.translation) for m in ifs.maps]
+
+
+def _bruteforce(ifs, cfg):
+    w = cfg.strip_halfwidth
+    return needle_hits_bruteforce(
+        _maps(ifs), ifs.base, cfg.generation, cfg.seed, cfg.trials,
+        circumradius(ifs) if w is None else w, BATCH_SIZE)
 
 
 class TestConfig:
@@ -21,6 +37,13 @@ class TestConfig:
             NeedleConfig(trials=1, seed=1, generation=-1)
         with pytest.raises(PreconditionError):
             NeedleConfig(trials=1, seed=2 ** 64, generation=0)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0, 1e308])
+    def test_strip_halfwidth_must_be_finite_and_positive(self, width):
+        with pytest.raises(PreconditionError):
+            NeedleConfig(trials=1, seed=1, generation=0,
+                         strip_halfwidth=width)
 
     def test_circumradius(self):
         assert circumradius(four_corner()) == pytest.approx(math.sqrt(2) / 2)
@@ -125,3 +148,49 @@ class TestEstimator:
         with pytest.raises(PreconditionError):
             estimate_favard_mc(mixed, NeedleConfig(trials=1, seed=1,
                                                    generation=0))
+
+
+class TestTreeDescent:
+    """The cylinder-tree descent counts exactly the lines that the
+    all-squares predicate counts."""
+
+    CASES = ([("four-corner", n) for n in range(7)]
+             + [("sparse-corner(8)", n) for n in range(5)]
+             + [("sierpinski-gasket", n) for n in range(6)])
+
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_leaf_centers_match_fraction_enumeration(self, name, n):
+        ifs = preset(name)
+        cx, cy, half = _generation_squares(ifs, n)
+        ox, oy, ohalf = needle_squares_bruteforce(_maps(ifs), ifs.base, n)
+        assert np.array_equal(cx, ox)
+        assert np.array_equal(cy, oy)
+        assert half == ohalf
+
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_hits_match_bruteforce(self, name, n):
+        ifs = preset(name)
+        for seed in (3, 11, 2 ** 63 + 5):
+            cfg = NeedleConfig(trials=3_000, seed=seed, generation=n)
+            assert estimate_favard_mc(ifs, cfg).hits == _bruteforce(ifs, cfg)
+
+    def test_hits_match_bruteforce_across_batches(self):
+        cfg = NeedleConfig(trials=BATCH_SIZE + 17, seed=5, generation=3)
+        est = estimate_favard_mc(four_corner(), cfg)
+        assert est.hits == _bruteforce(four_corner(), cfg)
+
+    def test_hits_match_bruteforce_wide_strip(self):
+        cfg = NeedleConfig(trials=20_000, seed=7, generation=3,
+                           strip_halfwidth=2 * circumradius(four_corner()))
+        est = estimate_favard_mc(four_corner(), cfg)
+        assert est.hits == _bruteforce(four_corner(), cfg)
+
+    def test_counts_predicate_evaluations(self):
+        flat = estimate_favard_mc(
+            four_corner(), NeedleConfig(trials=5_000, seed=1, generation=0))
+        assert flat.tests == 5_000
+        deep = estimate_favard_mc(
+            four_corner(), NeedleConfig(trials=5_000, seed=1, generation=6))
+        # one line per node would be 5461 tests per line; pruning keeps it
+        # to a few dozen
+        assert 5_000 < deep.tests < 5_000 * 100
