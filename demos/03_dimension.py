@@ -1,15 +1,16 @@
 """
-From neighborhood decay to a dimension bound
-============================================
+From neighborhood decay to a dimension estimate
+===============================================
 
 If the Favard length of the r-neighborhood of a set decays like r^s, the
-set cannot have Hausdorff dimension above 1 - s.  The pipeline here makes
-that quantitative for self-similar sets: pick scales r, match each to a
+set cannot have Hausdorff dimension above 1 - s.  The pipeline here turns
+that into a number for self-similar sets: pick scales r, match each to a
 generation depth, expand the exact projected generations by r, integrate
-over directions, and fit the decay exponent on a log-log line.
+over directions, and fit the decay exponent on a log-log line.  The fit
+over finitely many scales makes 1 - s an estimate, not a proved bound.
 
 The sparse four-corner variant with ratio 1/8 (similarity dimension 2/3)
-is a good test: the fitted s should put the bound 1 - s near 2/3.
+is a good test: the estimate 1 - s should land near 2/3, on either side.
 """
 
 from fractions import Fraction
@@ -35,7 +36,7 @@ for rec in series:
 fit = exponent_fit(series)
 print(f"\nfitted decay exponent s = {fit.s:.4f}   "
       f"(residual {fit.residual:.2e})")
-print(f"dimension bound 1 - s  = {fit.dim_bound:.4f}   "
+print(f"dimension estimate 1 - s = {fit.dim_bound:.4f}   "
       f"(similarity dimension is 2/3 = 0.6667)")
 
 ###############################################################################

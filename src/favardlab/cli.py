@@ -271,7 +271,7 @@ def _cmd_dimension(args) -> int:
                         for rec in series],
         })
         manifest.write(out)
-    print(f"dimension: s={fit.s:.4f}, bound dim <= {fit.dim_bound:.4f}, "
+    print(f"dimension: s={fit.s:.4f}, fitted dim estimate {fit.dim_bound:.4f}, "
           f"residual {fit.residual:.2e} over {len(series)} scales")
     return EXIT_OK
 
@@ -403,11 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, backend_default="exact", threads=False):
+    def common(sub, backend=None, threads=False):
+        # --backend only where the handler honours it
         _add_source(sub)
         sub.add_argument("--out", help="directory for CSV/JSON outputs")
-        sub.add_argument("--backend", choices=("exact", "float"),
-                         default=backend_default)
+        if backend:
+            sub.add_argument("--backend", choices=("exact", "float"),
+                             default=backend)
         if threads:
             sub.add_argument("--threads", type=int, default=None,
                              help="worker threads (0 = auto; env "
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--chart", choices=("x", "y"), default=None)
 
     p = subs.add_parser("alpha", help="projected lengths of generations")
-    common(p)
+    common(p, backend="exact")
     slope_flags(p)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--generations", action="store_true",
@@ -430,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_alpha)
 
     p = subs.add_parser("convexity", help="second-difference report")
-    common(p)
+    common(p, backend="exact")
     slope_flags(p)
     p.add_argument("--depth", type=int, default=8)
     p.set_defaults(handler=_cmd_convexity)
 
     p = subs.add_parser("favard", help="Favard length by quadrature")
-    common(p, backend_default="float", threads=True)
+    common(p, backend="float", threads=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--order", type=int, default=16)
@@ -459,12 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_special_angle)
 
     p = subs.add_parser("lipschitz", help="finite-difference scan of a0-a1")
-    common(p, backend_default="float", threads=True)
+    common(p, threads=True)
     p.add_argument("--nodes", type=int, default=10_000)
     p.set_defaults(handler=_cmd_lipschitz)
 
     p = subs.add_parser("dimension", help="neighborhood decay and exponent")
-    common(p, backend_default="float", threads=True)
+    common(p, threads=True)
     p.add_argument("--scales", help="comma-separated rational scales")
     p.add_argument("--scale-base", default="8",
                    help="base b for scales b^-k (with --depth-min/max)")
@@ -497,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_counterexample)
 
     p = subs.add_parser("needle", help="Buffon needle Monte Carlo oracle")
-    _add_source(p)      # float geometry only: no --backend
-    p.add_argument("--out", help="directory for CSV/JSON outputs")
+    common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)

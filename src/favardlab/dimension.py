@@ -231,7 +231,7 @@ class ExponentFit:
     s: float
     C: float
     residual: float         # max abs log-space residual
-    dim_bound: float        # 1 - s
+    dim_bound: float        # 1 - s, a fitted estimate, not a proved bound
 
     def as_tuple(self):
         return self.s, self.C, self.residual

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained: plain Fraction
 arithmetic, quadratic algorithms, no imports from the package under test.
 The package must agree with these on small instances.  The needle oracle
-uses numpy only to replay the same Philox line stream.
+uses numpy only to replay the same Philox line stream, and the exact-step
+reference only for its int64 re-sort.
 """
 
 from __future__ import annotations
@@ -148,3 +149,56 @@ def needle_hits_bruteforce(maps2d, base2d, n, seed, trials, halfwidth,
             inside = np.abs(centers - c[sl, None]) <= reach[sl, None]
             hits += int(np.count_nonzero(inside.any(axis=1)))
     return hits
+
+
+_INT64_LIMIT = 1 << 62
+
+
+def exact_step_reference(den, lo, hi, maps):
+    """One step E -> union of r*E + c of the exact engine, by re-sorting.
+
+    The state is integer endpoints lo/hi over the shared denominator den;
+    maps are (ratio, offset) Fractions.  The new denominator is
+    lcm(den * lcm of ratio denominators, lcm of offset denominators), as in
+    the engine.  When every image endpoint fits below 2^62 all 2k image
+    arrays are concatenated and merged by a stable argsort and a running
+    maximum in int64, otherwise by sorting Python-int pairs.  Degenerate
+    merged intervals are dropped.  Returns (new_den, lo, hi, used_int64).
+    """
+    ratio_lcm = offset_lcm = 1
+    for r, c in maps:
+        ratio_lcm = math.lcm(ratio_lcm, Fraction(r).denominator)
+        offset_lcm = math.lcm(offset_lcm, Fraction(c).denominator)
+    new_den = math.lcm(den * ratio_lcm, offset_lcm)
+    coeffs = [(Fraction(r).numerator * (new_den // (Fraction(r).denominator * den)),
+               Fraction(c).numerator * (new_den // Fraction(c).denominator))
+              for r, c in maps]
+    lo = [int(v) for v in lo]
+    hi = [int(v) for v in hi]
+    xmax = max(abs(lo[0]), abs(hi[-1])) if lo else 0
+    if new_den < _INT64_LIMIT and all(abs(a) * xmax + abs(c) < _INT64_LIMIT
+                                      for a, c in coeffs):
+        lo_a = np.array(lo, dtype=np.int64)
+        hi_a = np.array(hi, dtype=np.int64)
+        cat_lo = np.concatenate([a * lo_a + c for a, c in coeffs])
+        cat_hi = np.concatenate([a * hi_a + c for a, c in coeffs])
+        if cat_lo.size == 0:
+            return new_den, cat_lo, cat_hi, True
+        order = np.argsort(cat_lo, kind="stable")
+        cat_lo, cat_hi = cat_lo[order], cat_hi[order]
+        run = np.maximum.accumulate(cat_hi)
+        starts = np.flatnonzero(np.concatenate(([True], cat_lo[1:] > run[:-1])))
+        ends = np.append(starts[1:] - 1, cat_lo.size - 1)
+        mlo, mhi = cat_lo[starts], run[ends]
+        keep = mhi > mlo
+        return new_den, mlo[keep], mhi[keep], True
+    pairs = sorted((a * x + c, a * y + c) for a, c in coeffs
+                   for x, y in zip(lo, hi))
+    out = []
+    for a, b in pairs:
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    out = [(a, b) for a, b in out if b > a]
+    return new_den, [a for a, _ in out], [b for _, b in out], False

@@ -72,6 +72,20 @@ class TestExitCodes:
                    "--trials", "10", "--backend", "exact") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ("certificate", "--n", "1"),
+        ("special-angle", "--slope", "1/2"),
+        ("cover", "--slope", "0", "--radius", "1/16"),
+        ("validate",),
+        ("lipschitz", "--nodes", "10"),
+        ("dimension",),
+    ], ids=lambda argv: argv[0])
+    def test_usage_backend_rejected(self, argv, capsys):
+        # these subcommands use one backend each; --backend used to be ignored
+        assert run(*argv, "--preset", "four-corner",
+                   "--backend", "exact") == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_claim_certificate_fails(self, overlap_config, capsys):
         assert run("certificate", "--config", overlap_config, "--n", "3",
                    "--grid", "16") == 3

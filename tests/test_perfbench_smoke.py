@@ -1,6 +1,8 @@
-"""Toy-size run of the benchmark's needle workload, so the harness cannot rot.
+"""Toy-size runs of benchmark workloads, so the harness cannot rot.
 
-The run writes its record under perfbench/out/, which git ignores.
+The exact-deep run also checks the exact engine end to end: convexity and
+monotonicity of every sequence, and a cylinder brute force at depth 5.
+Each run writes its record under perfbench/out/, which git ignores.
 """
 
 import json
@@ -8,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_needle_toy_run():
+@pytest.mark.parametrize("workload", ["needle", "exact-deep"])
+def test_toy_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "needle",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "0", "--toy"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

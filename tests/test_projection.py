@@ -1,14 +1,25 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favardlab.errors import SizeCapExceeded
-from favardlab.ifs import four_corner, sierpinski_gasket, sparse_corner
+from favardlab.ifs import (
+    IFS2D,
+    Similitude2D,
+    four_corner,
+    sierpinski_gasket,
+    sparse_corner,
+)
 from favardlab.projection import (
     Direction,
+    ProjectedIFS1D,
+    _ExactEngine,
+    _merge_images_int64,
     alpha,
     alpha_parts,
     generation,
@@ -17,7 +28,7 @@ from favardlab.projection import (
     sheared_measures,
 )
 
-from oracles import cylinder_generation, project_square_ifs
+from oracles import cylinder_generation, exact_step_reference, project_square_ifs
 
 slopes = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 
@@ -186,6 +197,116 @@ class TestGenerationEngine:
                                           "x", t)
         want = cylinder_generation(maps1d, base, 3)
         assert [(iv.lo, iv.hi) for iv in got.intervals] == want
+
+
+def _engine_vs_reference(proj, steps):
+    """Step the exact engine and check (den, lo, hi) against the re-sorting
+    reference after every step; returns the int64/bigint path of each."""
+    eng = _ExactEngine(proj)
+    paths = []
+    for _ in range(steps):
+        den, lo, hi, int64 = exact_step_reference(eng.den, eng.lo, eng.hi,
+                                                  proj.maps)
+        eng.step()
+        assert eng.den == den
+        assert isinstance(eng.lo, np.ndarray) == int64
+        if int64:
+            assert eng.lo.dtype == eng.hi.dtype == np.int64
+            assert np.array_equal(eng.lo, lo) and np.array_equal(eng.hi, hi)
+        else:
+            assert (eng.lo, eng.hi) == (lo, hi)
+        paths.append(int64)
+    return paths
+
+
+def _window_slopes():
+    rng = random.Random(20260418)
+    fixed = [Fraction(v) for v in ("0", "1", "-1", "1/2", "-1/2", "1/3", "-2/3")]
+    small = [Fraction(rng.randint(-q, q), q)
+             for q in (rng.randint(2, 63) for _ in range(12))]
+    snapped = [Direction.from_angle(rng.uniform(-math.pi / 4, math.pi / 4)).slope
+               for _ in range(6)]
+    return fixed + small + snapped
+
+
+# Five maps with unequal ratios whose x-shadows [dx, dx + r] overlap three
+# at a time; the y translations spread them apart at other slopes.
+_OVERLAP5 = IFS2D("overlap-5", tuple(Similitude2D.of(r, dx, dy) for r, dx, dy in (
+    ("1/2", "0", "0"), ("3/8", "1/5", "1/2"), ("1/3", "2/5", "1/4"),
+    ("3/10", "11/20", "1/8"), ("2/5", "3/5", "3/5"))),
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+
+
+class TestImageWindowMerge:
+    @pytest.mark.parametrize("ifs", [four_corner(), sierpinski_gasket(),
+                                     sparse_corner(5), sparse_corner(8),
+                                     _OVERLAP5], ids=lambda f: f.name)
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_bit_identical_to_resorting(self, ifs, chart):
+        steps = 6 if len(ifs.maps) > 4 else 7
+        for t in _window_slopes():
+            proj = project_ifs(ifs, Direction(chart, t))
+            assert all(_engine_vs_reference(proj, steps))
+
+    def test_tiling_slope_touching_images_merge(self):
+        proj = project_ifs(four_corner(), Direction("x", Fraction(1, 2)))
+        eng = _ExactEngine(proj)
+        for _ in range(6):
+            eng.step()
+            assert eng.count == 1
+
+    def test_overlap5_covers_three_at_a_time(self):
+        proj = project_ifs(_OVERLAP5, Direction("x", Fraction(0)))
+        cover = [sum(1 for r, c in proj.maps if c <= x <= c + r)
+                 for x in (Fraction(k, 100) for k in range(101))]
+        assert max(cover) == 3
+
+    def test_crosses_into_bigint(self):
+        ifs = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
+                             Similitude2D.of("1/524288", "1/2", "1/3")),
+                    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+        paths = _engine_vs_reference(project_ifs(ifs, Direction("x", Fraction(2, 7))), 5)
+        assert paths[0] and not paths[-1]
+
+    def test_touch_through_a_gap(self):
+        # A = S ends at 6 where C = S + 6 starts, and B = S + 3 has a gap
+        # around 6: the touching pair must land in one window and merge.
+        lo, hi = np.array([0, 4]), np.array([2, 6])
+        coeffs = [(1, 0), (1, 3), (1, 6)]
+        mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        assert (mlo.tolist(), mhi.tolist()) == ([0, 3, 10], [2, 9, 12])
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                    min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(-30, 30)),
+                    min_size=2, max_size=6),
+           st.integers(-10, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_random_small_images(self, steps, coeffs, origin):
+        # a canonical set from (gap, length) steps, mapped by small a*x + c
+        lo, hi, x = [], [], origin
+        for gap, length in steps:
+            lo.append(x + gap)
+            hi.append(x + gap + length)
+            x = hi[-1]
+        lo, hi = np.array(lo), np.array(hi)
+        mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        _, want_lo, want_hi, _ = exact_step_reference(
+            1, lo, hi, [(Fraction(a), Fraction(c)) for a, c in coeffs])
+        assert np.array_equal(mlo, want_lo) and np.array_equal(mhi, want_hi)
+
+    def test_nonpositive_ratio_rejected(self):
+        proj = ProjectedIFS1D(((Fraction(-1, 2), Fraction(0)),
+                               (Fraction(1, 2), Fraction(1, 2))),
+                              (Fraction(0), Fraction(1)))
+        with pytest.raises(ValueError):
+            _ExactEngine(proj)
+
+    def test_degenerate_base(self):
+        proj = ProjectedIFS1D(((Fraction(1, 2), Fraction(0)),
+                               (Fraction(1, 2), Fraction(1, 2))),
+                              (Fraction(1, 3), Fraction(1, 3)))
+        assert _engine_vs_reference(proj, 2) == [True, True]
 
 
 class TestAlpha:
