@@ -22,7 +22,6 @@ from favardlab import (
     check_convexity,
     four_corner,
     generation,
-    project_ifs,
     special_slope_check,
 )
 
@@ -37,9 +36,8 @@ print(f"t = 1/2: tiles = {rep.tiles}, defect = {rep.defect}, "
       f"pieces after merging = {rep.pieces}")
 
 d = Direction("x", Fraction(1, 2))
-proj = project_ifs(fc, d)
 for n in (0, 4, 8):
-    gen = generation(proj, n, d, backend="exact")
+    gen = generation(fc, d, n, backend="exact")
     ivals = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in gen.set.intervals)
     print(f"  generation {n}: {gen.set.count} interval(s): {ivals}")
 

@@ -27,7 +27,6 @@ from .intervals import (
     Interval,
     IntervalSet,
     MERGE_EPSILON,
-    normalize,
     rational_str,
     to_fraction,
 )
@@ -35,8 +34,6 @@ from .projection import (
     Direction,
     GenerationSet,
     ProjectedIFS1D,
-    alpha,
-    alpha_parts,
     generation,
     iter_generations,
     project_ifs,

@@ -16,8 +16,6 @@ the complementary chart automatically.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +49,7 @@ from .dimension import (
 from .ifs import PRESET_NAMES, dumps_config, load_config, preset, validate
 from .intervals import to_fraction
 from .needle import NeedleConfig, estimate_favard_mc
-from .projection import Direction, iter_generations, project_ifs
+from .projection import Direction, iter_generations
 from .serialize import (
     ManifestTimer,
     fmt,
@@ -82,19 +80,7 @@ def _load_ifs(args):
 def _direction(args) -> Direction:
     if getattr(args, "angle", None) is not None:
         return Direction.from_angle(args.angle)
-    t = to_fraction(args.slope)
-    if abs(t) <= 1:
-        return Direction(getattr(args, "chart", None) or "x", t)
-    return Direction("y", 1 / t)
-
-
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        value = int(os.environ.get("FAVARD_LAB_THREADS", "0"))
-    if value < 0:
-        raise PreconditionError("--threads must be >= 0")
-    return 1 if value == 0 else value
+    return Direction.from_slope(args.slope, args.chart or "x")
 
 
 def _out_dir(args):
@@ -117,8 +103,7 @@ def _cmd_alpha(args) -> int:
     if out:
         write_csv(out / "alpha.csv", ("n", "slope", "sheared", "true"), rows)
         if args.generations:
-            gens = iter_generations(project_ifs(ifs, d), args.depth, d,
-                                    backend=args.backend)
+            gens = iter_generations(ifs, d, args.depth, backend=args.backend)
             write_csv(out / "generations.csv",
                       ("n", "chart", "slope", "lo", "hi"),
                       generation_rows(gens))
@@ -158,7 +143,7 @@ def _cmd_favard(args) -> int:
     quad = QuadratureConfig(tol=args.tol, panel_order=args.order,
                             initial_panels=args.panels,
                             max_refinements=args.refinements,
-                            backend=args.backend, threads=_threads(args))
+                            backend=args.backend)
     manifest = ManifestTimer("favard", vars(args), args.backend)
     est = favard(ifs, args.n, quad)
     out = _out_dir(args)
@@ -221,7 +206,7 @@ def _cmd_special_angle(args) -> int:
 def _cmd_lipschitz(args) -> int:
     ifs = _load_ifs(args)
     manifest = ManifestTimer("lipschitz", vars(args), "float")
-    rep = lipschitz_scan(ifs, nodes=args.nodes, threads=_threads(args))
+    rep = lipschitz_scan(ifs, nodes=args.nodes)
     out = _out_dir(args)
     if out:
         write_csv(out / "lipschitz.csv", ("theta", "g"),
@@ -253,7 +238,7 @@ def _cmd_dimension(args) -> int:
     manifest = ManifestTimer("dimension", vars(args), "float")
     series = decay_series(ifs, scales, window=window, panels=args.panels,
                           order=args.order, sensitivity=args.sensitivity,
-                          include_directions=False, threads=_threads(args))
+                          include_directions=False)
     fit = exponent_fit(series)
     rows = []
     for i, rec in enumerate(series):
@@ -403,17 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, backend=None, threads=False):
+    def common(sub, backend=None):
         # --backend only where the handler honours it
         _add_source(sub)
         sub.add_argument("--out", help="directory for CSV/JSON outputs")
         if backend:
             sub.add_argument("--backend", choices=("exact", "float"),
                              default=backend)
-        if threads:
-            sub.add_argument("--threads", type=int, default=None,
-                             help="worker threads (0 = auto; env "
-                                  "FAVARD_LAB_THREADS)")
 
     def slope_flags(sub, required=True):
         group = sub.add_mutually_exclusive_group(required=required)
@@ -438,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_convexity)
 
     p = subs.add_parser("favard", help="Favard length by quadrature")
-    common(p, backend="float", threads=True)
+    common(p, backend="float")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--order", type=int, default=16)
@@ -461,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_special_angle)
 
     p = subs.add_parser("lipschitz", help="finite-difference scan of a0-a1")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--nodes", type=int, default=10_000)
     p.set_defaults(handler=_cmd_lipschitz)
 
     p = subs.add_parser("dimension", help="neighborhood decay and exponent")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--scales", help="comma-separated rational scales")
     p.add_argument("--scale-base", default="8",
                    help="base b for scales b^-k (with --depth-min/max)")

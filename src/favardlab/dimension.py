@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateFitError, PreconditionError
-from .favard import ConvexityReport, check_convexity, _parallel_map
+from .favard import ConvexityReport, _panel_nodes, check_convexity
 from .ifs import IFS2D
 from .intervals import IntervalSet, to_fraction
 from .projection import (
@@ -36,7 +36,6 @@ from .projection import (
     DEFAULT_SLOPE_DENOMINATOR,
     Direction,
     generation,
-    project_ifs,
 )
 
 RADIUS_SNAP_DENOMINATOR = 10 ** 12
@@ -116,8 +115,7 @@ def cover_stats(ifs: IFS2D, d: Direction, r, exponents: Sequence = (Fraction(1, 
         if not 0 < p < 1:
             raise ValueError(f"Holder exponent must lie in (0, 1), got {p}")
     depth = matched_depth(ifs, r)
-    proj = project_ifs(ifs, d)
-    gen = generation(proj, depth, d, backend="exact", max_count=max_count)
+    gen = generation(ifs, d, depth, backend="exact", max_count=max_count)
     r_sh = sheared_radius(r, d)
     cover = gen.set.expand(r_sh)
     scale = d.scale
@@ -148,30 +146,10 @@ class DecayRecord:
     total_deeper: Optional[float] = None
 
 
-def _window_nodes(ifs: IFS2D, window, panels: int, order: int):
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        factor = 1.0
-    elif ifs.dihedral_symmetry:
-        lo, hi, factor = 0.0, _QUARTER_PI, 4.0
-    else:
-        lo, hi, factor = -_QUARTER_PI, 3 * _QUARTER_PI, 1.0
-    if hi <= lo:
-        raise ValueError("angular window must have positive length")
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = factor * (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _expanded_measure(ifs: IFS2D, theta: float, depth: int, r: float,
                       max_denominator: int, max_count: int):
     d = Direction.from_angle(theta, max_denominator)
-    proj = project_ifs(ifs, d)
-    gen = generation(proj, depth, d, backend="float", max_count=max_count)
+    gen = generation(ifs, d, depth, backend="float", max_count=max_count)
     expanded = gen.set.expand(r / d.scale)
     return expanded.measure * d.scale, expanded.count
 
@@ -180,8 +158,7 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
                  order: int = 16, sensitivity: bool = False,
                  include_directions: bool = True,
                  max_denominator: int = DEFAULT_SLOPE_DENOMINATOR,
-                 max_count: int = DEFAULT_MAX_COUNT,
-                 threads: int = 0) -> list:
+                 max_count: int = DEFAULT_MAX_COUNT) -> list:
     """Window-integrated projected neighborhood measure per scale.
 
     Scales must be strictly decreasing and positive.  Each scale picks its
@@ -195,33 +172,31 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
         raise ValueError("need at least one scale")
     if any(b >= a for a, b in zip(rs, rs[1:])) or rs[-1] <= 0:
         raise PreconditionError("scales must be strictly decreasing and positive")
-    nodes, weights = _window_nodes(ifs, window, panels, order)
+    if window is not None:
+        lo, hi, factor = float(window[0]), float(window[1]), 1.0
+    elif ifs.dihedral_symmetry:
+        lo, hi, factor = 0.0, _QUARTER_PI, 4.0
+    else:
+        lo, hi, factor = -_QUARTER_PI, 3 * _QUARTER_PI, 1.0
+    if hi <= lo:
+        raise ValueError("angular window must have positive length")
+    nodes, weights = _panel_nodes(lo, hi, panels, order)
+    weights = factor * weights
+
+    def integrate(depth: int, rf: float):
+        rows = [_expanded_measure(ifs, theta, depth, rf, max_denominator,
+                                  max_count) for theta in nodes.tolist()]
+        return float(np.dot(weights, np.array([m for m, _ in rows]))), rows
+
     records = []
     for r in rs:
         depth = matched_depth(ifs, r)
         rf = float(r)
-
-        def one(theta, n=depth):
-            return _expanded_measure(ifs, theta, n, rf, max_denominator,
-                                     max_count)
-
-        rows = _parallel_map(one, nodes.tolist(), threads)
-        total = float(np.dot(weights, np.array([m for m, _ in rows])))
+        total, rows = integrate(depth, rf)
         per_dir = tuple((float(t), m, c) for t, (m, c) in zip(nodes, rows)) \
             if include_directions else None
-        t_lo = t_hi = None
-        if sensitivity:
-            for delta in (-1, 1):
-                n2 = depth + delta
-                if n2 < 0:
-                    continue
-                rows2 = _parallel_map(lambda th: one(th, n2), nodes.tolist(),
-                                      threads)
-                tot2 = float(np.dot(weights, np.array([m for m, _ in rows2])))
-                if delta < 0:
-                    t_lo = tot2
-                else:
-                    t_hi = tot2
+        t_lo = integrate(depth - 1, rf)[0] if sensitivity and depth > 0 else None
+        t_hi = integrate(depth + 1, rf)[0] if sensitivity else None
         records.append(DecayRecord(rf, total, depth, per_dir, t_lo, t_hi))
     return records
 

@@ -20,7 +20,6 @@ twice the integral over any half period.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -34,20 +33,13 @@ from .projection import (
     DEFAULT_MAX_COUNT,
     DEFAULT_SLOPE_DENOMINATOR,
     Direction,
-    project_ifs,
+    iter_generations,
     sheared_measures,
 )
 
 SPECIAL_SLOPE = Fraction(1, 2)
 
 _QUARTER_PI = math.pi / 4
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -63,9 +55,6 @@ class AlphaSequence:
     values: tuple
     scale: float
 
-    def true_values(self) -> list[float]:
-        return [float(v) * self.scale for v in self.values]
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -73,8 +62,7 @@ class AlphaSequence:
 def alpha_sequence(ifs: IFS2D, d: Direction, n_max: int, backend: str = "exact",
                    max_count: int = DEFAULT_MAX_COUNT) -> AlphaSequence:
     """Compute alpha_0 .. alpha_{n_max}, reusing the merged set per step."""
-    proj = project_ifs(ifs, d)
-    values = sheared_measures(proj, n_max, backend=backend, max_count=max_count)
+    values = sheared_measures(ifs, d, n_max, backend=backend, max_count=max_count)
     return AlphaSequence(d, tuple(values), d.scale)
 
 
@@ -124,7 +112,6 @@ class QuadratureConfig:
     max_refinements: int = 6
     backend: str = "float"
     max_denominator: int = DEFAULT_SLOPE_DENOMINATOR
-    threads: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,15 +128,11 @@ class FavardEstimate:
         return self.status == "converged"
 
 
-def _alpha_at_angle(ifs: IFS2D, n: int, theta: float, backend: str,
-                    max_denominator: int, max_count: int) -> float:
-    d = Direction.from_angle(theta, max_denominator)
-    proj = project_ifs(ifs, d)
-    vals = sheared_measures(proj, n, backend=backend, max_count=max_count)
-    return float(vals[n]) * d.scale
-
-
 def _panel_nodes(lo: float, hi: float, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+    if panels < 1 or order < 1:
+        raise PreconditionError(
+            f"quadrature needs panels >= 1 and order >= 1, got {panels} and {order}")
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
@@ -177,10 +160,11 @@ def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
 
     def evaluate(panels: int) -> float:
         nodes, weights = _panel_nodes(lo, hi, panels, quad.panel_order)
-        values = _parallel_map(
-            lambda th: _alpha_at_angle(ifs, n, th, quad.backend,
-                                       quad.max_denominator, max_count),
-            nodes.tolist(), quad.threads)
+        values = []
+        for theta in nodes.tolist():
+            d = Direction.from_angle(theta, quad.max_denominator)
+            values.append(sheared_measures(ifs, d, n, quad.backend,
+                                           max_count)[n] * d.scale)
         return factor * float(np.dot(weights, np.array(values)))
 
     panels = quad.initial_panels
@@ -215,18 +199,10 @@ def special_slope_check(ifs: IFS2D, t) -> SpecialSlopeReport:
     alpha_n = alpha_0 for every n at this direction.
     """
     t = to_fraction(t)
-    if abs(t) <= 1:
-        d = Direction("x", t)
-    else:
-        d = Direction("y", 1 / t)
-    proj = project_ifs(ifs, d)
-    from .projection import generation
-
-    g1 = generation(proj, 1, d, backend="exact")
-    base_measure = proj.base[1] - proj.base[0]
-    defect = base_measure - g1.set.measure
+    g0, g1 = iter_generations(ifs, Direction.from_slope(t), 1, backend="exact")
+    defect = g0.set.measure - g1.set.measure
     tiles = g1.set.count == 1 and defect == 0
-    return SpecialSlopeReport(t, tiles, defect, g1.set.count, base_measure)
+    return SpecialSlopeReport(t, tiles, defect, g1.set.count, g0.set.measure)
 
 
 @dataclass(frozen=True)
@@ -243,8 +219,8 @@ class LipschitzReport:
 
 
 def lipschitz_scan(ifs: IFS2D, nodes: int = 10_000,
-                   max_denominator: int = DEFAULT_SLOPE_DENOMINATOR,
-                   threads: int = 0) -> LipschitzReport:
+                   max_denominator: int = DEFAULT_SLOPE_DENOMINATOR
+                   ) -> LipschitzReport:
     """Scan g(theta) = alpha_0 - alpha_1 over a half period of directions.
 
     Reports the largest finite-difference slope between adjacent nodes
@@ -256,13 +232,12 @@ def lipschitz_scan(ifs: IFS2D, nodes: int = 10_000,
         raise ValueError("need at least 3 grid nodes")
     thetas = np.linspace(-_QUARTER_PI, 3 * _QUARTER_PI, nodes)
 
-    def g_at(theta: float) -> float:
+    g = []
+    for theta in thetas.tolist():
         d = Direction.from_angle(theta, max_denominator)
-        proj = project_ifs(ifs, d)
-        vals = sheared_measures(proj, 1, backend="float")
-        return (vals[0] - vals[1]) * d.scale
-
-    g = np.array(_parallel_map(g_at, thetas.tolist(), threads))
+        a0, a1 = sheared_measures(ifs, d, 1, backend="float")
+        g.append((a0 - a1) * d.scale)
+    g = np.array(g)
     spacing = float(thetas[1] - thetas[0])
     sup_slope = float(np.max(np.abs(np.diff(g)))) / spacing
     idx = int(np.argmin(g))
@@ -342,8 +317,7 @@ def lower_bound_certificate(ifs: IFS2D, n: int, grid_count: int = 64,
     witness = None
     for theta in angles:
         d = Direction.from_angle(float(theta), max_denominator)
-        proj = project_ifs(ifs, d)
-        a0, a1 = sheared_measures(proj, 1)
+        a0, a1 = sheared_measures(ifs, d, 1)
         d1 = a0 - a1
         lower = a0 - n * d1
         ok = lower >= 0 and 4 * lower * lower >= d.shear_norm_sq

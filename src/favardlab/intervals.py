@@ -315,19 +315,6 @@ class IntervalSet:
         lo, hi = _merge_scaled(pairs)
         return IntervalSet._reduced(den, lo, hi)
 
-    def affine(self, scale: RationalLike, offset: RationalLike = 0) -> "IntervalSet":
-        """Map every point by x -> scale*x + offset, scale > 0 (order preserving)."""
-        c = to_fraction(scale)
-        d = to_fraction(offset)
-        if c <= 0:
-            raise ValueError(f"affine scale must be positive, got {c}")
-        den = _lcm(self._den * c.denominator, d.denominator)
-        a_coef = c.numerator * (den // (c.denominator * self._den))
-        c_coef = d.numerator * (den // d.denominator)
-        lo = [a_coef * v + c_coef for v in self._lo]
-        hi = [a_coef * v + c_coef for v in self._hi]
-        return IntervalSet._reduced(den, lo, hi)
-
     def issuperset(self, other: "IntervalSet") -> bool:
         """True when every interval of ``other`` lies inside one of ``self``."""
         if other.count == 0:
@@ -454,13 +441,6 @@ class FloatIntervalSet:
         lo, hi = merge_float_arrays(self._lo - r, self._hi + r, self._eps)
         return FloatIntervalSet._trusted(lo, hi, self._eps)
 
-    def affine(self, scale: float, offset: float = 0.0) -> "FloatIntervalSet":
-        c = float(scale)
-        if c <= 0:
-            raise ValueError(f"affine scale must be positive, got {c}")
-        lo, hi = merge_float_arrays(self._lo * c + offset, self._hi * c + offset, self._eps)
-        return FloatIntervalSet._trusted(lo, hi, self._eps)
-
     def issuperset(self, other: "FloatIntervalSet", slack: float = 0.0) -> bool:
         i = 0
         my_lo, my_hi = self._lo, self._hi
@@ -482,13 +462,3 @@ class FloatIntervalSet:
             return "FloatIntervalSet(empty)"
         parts = ", ".join(f"[{a!r}, {b!r}]" for a, b in zip(self._lo, self._hi))
         return f"FloatIntervalSet({parts})"
-
-
-def normalize(items: Iterable, backend: str = "exact",
-              merge_eps: float = MERGE_EPSILON):
-    """Factory form of set construction; dispatches on backend name."""
-    if backend == "exact":
-        return IntervalSet.from_intervals(items)
-    if backend == "float":
-        return FloatIntervalSet.from_intervals(items, merge_eps)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -19,7 +19,9 @@ interval set through every map and renormalizing, which is exponentially
 cheaper than enumerating cylinders whenever images overlap.  The engine
 tracks one shared integer denominator so each step is pure integer work,
 vectorized through int64 arrays when magnitudes allow and falling back to
-Python integers otherwise.
+Python integers otherwise.  ``sheared_measures``, ``generation`` and
+``iter_generations`` are the one path from a system and a direction to
+generations: each projects the system itself and rejects n < 0.
 
 The int64 step does not re-sort.  Every ratio is positive, so each image
 ``a*E_n + c`` of the canonical set is already sorted with positive gaps.
@@ -107,7 +109,15 @@ class Direction:
 
     @classmethod
     def from_slope(cls, slope, chart: str = "x") -> "Direction":
-        return cls(chart, to_fraction(slope))
+        """The direction of a slope in a chart, switching charts when steep.
+
+        Slope t with |t| > 1 in one chart is the direction of slope 1/t in
+        the other: x + t*y = t*(y + x/t), and likewise for chart y.
+        """
+        t = to_fraction(slope)
+        if abs(t) <= 1:
+            return cls(chart, t)
+        return cls({"x": "y", "y": "x"}.get(chart, chart), 1 / t)
 
     @classmethod
     def from_angle(cls, theta: float,
@@ -157,13 +167,6 @@ class GenerationSet:
     n: int
     direction: Direction
     set: Union[IntervalSet, FloatIntervalSet]
-
-    @property
-    def sheared_measure(self):
-        return self.set.measure
-
-    def true_measure(self) -> float:
-        return float(self.set.measure) * self.direction.scale
 
 
 def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
@@ -373,7 +376,11 @@ class _FloatEngine:
         return FloatIntervalSet._trusted(self.lo.copy(), self.hi.copy(), self.eps)
 
 
-def _engine(proj: ProjectedIFS1D, backend: str, max_count: int):
+def _engine(ifs: IFS2D, d: Direction, n: int, backend: str, max_count: int):
+    """Project the system through d and start the engine for generation n."""
+    if n < 0:
+        raise ValueError("generation index must be >= 0")
+    proj = project_ifs(ifs, d)
     if backend == "exact":
         return _ExactEngine(proj, max_count)
     if backend == "float":
@@ -381,57 +388,38 @@ def _engine(proj: ProjectedIFS1D, backend: str, max_count: int):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def generation(proj: ProjectedIFS1D, n: int, direction: Direction,
-               backend: str = "exact",
+def generation(ifs: IFS2D, d: Direction, n: int, backend: str = "exact",
                max_count: int = DEFAULT_MAX_COUNT) -> GenerationSet:
-    """Generation n of the projected system as a canonical interval set."""
-    if n < 0:
-        raise ValueError("generation index must be >= 0")
-    eng = _engine(proj, backend, max_count)
+    """Generation n projected in direction d, as a canonical interval set."""
+    eng = _engine(ifs, d, n, backend, max_count)
     for _ in range(n):
         eng.step()
-    return GenerationSet(n, direction, eng.snapshot())
+    return GenerationSet(n, d, eng.snapshot())
 
 
-def iter_generations(proj: ProjectedIFS1D, n_max: int, direction: Direction,
+def iter_generations(ifs: IFS2D, d: Direction, n_max: int,
                      backend: str = "exact",
                      max_count: int = DEFAULT_MAX_COUNT) -> Iterator[GenerationSet]:
     """Yield generations 0..n_max, reusing the merged set between steps."""
-    if n_max < 0:
-        raise ValueError("generation index must be >= 0")
-    eng = _engine(proj, backend, max_count)
-    yield GenerationSet(0, direction, eng.snapshot())
+    eng = _engine(ifs, d, n_max, backend, max_count)
+    yield GenerationSet(0, d, eng.snapshot())
     for k in range(1, n_max + 1):
         eng.step()
-        yield GenerationSet(k, direction, eng.snapshot())
+        yield GenerationSet(k, d, eng.snapshot())
 
 
-def sheared_measures(proj: ProjectedIFS1D, n_max: int, backend: str = "exact",
+def sheared_measures(ifs: IFS2D, d: Direction, n_max: int,
+                     backend: str = "exact",
                      max_count: int = DEFAULT_MAX_COUNT) -> list:
-    """Measures of generations 0..n_max without materializing the sets."""
-    eng = _engine(proj, backend, max_count)
+    """Sheared measures of generations 0..n_max in direction d.
+
+    The sets are not materialized.  Exact measures are Fractions, float ones
+    floats; the true projected length of generation n is
+    ``values[n] * d.scale``.
+    """
+    eng = _engine(ifs, d, n_max, backend, max_count)
     values = [eng.measure]
     for _ in range(n_max):
         eng.step()
         values.append(eng.measure)
     return values
-
-
-def alpha_parts(ifs: IFS2D, d: Direction, n: int,
-                max_count: int = DEFAULT_MAX_COUNT) -> tuple[Fraction, float]:
-    """Exact sheared projected length of generation n, plus the scale factor.
-
-    The true projected length is ``float(sheared) * scale``; keeping the two
-    apart lets certificates stay in rational arithmetic.
-    """
-    proj = project_ifs(ifs, d)
-    values = sheared_measures(proj, n, backend="exact", max_count=max_count)
-    return values[n], d.scale
-
-
-def alpha(ifs: IFS2D, d: Direction, n: int, backend: str = "exact",
-          max_count: int = DEFAULT_MAX_COUNT) -> float:
-    """True projected length of generation n in direction d."""
-    proj = project_ifs(ifs, d)
-    values = sheared_measures(proj, n, backend=backend, max_count=max_count)
-    return float(values[n]) * d.scale

@@ -32,7 +32,7 @@ from favardlab.favard import (
 from favardlab.ifs import IFS2D, Similitude2D, four_corner, preset
 from favardlab.intervals import IntervalSet
 from favardlab.needle import NeedleConfig, estimate_favard_mc
-from favardlab.projection import Direction, generation, project_ifs
+from favardlab.projection import Direction, generation
 
 ATAN_HALF = math.atan(0.5)
 
@@ -56,11 +56,10 @@ def test_criterion_01_special_angle_tiling(fc):
     t0 = time.perf_counter()
     rep = special_slope_check(fc, Fraction(1, 2))
     d = Direction("x", Fraction(1, 2))
-    proj = project_ifs(fc, d)
     target = IntervalSet.from_intervals([(Fraction(0), Fraction(3, 2))])
     tiled = []
     for n in range(9):
-        gen = generation(proj, n, d, backend="exact")
+        gen = generation(fc, d, n, backend="exact")
         tiled.append(gen.set == target)
     elapsed = time.perf_counter() - t0
     ok = (rep.defect == 0 and rep.tiles and all(tiled) and elapsed < 1.0)

@@ -120,11 +120,28 @@ class TestExitCodes:
         assert payload["status"] == "unconverged"
         capsys.readouterr()
 
-    def test_usage_negative_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("FAVARD_LAB_THREADS", "-3")
-        assert run("lipschitz", "--preset", "four-corner",
-                   "--nodes", "101") == 2
+    @pytest.mark.parametrize("argv", [
+        ("favard", "--n", "1"),
+        ("lipschitz", "--nodes", "101"),
+        ("dimension",),
+    ], ids=lambda argv: argv[0])
+    def test_usage_threads_rejected(self, argv, capsys):
+        assert run(*argv, "--preset", "four-corner", "--threads", "2") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("favard", "--n", "-1"),
+        ("alpha", "--slope", "1/3", "--depth", "-1"),
+        ("favard", "--n", "1", "--panels", "0"),
+        ("dimension", "--panels", "0"),
+    ], ids=["favard-n", "alpha-depth", "favard-panels", "dimension-panels"])
+    def test_usage_empty_index_or_rule(self, argv, capsys):
+        # a negative generation or an empty quadrature rule used to run and
+        # print generation 0, or a false "converged" at 0 panels
+        assert run(*argv, "--preset", "four-corner") == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
@@ -348,19 +365,6 @@ class TestRoundTrip:
             (out_b / "alpha.csv").read_bytes()
         capsys.readouterr()
 
-    def test_threads_env_matches_flag(self, tmp_path, monkeypatch, capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert run("favard", "--preset", "four-corner", "--n", "1",
-                   "--threads", "2", "--out", str(out_a)) == 0
-        monkeypatch.setenv("FAVARD_LAB_THREADS", "2")
-        assert run("favard", "--preset", "four-corner", "--n", "1",
-                   "--out", str(out_b)) == 0
-        a = json.loads((out_a / "favard.json").read_text())
-        b = json.loads((out_b / "favard.json").read_text())
-        assert a["value"] == b["value"]
-        capsys.readouterr()
-
     def test_steep_slope_switches_chart(self, tmp_path, capsys):
         out = tmp_path / "steep"
         assert run("alpha", "--preset", "four-corner", "--slope", "5/2",
@@ -368,4 +372,21 @@ class TestRoundTrip:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["chart"] == "y"
         assert manifest["parameters"]["snapped_slope"] == "2/5"
+        capsys.readouterr()
+
+    def test_steep_slope_in_chart_y(self, tmp_path, capsys):
+        # y + 2x = 2(x + y/2): slope 2 in chart y is slope 1/2 in chart x
+        out_y = tmp_path / "y"
+        out_x = tmp_path / "x"
+        assert run("alpha", "--preset", "sierpinski-gasket", "--chart", "y",
+                   "--slope", "2", "--depth", "3", "--out", str(out_y)) == 0
+        assert run("alpha", "--preset", "sierpinski-gasket", "--chart", "x",
+                   "--slope", "1/2", "--depth", "3", "--out", str(out_x)) == 0
+        assert (out_y / "alpha.csv").read_bytes() == \
+            (out_x / "alpha.csv").read_bytes()
+        manifest = json.loads((out_y / "manifest.json").read_text())
+        assert manifest["parameters"]["chart"] == "x"
+        assert manifest["parameters"]["snapped_slope"] == "1/2"
+        _, rows = read_csv(out_y / "alpha.csv")
+        assert float(rows[-1][3]) == pytest.approx(0.950329, abs=1e-6)
         capsys.readouterr()

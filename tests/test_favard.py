@@ -39,16 +39,15 @@ class TestAlphaSequence:
     def test_tiling_slope_constant(self):
         seq = alpha_sequence(four_corner(), Direction("x", Fraction(1, 2)), 3)
         assert seq.values == (Fraction(3, 2),) * 4
+        assert len(seq) == 4
 
     def test_gasket_axis_fills_base(self):
         seq = alpha_sequence(sierpinski_gasket(), Direction("x", Fraction(0)), 2)
         assert seq.values == (1, 1, 1)
 
-    def test_true_values_apply_scale(self):
-        d = Direction("x", Fraction(1, 2))
-        seq = alpha_sequence(four_corner(), d, 2)
-        assert seq.true_values() == pytest.approx([1.5 * d.scale] * 3)
-        assert len(seq) == 3
+    def test_negative_generation_rejected(self):
+        with pytest.raises(ValueError):
+            alpha_sequence(four_corner(), Direction("x", Fraction(1, 3)), -1)
 
     @given(slopes, st.sampled_from(["x", "y"]))
     @settings(max_examples=50, deadline=None)
@@ -141,10 +140,13 @@ class TestFavardQuadrature:
                     QuadratureConfig(backend="exact"))
         assert qe.value == pytest.approx(qf.value, abs=1e-9)
 
-    def test_threads_do_not_change_result(self):
-        base = favard(four_corner(), 1)
-        threaded = favard(four_corner(), 1, QuadratureConfig(threads=4))
-        assert threaded.value == base.value
+    @pytest.mark.parametrize("quad", [QuadratureConfig(initial_panels=0),
+                                      QuadratureConfig(panel_order=0)])
+    def test_empty_rule_rejected(self, quad):
+        # zero panels or zero-point panels would integrate to 0 and agree
+        # with themselves, a false "converged"
+        with pytest.raises(PreconditionError):
+            favard(four_corner(), 1, quad)
 
 
 class TestSpecialSlope:

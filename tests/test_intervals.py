@@ -15,7 +15,6 @@ from favardlab.intervals import (
     MERGE_EPSILON,
     merge_float_arrays,
     merge_int64_arrays,
-    normalize,
     rational_str,
     to_fraction,
 )
@@ -122,18 +121,6 @@ class TestExactSet:
         with pytest.raises(ValueError):
             s.expand(0)
 
-    def test_affine(self):
-        s = IntervalSet.from_intervals([(0, 1), (2, 3)])
-        t = s.affine(Fraction(1, 2), Fraction(5))
-        assert t.intervals == (
-            Interval(Fraction(5), Fraction(11, 2)),
-            Interval(Fraction(6), Fraction(13, 2)),
-        )
-        with pytest.raises(ValueError):
-            s.affine(0)
-        with pytest.raises(ValueError):
-            s.affine(-1)
-
     def test_issuperset(self):
         big = IntervalSet.from_intervals([(0, 4)])
         small = IntervalSet.from_intervals([(1, 2), (3, 4)])
@@ -176,18 +163,6 @@ class TestExactSet:
         assert grown.count <= s.count
         lo, hi = s.bounds
         assert grown.bounds == (lo - r, hi + r)
-
-    @given(interval_lists(),
-           st.fractions(min_value="1/8", max_value=8, max_denominator=16),
-           rationals)
-    @settings(max_examples=200, deadline=None)
-    def test_affine_equivariance(self, items, scale, offset):
-        s = IntervalSet.from_intervals(items)
-        t = s.affine(scale, offset)
-        assert t.measure == scale * s.measure
-        assert t.count == s.count
-        mapped = [(scale * a + offset, scale * b + offset) for a, b in items]
-        assert t == IntervalSet.from_intervals(mapped)
 
 
 class TestMergeKernels:
@@ -233,13 +208,11 @@ class TestFloatSet:
         with pytest.raises((ValueError, RuntimeError)):
             lo[0] = 5.0
 
-    def test_expand_and_affine(self):
+    def test_expand(self):
         s = FloatIntervalSet.from_intervals([(0.0, 1.0), (3.0, 4.0)])
         grown = s.expand(0.25)
         assert grown.count == 2
         assert grown.measure == pytest.approx(3.0)
-        scaled = s.affine(2.0, 1.0)
-        assert scaled.bounds == (1.0, 9.0)
 
     def test_issuperset_with_slack(self):
         big = FloatIntervalSet.from_intervals([(0.0, 1.0)])
@@ -260,18 +233,5 @@ class TestFloatSet:
 
 
 class TestNormalizeFactory:
-    def test_dispatch(self):
-        assert isinstance(normalize([(0, 1)]), IntervalSet)
-        assert isinstance(normalize([(0.0, 1.0)], backend="float"),
-                          FloatIntervalSet)
-        with pytest.raises(ValueError):
-            normalize([(0, 1)], backend="symbolic")
-
-    def test_merge_eps_forwarded(self):
-        s = normalize([(0.0, 1.0), (1.0 + 1e-13, 2.0)], backend="float",
-                      merge_eps=1e-12)
-        assert s.count == 1
-        assert s.merge_eps == 1e-12
-
     def test_default_epsilon_constant(self):
         assert MERGE_EPSILON == 1e-12

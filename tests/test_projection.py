@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favardlab.errors import SizeCapExceeded
+from favardlab.favard import alpha_sequence
 from favardlab.ifs import (
     IFS2D,
     Similitude2D,
@@ -20,8 +21,6 @@ from favardlab.projection import (
     ProjectedIFS1D,
     _ExactEngine,
     _merge_images_int64,
-    alpha,
-    alpha_parts,
     generation,
     iter_generations,
     project_ifs,
@@ -88,6 +87,16 @@ class TestDirection:
     def test_label(self):
         assert Direction("x", Fraction(1, 2)).label() == "x:1/2"
 
+    def test_from_slope_switches_chart_when_steep(self):
+        assert Direction.from_slope("1/2") == Direction("x", Fraction(1, 2))
+        assert Direction.from_slope(-1, "y") == Direction("y", Fraction(-1))
+        # x + 2y = 2(y + x/2) and y + 2x = 2(x + y/2)
+        assert Direction.from_slope(2) == Direction("y", Fraction(1, 2))
+        assert Direction.from_slope(2, "y") == Direction("x", Fraction(1, 2))
+        assert Direction.from_slope("-5/2", "y") == Direction("x", Fraction(-2, 5))
+        with pytest.raises(ValueError):
+            Direction.from_slope(2, "z")
+
 
 class TestProject:
     def test_four_corner_half_slope(self):
@@ -116,8 +125,7 @@ class TestGenerationEngine:
     def test_matches_cylinder_oracle_four_corner(self, t, chart, n):
         ifs = four_corner()
         d = Direction(chart, t)
-        proj = project_ifs(ifs, d)
-        got = generation(proj, n, d).set
+        got = generation(ifs, d, n).set
         maps1d, base = project_square_ifs(_ifs_as_tuples(ifs), ifs.base,
                                           chart, t)
         want = cylinder_generation(maps1d, base, n)
@@ -128,8 +136,7 @@ class TestGenerationEngine:
     def test_matches_cylinder_oracle_gasket(self, t, n):
         ifs = sierpinski_gasket()
         d = Direction("x", t)
-        proj = project_ifs(ifs, d)
-        got = generation(proj, n, d).set
+        got = generation(ifs, d, n).set
         maps1d, base = project_square_ifs(_ifs_as_tuples(ifs), ifs.base,
                                           "x", t)
         want = cylinder_generation(maps1d, base, n)
@@ -138,17 +145,15 @@ class TestGenerationEngine:
     def test_iter_matches_one_shot(self):
         ifs = sparse_corner(5)
         d = Direction("x", Fraction(2, 7))
-        proj = project_ifs(ifs, d)
-        gens = list(iter_generations(proj, 5, d))
+        gens = list(iter_generations(ifs, d, 5))
         assert [g.n for g in gens] == list(range(6))
         for g in gens:
-            assert g.set == generation(proj, g.n, d).set
+            assert g.set == generation(ifs, d, g.n).set
 
     def test_nested_generations(self):
         ifs = four_corner()
         d = Direction("x", Fraction(3, 7))
-        proj = project_ifs(ifs, d)
-        gens = list(iter_generations(proj, 6, d))
+        gens = list(iter_generations(ifs, d, 6))
         for a, b in zip(gens, gens[1:]):
             assert a.set.issuperset(b.set)
 
@@ -156,34 +161,33 @@ class TestGenerationEngine:
         ifs = four_corner()
         for t in (Fraction(0), Fraction(1, 3), Fraction(4, 5), Fraction(-1, 2)):
             d = Direction("x", t)
-            proj = project_ifs(ifs, d)
-            ex = sheared_measures(proj, 7, backend="exact")
-            fl = sheared_measures(proj, 7, backend="float")
+            ex = sheared_measures(ifs, d, 7, backend="exact")
+            fl = sheared_measures(ifs, d, 7, backend="float")
             for e, f in zip(ex, fl):
                 assert f == pytest.approx(float(e), abs=1e-9)
 
     def test_size_cap(self):
         ifs = four_corner()
         d = Direction("x", Fraction(355, 452))
-        proj = project_ifs(ifs, d)
         with pytest.raises(SizeCapExceeded):
-            generation(proj, 8, d, max_count=10)
+            generation(ifs, d, 8, max_count=10)
 
     def test_negative_generation_rejected(self):
         ifs = four_corner()
         d = Direction("x", Fraction(0))
-        proj = project_ifs(ifs, d)
         with pytest.raises(ValueError):
-            generation(proj, -1, d)
+            generation(ifs, d, -1)
         with pytest.raises(ValueError):
-            list(iter_generations(proj, -1, d))
+            list(iter_generations(ifs, d, -1))
+        for backend in ("exact", "float"):
+            with pytest.raises(ValueError):
+                sheared_measures(ifs, d, -1, backend=backend)
 
     def test_unknown_backend(self):
         ifs = four_corner()
         d = Direction("x", Fraction(0))
-        proj = project_ifs(ifs, d)
         with pytest.raises(ValueError):
-            generation(proj, 1, d, backend="decimal")
+            generation(ifs, d, 1, backend="decimal")
 
     def test_bigint_fallback_matches_oracle(self):
         # a slope with a large denominator forces denominators past the
@@ -191,8 +195,7 @@ class TestGenerationEngine:
         ifs = four_corner()
         t = Fraction(999_999_937, 10 ** 9)
         d = Direction("x", t)
-        proj = project_ifs(ifs, d)
-        got = generation(proj, 3, d).set
+        got = generation(ifs, d, 3).set
         maps1d, base = project_square_ifs(_ifs_as_tuples(ifs), ifs.base,
                                           "x", t)
         want = cylinder_generation(maps1d, base, 3)
@@ -309,25 +312,30 @@ class TestImageWindowMerge:
         assert _engine_vs_reference(proj, 2) == [True, True]
 
 
+def _true_alpha(ifs, d, n):
+    seq = alpha_sequence(ifs, d, n)
+    return float(seq.values[n]) * seq.scale
+
+
 class TestAlpha:
     def test_true_length_contract_values(self):
         ifs = four_corner()
-        assert alpha(ifs, Direction("x", Fraction(0)), 0) == pytest.approx(1.0)
-        a = alpha(ifs, Direction("x", Fraction(1, 2)), 3)
+        assert _true_alpha(ifs, Direction("x", Fraction(0)), 0) == pytest.approx(1.0)
+        a = _true_alpha(ifs, Direction("x", Fraction(1, 2)), 3)
         assert a == pytest.approx(1.5 / math.sqrt(1.25))
 
     def test_alpha_parts_split(self):
         ifs = four_corner()
         d = Direction("x", Fraction(1, 2))
-        sheared, scale = alpha_parts(ifs, d, 2)
-        assert sheared == Fraction(3, 2)
-        assert scale == d.scale
+        seq = alpha_sequence(ifs, d, 2)
+        assert seq.values[2] == Fraction(3, 2)
+        assert seq.scale == d.scale
 
     def test_chart_seam_consistency(self):
         # slope 1 in chart x and slope 1 in chart y both mean theta = pi/4
         ifs = four_corner()
-        ax = alpha(ifs, Direction("x", Fraction(1)), 4)
-        ay = alpha(ifs, Direction("y", Fraction(1)), 4)
+        ax = _true_alpha(ifs, Direction("x", Fraction(1)), 4)
+        ay = _true_alpha(ifs, Direction("y", Fraction(1)), 4)
         assert ax == pytest.approx(ay, rel=1e-12)
 
     @given(slopes)
@@ -335,8 +343,8 @@ class TestAlpha:
     def test_dihedral_slope_symmetry(self, t):
         # reflecting the square swaps charts and flips slopes
         ifs = four_corner()
-        a1 = alpha(ifs, Direction("x", t), 3)
-        a2 = alpha(ifs, Direction("x", -t), 3)
-        a3 = alpha(ifs, Direction("y", t), 3)
+        a1 = _true_alpha(ifs, Direction("x", t), 3)
+        a2 = _true_alpha(ifs, Direction("x", -t), 3)
+        a3 = _true_alpha(ifs, Direction("y", t), 3)
         assert a1 == pytest.approx(a2, rel=1e-12)
         assert a1 == pytest.approx(a3, rel=1e-12)
