@@ -8,9 +8,11 @@ non-convergence, degenerate fit), 2 usage error, 3 a certified claim failed
 mathematics from operational breakage.
 
 Slopes are given exactly as rational strings ("1/2"); angles may be given
-as decimal radians instead and are snapped to a nearby rational slope, with
-the snapped value echoed in the manifest.  Slopes steeper than 1 switch to
-the complementary chart automatically.
+as decimal radians instead and are snapped to a nearby rational slope.  An
+angle fixes its own chart, so --chart goes with --slope only.  Slopes
+steeper than 1 switch to the complementary chart automatically.  The
+manifest keeps the requested options as given and records the direction
+actually used as ``direction`` ("y:2/5") and ``snapped_slope``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .errors import (
@@ -79,8 +82,21 @@ def _load_ifs(args):
 
 def _direction(args) -> Direction:
     if getattr(args, "angle", None) is not None:
+        if args.chart is not None:
+            raise PreconditionError("--chart goes with --slope only; "
+                                    "--angle picks its own chart")
         return Direction.from_angle(args.angle)
     return Direction.from_slope(args.slope, args.chart or "x")
+
+
+def _manifest(subcommand: str, args, backend: str,
+              d: Optional[Direction] = None) -> ManifestTimer:
+    """Manifest of every option but argparse's handler, plus the direction
+    actually used, if any, next to the requested chart."""
+    params = {k: v for k, v in vars(args).items() if k != "handler"}
+    if d is not None:
+        params.update(snapped_slope=d.slope, direction=d.label())
+    return ManifestTimer(subcommand, params, backend)
 
 
 def _out_dir(args):
@@ -94,8 +110,7 @@ def _parse_rational_list(text: str) -> list:
 def _cmd_alpha(args) -> int:
     ifs = _load_ifs(args)
     d = _direction(args)
-    manifest = ManifestTimer("alpha", {**vars(args), "snapped_slope": d.slope,
-                                       "chart": d.chart}, args.backend)
+    manifest = _manifest("alpha", args, args.backend, d)
     seq = alpha_sequence(ifs, d, args.depth, backend=args.backend)
     rows = [(n, d.slope, v, float(v) * seq.scale)
             for n, v in enumerate(seq.values)]
@@ -117,9 +132,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_convexity(args) -> int:
     ifs = _load_ifs(args)
     d = _direction(args)
-    manifest = ManifestTimer("convexity", {**vars(args),
-                                           "snapped_slope": d.slope,
-                                           "chart": d.chart}, args.backend)
+    manifest = _manifest("convexity", args, args.backend, d)
     seq = alpha_sequence(ifs, d, args.depth, backend=args.backend)
     report = check_convexity(seq)
     out = _out_dir(args)
@@ -144,7 +157,7 @@ def _cmd_favard(args) -> int:
                             initial_panels=args.panels,
                             max_refinements=args.refinements,
                             backend=args.backend)
-    manifest = ManifestTimer("favard", vars(args), args.backend)
+    manifest = _manifest("favard", args, args.backend)
     est = favard(ifs, args.n, quad)
     out = _out_dir(args)
     if out:
@@ -161,7 +174,7 @@ def _cmd_favard(args) -> int:
 
 def _cmd_certificate(args) -> int:
     ifs = _load_ifs(args)
-    manifest = ManifestTimer("certificate", vars(args), "exact")
+    manifest = _manifest("certificate", args, "exact")
     cert = lower_bound_certificate(ifs, args.n, args.grid,
                                    special_slope=to_fraction(args.slope))
     out = _out_dir(args)
@@ -188,7 +201,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_special_angle(args) -> int:
     ifs = _load_ifs(args)
-    manifest = ManifestTimer("special-angle", vars(args), "exact")
+    manifest = _manifest("special-angle", args, "exact")
     rep = special_slope_check(ifs, to_fraction(args.slope))
     out = _out_dir(args)
     if out:
@@ -205,7 +218,7 @@ def _cmd_special_angle(args) -> int:
 
 def _cmd_lipschitz(args) -> int:
     ifs = _load_ifs(args)
-    manifest = ManifestTimer("lipschitz", vars(args), "float")
+    manifest = _manifest("lipschitz", args, "float")
     rep = lipschitz_scan(ifs, nodes=args.nodes)
     out = _out_dir(args)
     if out:
@@ -235,7 +248,7 @@ def _cmd_dimension(args) -> int:
     if args.window:
         lo, hi = (float(x) for x in args.window.split(","))
         window = (lo, hi)
-    manifest = ManifestTimer("dimension", vars(args), "float")
+    manifest = _manifest("dimension", args, "float")
     series = decay_series(ifs, scales, window=window, panels=args.panels,
                           order=args.order, sensitivity=args.sensitivity,
                           include_directions=False)
@@ -265,8 +278,7 @@ def _cmd_cover(args) -> int:
     ifs = _load_ifs(args)
     d = _direction(args)
     exponents = _parse_rational_list(args.exponents)
-    manifest = ManifestTimer("cover", {**vars(args), "snapped_slope": d.slope,
-                                       "chart": d.chart}, "exact")
+    manifest = _manifest("cover", args, "exact", d)
     stats = cover_stats(ifs, d, to_fraction(args.radius), exponents)
     out = _out_dir(args)
     if out:
@@ -294,7 +306,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    manifest = ManifestTimer("counterexample", vars(args), "exact")
+    manifest = _manifest("counterexample", args, "exact")
     overlaps = ()
     if args.seesaw:
         stages = [tuple(to_fraction(x) for x in stage.split(","))
@@ -338,7 +350,7 @@ def _cmd_needle(args) -> int:
     cfg = NeedleConfig(trials=args.trials, seed=args.seed,
                        generation=args.n,
                        strip_halfwidth=args.strip_halfwidth)
-    manifest = ManifestTimer("needle", vars(args), "float")
+    manifest = _manifest("needle", args, "float")
     est = estimate_favard_mc(ifs, cfg)
     out = _out_dir(args)
     if out:
@@ -357,7 +369,7 @@ def _cmd_needle(args) -> int:
 
 def _cmd_validate(args) -> int:
     ifs = _load_ifs(args)
-    manifest = ManifestTimer("validate", vars(args), "exact")
+    manifest = _manifest("validate", args, "exact")
     report = validate(ifs)
     out = _out_dir(args)
     if out:

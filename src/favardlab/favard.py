@@ -34,6 +34,7 @@ from .projection import (
     DEFAULT_SLOPE_DENOMINATOR,
     Direction,
     iter_generations,
+    projected_lengths,
     sheared_measures,
 )
 
@@ -111,6 +112,7 @@ class QuadratureConfig:
     initial_panels: int = 4
     max_refinements: int = 6
     backend: str = "float"
+    # Snapping bound for node slopes; the float backend does not snap.
     max_denominator: int = DEFAULT_SLOPE_DENOMINATOR
 
 
@@ -151,6 +153,12 @@ def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
     pi/2 and is symmetric about pi/4, shrinking the domain to [0, pi/4].
     Panels double until two successive composite Gauss-Legendre estimates
     agree to quad.tol; the last delta is reported as the error bar.
+
+    On the float backend each pass sends all its node angles, slopes taken
+    as float tangents, through ``projected_lengths`` in row groups of the
+    batched float engine.  The exact backend snaps every node to a rational
+    slope with denominator at most quad.max_denominator and evaluates it on
+    its own.
     """
     quad = quad or QuadratureConfig()
     if ifs.dihedral_symmetry:
@@ -160,11 +168,14 @@ def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
 
     def evaluate(panels: int) -> float:
         nodes, weights = _panel_nodes(lo, hi, panels, quad.panel_order)
-        values = []
-        for theta in nodes.tolist():
-            d = Direction.from_angle(theta, quad.max_denominator)
-            values.append(sheared_measures(ifs, d, n, quad.backend,
-                                           max_count)[n] * d.scale)
+        if quad.backend == "float":
+            values = projected_lengths(ifs, nodes, n, max_count)[n]
+        else:
+            values = []
+            for theta in nodes.tolist():
+                d = Direction.from_angle(theta, quad.max_denominator)
+                values.append(sheared_measures(ifs, d, n, quad.backend,
+                                               max_count)[n] * d.scale)
         return factor * float(np.dot(weights, np.array(values)))
 
     panels = quad.initial_panels
@@ -218,26 +229,21 @@ class LipschitzReport:
     g: np.ndarray = field(repr=False, compare=False)
 
 
-def lipschitz_scan(ifs: IFS2D, nodes: int = 10_000,
-                   max_denominator: int = DEFAULT_SLOPE_DENOMINATOR
-                   ) -> LipschitzReport:
+def lipschitz_scan(ifs: IFS2D, nodes: int = 10_000) -> LipschitzReport:
     """Scan g(theta) = alpha_0 - alpha_1 over a half period of directions.
 
-    Reports the largest finite-difference slope between adjacent nodes
-    (empirical Lipschitz evidence), the grid argmin, and every near-zero
-    local minimum: a node that beats both neighbors and sits within one
-    Lipschitz step of zero.
+    All nodes go through ``projected_lengths`` on the float backend, slopes
+    taken as float tangents.  Reports the largest finite-difference slope
+    between adjacent nodes (empirical Lipschitz evidence), the grid argmin,
+    and every near-zero local minimum: a node that beats both neighbors and
+    sits within one Lipschitz step of zero.
     """
     if nodes < 3:
         raise ValueError("need at least 3 grid nodes")
     thetas = np.linspace(-_QUARTER_PI, 3 * _QUARTER_PI, nodes)
 
-    g = []
-    for theta in thetas.tolist():
-        d = Direction.from_angle(theta, max_denominator)
-        a0, a1 = sheared_measures(ifs, d, 1, backend="float")
-        g.append((a0 - a1) * d.scale)
-    g = np.array(g)
+    a0, a1 = projected_lengths(ifs, thetas, 1)
+    g = a0 - a1
     spacing = float(thetas[1] - thetas[0])
     sup_slope = float(np.max(np.abs(np.diff(g)))) / spacing
     idx = int(np.argmin(g))

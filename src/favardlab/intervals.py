@@ -125,21 +125,52 @@ def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
 def merge_float_arrays(
     lo: np.ndarray, hi: np.ndarray, merge_eps: float = MERGE_EPSILON
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized merge of float64 endpoints; gaps < merge_eps are glued."""
-    if lo.size == 0:
+    """Vectorized merge of float64 endpoints, one interval set per row.
+
+    Each row is sorted by a stable argsort of lo and swept with a running
+    maximum of hi; gaps of at most merge_eps are glued and degenerate
+    merged intervals dropped.  1D arrays are one row and give 1D results.
+    2D results are padded to the longest row with degenerate copies
+    [x, x] of the row's last right end x: they lie in the row's last
+    interval, add nothing to its measure and merge away again.  A row left
+    empty is padded with zeros.
+    """
+    if lo.ndim == 1:
+        mlo, mhi = merge_float_arrays(lo[None], hi[None], merge_eps)
+        return mlo[0], mhi[0]
+    rows, m = lo.shape
+    if m == 0:
         return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    run = np.maximum.accumulate(hi)
-    keep_start = np.empty(lo.size, dtype=bool)
-    keep_start[0] = True
-    np.greater(lo[1:], run[:-1] + merge_eps, out=keep_start[1:])
-    starts = np.flatnonzero(keep_start)
+    order = np.argsort(lo, axis=1, kind="stable")
+    if rows > 1:
+        order += np.arange(0, rows * m, m)[:, None]
+    lo = lo.ravel()[order]
+    hi = hi.ravel()[order]
+    run = np.maximum.accumulate(hi, axis=1)
+    starts = np.empty((rows, m), dtype=bool)
+    starts[:, 0] = True
+    np.greater(lo[:, 1:], run[:, :-1] + merge_eps, out=starts[:, 1:])
     ends = np.empty_like(starts)
-    ends[:-1] = starts[1:] - 1
-    ends[-1] = lo.size - 1
-    return lo[starts], run[ends]
+    ends[:, :-1] = starts[:, 1:]
+    ends[:, -1] = True
+    mlo, mhi = lo[starts], run[ends]
+    keep = mhi > mlo
+    mlo, mhi = mlo[keep], mhi[keep]
+    if rows == 1:
+        return mlo[None], mhi[None]
+    row = np.nonzero(starts)[0][keep]
+    counts = np.bincount(row, minlength=rows)
+    stops = np.cumsum(counts)
+    pad = np.zeros(rows)
+    filled = counts > 0
+    pad[filled] = mhi[stops[filled] - 1]
+    width = int(counts.max())
+    out_lo = np.repeat(pad, width).reshape(rows, width)
+    out_hi = out_lo.copy()
+    col = np.arange(row.size) - np.repeat(stops - counts, counts)
+    out_lo[row, col] = mlo
+    out_hi[row, col] = mhi
+    return out_lo, out_hi
 
 
 def _exact_sum(values: Iterable[int]) -> int:
@@ -401,8 +432,7 @@ class FloatIntervalSet:
             his.append(b)
         lo, hi = merge_float_arrays(np.asarray(los, dtype=np.float64),
                                     np.asarray(his, dtype=np.float64), merge_eps)
-        keep = hi > lo
-        return cls._trusted(lo[keep], hi[keep], merge_eps)
+        return cls._trusted(lo, hi, merge_eps)
 
     @property
     def count(self) -> int:

@@ -1,4 +1,4 @@
-"""Directions, sheared projections, and exact projected generations.
+"""Directions, sheared projections, and projected generations.
 
 A direction is held as an exact rational slope in one of two charts:
 
@@ -35,6 +35,20 @@ merging them, the reference kept in ``tests/oracles.py``.  On the
 directions, 2-core Xeon VM, 10 alternating 28 s runs per side) this took
 the pass median from 7.58 s to 2.18 s, the peak RSS from 932 MB to 289 MB,
 and the merge input from 119.2 M to 21.7 M endpoints per pass.
+
+The float engine holds one row per direction and steps all rows at once.
+A ``Direction`` is a one-row batch whose offsets are the floats of the
+exact projected ones, so its results are those of a per-direction float
+engine bit for bit (reference in ``tests/oracles.py``).  A
+``DirectionBatch`` takes float slopes, from ``tan`` of the angles for
+``projected_lengths``, and projects in float arithmetic with no snapping
+and no Fractions.  At small generations the cost of a float step is
+per-call overhead, so ``favard`` and ``lipschitz_scan`` send whole
+quadrature passes through ``projected_lengths`` in groups bounded by
+``_GROUP_ENDPOINTS``: favard(four_corner(), n) for n = 2 and 3 fell from
+3.6 s to 0.1 s in-process, at the same peak RSS.  Once k**n reaches the
+bound (n = 6 for four maps) a group is one row and a step is sort-bound,
+as before.
 """
 
 from __future__ import annotations
@@ -66,6 +80,9 @@ DEFAULT_MAX_COUNT = 50_000_000
 DEFAULT_SLOPE_DENOMINATOR = 10 ** 6
 
 _QUARTER_PI = math.pi / 4
+# Endpoints per row group of the float engine in projected_lengths: a group
+# of g rows of a k-map system at generation n holds at most g * k**n.
+_GROUP_ENDPOINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -322,9 +339,9 @@ class _ExactEngine:
     @property
     def measure(self) -> Fraction:
         if isinstance(self.lo, np.ndarray):
-            if self.lo.size == 0:
-                return Fraction(0)
-            total = int(np.sum(self.hi - self.lo, dtype=np.int64))
+            # Both int64 sums wrap modulo 2**64 and the true total lies in
+            # [0, 2**63), so the difference reduced modulo 2**64 is exact.
+            total = (int(self.hi.sum()) - int(self.lo.sum())) % (1 << 64)
         else:
             total = sum(b - a for a, b in zip(self.lo, self.hi))
         return Fraction(total, self.den)
@@ -338,26 +355,96 @@ class _ExactEngine:
         return IntervalSet.from_scaled(self.den, lo, hi, canonical=True)
 
 
-class _FloatEngine:
-    """Float-backend twin of :class:`_ExactEngine`."""
+@dataclass(frozen=True)
+class DirectionBatch:
+    """Float directions for the float backend, one row each.
 
-    def __init__(self, proj: ProjectedIFS1D, max_count: int = DEFAULT_MAX_COUNT,
+    Row i is chart y where ``chart_y[i]`` is true and chart x otherwise, with
+    float slope ``slope[i]`` in [-1, 1].  Nothing is snapped to a rational.
+    """
+
+    chart_y: np.ndarray
+    slope: np.ndarray
+
+    @classmethod
+    def from_angles(cls, thetas) -> "DirectionBatch":
+        """The chart and slope of each angle, reduced as ``Direction.from_angle``
+        reduces one, with the slope taken as the float tangent directly."""
+        t = np.fmod(np.asarray(thetas, dtype=np.float64), math.pi)
+        t[t < -_QUARTER_PI] += math.pi
+        t[t >= 3 * _QUARTER_PI] -= math.pi
+        chart_y = t > _QUARTER_PI
+        t[chart_y] = math.pi / 2 - t[chart_y]
+        slope = np.tan(t, out=t)
+        return cls(chart_y, np.clip(slope, -1.0, 1.0, out=slope))
+
+    def __len__(self) -> int:
+        return len(self.slope)
+
+    def __getitem__(self, rows: slice) -> "DirectionBatch":
+        return DirectionBatch(self.chart_y[rows], self.slope[rows])
+
+    @property
+    def scale(self) -> np.ndarray:
+        """True projected length per unit of sheared length, per row."""
+        return 1.0 / np.sqrt(1.0 + self.slope * self.slope)
+
+    def functional(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Sheared coordinates of the points (x, y), one row per direction."""
+        s = self.slope[:, None]
+        chart_y = self.chart_y[:, None]
+        return np.where(chart_y, y + s * x, x + s * y)
+
+
+class _FloatEngine:
+    """Float-backend twin of :class:`_ExactEngine`, one row per direction.
+
+    A single Direction is a one-row batch whose map offsets and base are the
+    floats of the exact projected ones; a DirectionBatch projects in float
+    arithmetic.  Each step maps every row through all maps and merges all
+    rows at once with ``merge_float_arrays``.  Rows shorter than the longest
+    are padded with degenerate copies [x, x] of their right end x.  Under a
+    map the image of a pad is the right end of the image of the row's last
+    interval and comes after it in the stable sort, so a pad never starts a
+    merged interval nor raises a running maximum: every row merges as it
+    would alone.
+    """
+
+    def __init__(self, ifs: IFS2D, d: Union[Direction, DirectionBatch],
+                 max_count: int = DEFAULT_MAX_COUNT,
                  merge_eps: float = MERGE_EPSILON):
         self.max_count = max_count
         self.eps = merge_eps
-        self.lo = np.array([float(proj.base[0])], dtype=np.float64)
-        self.hi = np.array([float(proj.base[1])], dtype=np.float64)
-        self.maps = [(float(r), float(c)) for r, c in proj.maps]
+        if isinstance(d, Direction):
+            proj = project_ifs(ifs, d)
+            ratios = [float(r) for r, _ in proj.maps]
+            offsets = np.array([[float(c) for _, c in proj.maps]])
+            base = np.array([[float(v) for v in proj.base]])
+        else:
+            ratios = [float(m.ratio) for m in ifs.maps]
+            offsets = d.functional(
+                np.array([float(m.translation[0]) for m in ifs.maps]),
+                np.array([float(m.translation[1]) for m in ifs.maps]))
+            x0, y0, x1, y1 = (float(v) for v in ifs.base)
+            corners = d.functional(np.array([x0, x0, x1, x1]),
+                                   np.array([y0, y1, y0, y1]))
+            base = np.stack([corners.min(axis=1), corners.max(axis=1)], axis=1)
+        self.ratios = np.array(ratios)[:, None]
+        self.offsets = offsets[:, :, None]
+        self.lo, self.hi = base[:, :1], base[:, 1:]
         self.n = 0
 
     def step(self) -> None:
-        parts_lo = [r * self.lo + c for r, c in self.maps]
-        parts_hi = [r * self.hi + c for r, c in self.maps]
-        mlo, mhi = merge_float_arrays(np.concatenate(parts_lo),
-                                      np.concatenate(parts_hi), self.eps)
-        keep = mhi > mlo
-        self.lo, self.hi = mlo[keep], mhi[keep]
+        rows = self.lo.shape[0]
+        if self.lo.size:
+            lo = self.ratios * self.lo[:, None, :]
+            lo += self.offsets
+            hi = self.ratios * self.hi[:, None, :]
+            hi += self.offsets
+            self.lo, self.hi = merge_float_arrays(
+                lo.reshape(rows, -1), hi.reshape(rows, -1), self.eps)
         self.n += 1
+        # Rows are padded to the longest, so the width is the largest count.
         if self.count > self.max_count:
             raise SizeCapExceeded(
                 f"merged interval count {self.count} exceeds cap {self.max_count} "
@@ -366,25 +453,28 @@ class _FloatEngine:
 
     @property
     def count(self) -> int:
-        return int(self.lo.size)
+        return int(self.lo.shape[1])
 
     @property
-    def measure(self) -> float:
-        return float(np.sum(self.hi - self.lo))
+    def measure(self) -> np.ndarray:
+        """Sheared measure of each row."""
+        return np.sum(self.hi - self.lo, axis=1)
 
     def snapshot(self) -> FloatIntervalSet:
-        return FloatIntervalSet._trusted(self.lo.copy(), self.hi.copy(), self.eps)
+        return FloatIntervalSet._trusted(self.lo[0].copy(), self.hi[0].copy(),
+                                         self.eps)
 
 
-def _engine(ifs: IFS2D, d: Direction, n: int, backend: str, max_count: int):
-    """Project the system through d and start the engine for generation n."""
+def _engine(ifs: IFS2D, d, n: int, backend: str, max_count: int):
+    """Start the engine for generation n of the system projected through d."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
-    proj = project_ifs(ifs, d)
-    if backend == "exact":
-        return _ExactEngine(proj, max_count)
     if backend == "float":
-        return _FloatEngine(proj, max_count)
+        return _FloatEngine(ifs, d, max_count)
+    if not isinstance(d, Direction):
+        raise ValueError("a DirectionBatch needs the float backend")
+    if backend == "exact":
+        return _ExactEngine(project_ifs(ifs, d), max_count)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -408,18 +498,46 @@ def iter_generations(ifs: IFS2D, d: Direction, n_max: int,
         yield GenerationSet(k, d, eng.snapshot())
 
 
-def sheared_measures(ifs: IFS2D, d: Direction, n_max: int,
-                     backend: str = "exact",
-                     max_count: int = DEFAULT_MAX_COUNT) -> list:
+def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
+                     n_max: int, backend: str = "exact",
+                     max_count: int = DEFAULT_MAX_COUNT):
     """Sheared measures of generations 0..n_max in direction d.
 
-    The sets are not materialized.  Exact measures are Fractions, float ones
-    floats; the true projected length of generation n is
-    ``values[n] * d.scale``.
+    The sets are not materialized.  For a Direction the result is a list,
+    of Fractions on the exact backend and floats on the float backend; the
+    true projected length of generation n is ``values[n] * d.scale``.  A
+    DirectionBatch runs on the float backend only and gives an array of
+    shape (n_max + 1, len(d)), one column per direction.
     """
     eng = _engine(ifs, d, n_max, backend, max_count)
     values = [eng.measure]
     for _ in range(n_max):
         eng.step()
         values.append(eng.measure)
+    if isinstance(d, DirectionBatch):
+        return np.array(values)
+    if backend == "float":
+        return [float(v[0]) for v in values]
     return values
+
+
+def projected_lengths(ifs: IFS2D, thetas, n_max: int,
+                      max_count: int = DEFAULT_MAX_COUNT) -> np.ndarray:
+    """True projected lengths of generations 0..n_max at float angles.
+
+    Float backend, with slopes taken as ``tan`` of the angles unsnapped.
+    The angles go through ``sheared_measures`` in groups of at most
+    ``_GROUP_ENDPOINTS // k**n_max`` rows (at least one) for a system of
+    k maps, which bounds the endpoints one group can hold.  Returns an
+    array of shape (n_max + 1, len(thetas)).
+    """
+    if n_max < 0:
+        raise ValueError("generation index must be >= 0")
+    ds = DirectionBatch.from_angles(thetas)
+    size = max(1, _GROUP_ENDPOINTS // len(ifs.maps) ** n_max)
+    out = np.empty((n_max + 1, len(ds)))
+    for start in range(0, len(ds), size):
+        group = ds[start:start + size]
+        out[:, start:start + size] = sheared_measures(
+            ifs, group, n_max, "float", max_count) * group.scale
+    return out

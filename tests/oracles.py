@@ -3,8 +3,9 @@
 Everything here is deliberately naive and self-contained: plain Fraction
 arithmetic, quadratic algorithms, no imports from the package under test.
 The package must agree with these on small instances.  The needle oracle
-uses numpy only to replay the same Philox line stream, and the exact-step
-reference only for its int64 re-sort.
+uses numpy only to replay the same Philox line stream, the exact-step
+reference only for its int64 re-sort, and the float-step reference because
+float results depend on the order of float operations.
 """
 
 from __future__ import annotations
@@ -202,3 +203,40 @@ def exact_step_reference(den, lo, hi, maps):
             out.append([a, b])
     out = [(a, b) for a, b in out if b > a]
     return new_den, [a for a, _ in out], [b for _, b in out], False
+
+
+def float_step_reference(lo, hi, maps, eps):
+    """One step E -> union of r*E + c of the float engine for one direction.
+
+    The per-direction step the row-batched engine replaced: the k images
+    are concatenated map by map, sorted by a stable argsort of lo, merged
+    with a running maximum of hi where gaps are at most eps, and degenerate
+    merged intervals are dropped.  maps are float (ratio, offset) pairs.
+    """
+    cat_lo = np.concatenate([r * lo + c for r, c in maps])
+    cat_hi = np.concatenate([r * hi + c for r, c in maps])
+    if cat_lo.size == 0:
+        return cat_lo, cat_hi
+    order = np.argsort(cat_lo, kind="stable")
+    cat_lo, cat_hi = cat_lo[order], cat_hi[order]
+    run = np.maximum.accumulate(cat_hi)
+    starts = np.flatnonzero(np.concatenate(([True], cat_lo[1:] > run[:-1] + eps)))
+    ends = np.append(starts[1:] - 1, cat_lo.size - 1)
+    mlo, mhi = cat_lo[starts], run[ends]
+    keep = mhi > mlo
+    return mlo[keep], mhi[keep]
+
+
+def float_generations_reference(maps, base, n_max, eps):
+    """Float generations 0..n_max of one direction by float_step_reference.
+
+    maps are float (ratio, offset) pairs and base a float (lo, hi).  Returns
+    the list of (lo, hi) arrays and the list of sheared measures, each the
+    numpy sum of the interval lengths.
+    """
+    lo, hi = np.array([base[0]]), np.array([base[1]])
+    sets = [(lo, hi)]
+    for _ in range(n_max):
+        lo, hi = float_step_reference(lo, hi, maps, eps)
+        sets.append((lo, hi))
+    return sets, [float(np.sum(b - a)) for a, b in sets]

@@ -61,6 +61,13 @@ class TestExitCodes:
                    "--n", "1") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["alpha", "convexity", "cover"])
+    def test_usage_angle_with_chart(self, command, capsys):
+        extra = ["--radius", "1/64"] if command == "cover" else []
+        assert run(command, "--preset", "four-corner", "--angle", "1.2",
+                   "--chart", "x", *extra) == 2
+        assert "--chart" in capsys.readouterr().err
+
     def test_usage_needle_nan_strip(self, capsys):
         assert run("needle", "--preset", "four-corner", "--n", "1",
                    "--strip-halfwidth", "nan") == 2
@@ -190,6 +197,37 @@ class TestOutputs:
                    "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["snapped_slope"] == "1/2"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["alpha", "convexity", "cover"])
+    def test_angle_keeps_requested_chart(self, command, tmp_path, capsys):
+        # 1.2 rad lies past pi/4, so the direction used is in chart y
+        out = tmp_path / command
+        extra = ["--radius", "1/64"] if command == "cover" else []
+        assert run(command, "--preset", "four-corner", "--angle", "1.2",
+                   *extra, "--out", str(out)) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params["chart"] is None
+        assert params["angle"] == 1.2
+        assert params["direction"].startswith("y:")
+        assert params["direction"] == "y:" + params["snapped_slope"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--preset", "four-corner", "--slope", "1/3", "--depth", "3",
+         "--backend", "float"),
+        ("favard", "--preset", "four-corner", "--n", "1"),
+        ("lipschitz", "--preset", "four-corner", "--nodes", "101"),
+    ], ids=lambda argv: argv[0])
+    def test_manifests_repeat_but_for_wall_time(self, argv, tmp_path, capsys):
+        manifests = []
+        for _ in range(2):
+            assert run(*argv, "--out", str(tmp_path)) == 0
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            assert "handler" not in manifest["parameters"]
+            assert manifest.pop("wall_time_s") >= 0
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
         capsys.readouterr()
 
     def test_convexity_files(self, tmp_path, capsys):
@@ -370,7 +408,8 @@ class TestRoundTrip:
         assert run("alpha", "--preset", "four-corner", "--slope", "5/2",
                    "--depth", "2", "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["parameters"]["chart"] == "y"
+        assert manifest["parameters"]["chart"] is None
+        assert manifest["parameters"]["direction"] == "y:2/5"
         assert manifest["parameters"]["snapped_slope"] == "2/5"
         capsys.readouterr()
 
@@ -385,7 +424,8 @@ class TestRoundTrip:
         assert (out_y / "alpha.csv").read_bytes() == \
             (out_x / "alpha.csv").read_bytes()
         manifest = json.loads((out_y / "manifest.json").read_text())
-        assert manifest["parameters"]["chart"] == "x"
+        assert manifest["parameters"]["chart"] == "y"
+        assert manifest["parameters"]["direction"] == "x:1/2"
         assert manifest["parameters"]["snapped_slope"] == "1/2"
         _, rows = read_csv(out_y / "alpha.csv")
         assert float(rows[-1][3]) == pytest.approx(0.950329, abs=1e-6)

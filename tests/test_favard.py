@@ -134,6 +134,22 @@ class TestFavardQuadrature:
         assert est.status == "unconverged"
         assert est.error > 0
 
+    @pytest.mark.parametrize("ifs, n, value, status, panels", [
+        (four_corner(), 1, 6.596736989742694, "converged", 64),
+        (four_corner(), 2, 5.830402354833069, "converged", 256),
+        (four_corner(), 3, 5.300862263416933, "unconverged", 256),
+        (sierpinski_gasket(), 1, 7.23606804806243, "converged", 256),
+        (sierpinski_gasket(), 2, 6.854102072093369, "converged", 256),
+    ], ids=["four-corner-1", "four-corner-2", "four-corner-3", "gasket-1",
+            "gasket-2"])
+    def test_float_values_kept(self, ifs, n, value, status, panels):
+        # default settings; reference values computed with every node
+        # snapped to a rational slope, which unsnapped float slopes must
+        # reproduce to 1e-9 with the same status and panel count
+        est = favard(ifs, n)
+        assert abs(est.value - value) <= 1e-9
+        assert (est.status, est.panels) == (status, panels)
+
     def test_exact_backend_agrees(self):
         qf = favard(four_corner(), 2)
         qe = favard(four_corner(), 2,

@@ -187,6 +187,31 @@ class TestMergeKernels:
         mlo, mhi = merge_float_arrays(lo, hi, 1e-14)
         assert len(mlo) == 2
 
+    def test_float_merge_rows(self):
+        # rows merge as they would alone, padded with their own right end;
+        # degenerate results are dropped, so row 2 comes back empty
+        lo = np.array([[3.0, 0.0, 1.0, 5.0], [0.0, 0.0, 2.0, 2.0],
+                       [4.0, 4.0, 4.0, 4.0]])
+        hi = np.array([[4.0, 1.0, 2.0, 6.0], [0.5, 1.0, 2.0, 3.0],
+                       [4.0, 4.0, 4.0, 4.0]])
+        mlo, mhi = merge_float_arrays(lo, hi)
+        assert mlo.tolist() == [[0.0, 3.0, 5.0], [0.0, 2.0, 3.0],
+                                [0.0, 0.0, 0.0]]
+        assert mhi.tolist() == [[2.0, 4.0, 6.0], [1.0, 3.0, 3.0],
+                                [0.0, 0.0, 0.0]]
+        for row in range(3):
+            want = merge_float_arrays(lo[row], hi[row])
+            n = len(want[0])
+            assert mlo[row, :n].tolist() == want[0].tolist()
+            assert mhi[row, :n].tolist() == want[1].tolist()
+        # merging the padded rows again changes nothing
+        again = merge_float_arrays(mlo, mhi)
+        assert again[0].tolist() == mlo.tolist()
+        assert again[1].tolist() == mhi.tolist()
+        points = np.full((2, 4), 4.0)
+        empty = merge_float_arrays(points, points)
+        assert empty[0].shape == empty[1].shape == (2, 0)
+
     def test_empty_kernels(self):
         mlo, mhi = merge_int64_arrays(np.array([], dtype=np.int64),
                                       np.array([], dtype=np.int64))

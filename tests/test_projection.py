@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favardlab import projection
 from favardlab.errors import SizeCapExceeded
-from favardlab.favard import alpha_sequence
+from favardlab.favard import QuadratureConfig, alpha_sequence, favard
 from favardlab.ifs import (
     IFS2D,
     Similitude2D,
@@ -16,18 +17,26 @@ from favardlab.ifs import (
     sierpinski_gasket,
     sparse_corner,
 )
+from favardlab.intervals import MERGE_EPSILON
 from favardlab.projection import (
     Direction,
+    DirectionBatch,
     ProjectedIFS1D,
     _ExactEngine,
     _merge_images_int64,
     generation,
     iter_generations,
     project_ifs,
+    projected_lengths,
     sheared_measures,
 )
 
-from oracles import cylinder_generation, exact_step_reference, project_square_ifs
+from oracles import (
+    cylinder_generation,
+    exact_step_reference,
+    float_generations_reference,
+    project_square_ifs,
+)
 
 slopes = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 
@@ -348,3 +357,150 @@ class TestAlpha:
         a3 = _true_alpha(ifs, Direction("y", t), 3)
         assert a1 == pytest.approx(a2, rel=1e-12)
         assert a1 == pytest.approx(a3, rel=1e-12)
+
+
+class TestExactMeasure:
+    def test_int64_path_matches_python_sum(self):
+        for t in _window_slopes():
+            eng = _ExactEngine(project_ifs(four_corner(), Direction("y", t)))
+            for _ in range(6):
+                eng.step()
+                assert isinstance(eng.lo, np.ndarray)
+                want = sum(int(b) - int(a) for a, b in zip(eng.lo, eng.hi))
+                assert eng.measure == Fraction(want, eng.den)
+
+    def test_bigint_path_matches_python_sum(self):
+        ifs = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
+                             Similitude2D.of("1/524288", "1/2", "1/3")),
+                    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+        eng = _ExactEngine(project_ifs(ifs, Direction("x", Fraction(2, 7))))
+        for _ in range(5):
+            eng.step()
+        assert isinstance(eng.lo, list)
+        want = sum(b - a for a, b in zip(eng.lo, eng.hi))
+        assert eng.measure == Fraction(want, eng.den)
+
+    def test_endpoint_sums_wrap_past_int64(self):
+        # both endpoint sums leave the int64 range, the total does not
+        eng = _ExactEngine(project_ifs(four_corner(), Direction("x", Fraction(0))))
+        top = (1 << 62) - 1
+        lo = [-top + 3] + [top - 100 + 10 * i for i in range(8)]
+        hi = [-top + 5] + [top - 97 + 11 * i for i in range(8)]
+        eng.lo = np.array(lo, dtype=np.int64)
+        eng.hi = np.array(hi, dtype=np.int64)
+        eng.den = 7
+        assert sum(hi) > 1 << 63
+        assert eng.measure == Fraction(sum(b - a for a, b in zip(lo, hi)), 7)
+
+    def test_empty_set(self):
+        eng = _ExactEngine(project_ifs(four_corner(), Direction("x", Fraction(0))))
+        eng.lo = eng.hi = np.array([], dtype=np.int64)
+        assert eng.measure == 0
+
+
+_BATCH_SYSTEMS = [four_corner(), sierpinski_gasket(), sparse_corner(8)]
+
+
+def _float_oracle(ifs, d, n_max):
+    """Float generations of one Direction by the per-direction step, with the
+    floats of the exact projected offsets and base."""
+    proj = project_ifs(ifs, d)
+    maps = [(float(r), float(c)) for r, c in proj.maps]
+    return float_generations_reference(maps, [float(v) for v in proj.base],
+                                       n_max, MERGE_EPSILON)
+
+
+def _float_slopes():
+    rng = random.Random(20261018)
+    return ([0.0, 1.0, -1.0, 0.5, -0.5, math.tan(0.3), 1 / 3]
+            + [rng.uniform(-1, 1) for _ in range(9)])
+
+
+class TestFloatBatch:
+    @pytest.mark.parametrize("ifs", _BATCH_SYSTEMS, ids=lambda f: f.name)
+    def test_rows_match_one_direction_oracle(self, ifs):
+        slopes = _float_slopes()
+        chart_y = np.array([False] * len(slopes) + [True] * len(slopes))
+        batch = DirectionBatch(chart_y, np.array(slopes * 2))
+        got = sheared_measures(ifs, batch, 6, backend="float")
+        assert got.shape == (7, len(batch))
+        for i, (cy, s) in enumerate(zip(chart_y, batch.slope)):
+            d = Direction("y" if cy else "x", Fraction(float(s)))
+            _, want = _float_oracle(ifs, d, 6)
+            assert np.max(np.abs(got[:, i] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("ifs", _BATCH_SYSTEMS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_one_direction_bit_identical_to_oracle(self, ifs, chart):
+        for t in _window_slopes() + [Fraction(s) for s in _float_slopes()]:
+            d = Direction(chart, t)
+            sets, want = _float_oracle(ifs, d, 6)
+            assert sheared_measures(ifs, d, 6, backend="float") == want
+            gens = iter_generations(ifs, d, 6, backend="float")
+            for g, (lo, hi) in zip(gens, sets):
+                glo, ghi = g.set.arrays()
+                assert np.array_equal(glo, lo) and np.array_equal(ghi, hi)
+
+    def test_from_angles_matches_from_angle(self):
+        rng = random.Random(11)
+        q = math.pi / 4
+        thetas = [0.0, q, -q, 3 * q, 2 * q, math.pi, -3 * q] + \
+            [rng.uniform(-10, 10) for _ in range(200)]
+        ds = DirectionBatch.from_angles(thetas)
+        for theta, cy, s, scale in zip(thetas, ds.chart_y, ds.slope, ds.scale):
+            d = Direction.from_angle(theta)
+            assert ("y" if cy else "x") == d.chart
+            assert s == pytest.approx(float(d.slope), abs=1e-6)
+            assert scale == pytest.approx(d.scale, abs=1e-6)
+
+    def test_groups_stay_within_budget(self, monkeypatch):
+        ifs = four_corner()
+        thetas = np.linspace(-math.pi / 4, 3 * math.pi / 4, 101)
+        ns = range(5)
+        want = [projected_lengths(ifs, thetas, n) for n in ns]
+        fav = favard(ifs, 2, QuadratureConfig(max_refinements=1))
+        groups = []
+        real = projection.sheared_measures
+
+        def spy(ifs, d, n_max, *args, **kwargs):
+            groups.append((len(d), len(ifs.maps) ** n_max))
+            return real(ifs, d, n_max, *args, **kwargs)
+
+        monkeypatch.setattr(projection, "_GROUP_ENDPOINTS", 64)
+        monkeypatch.setattr(projection, "sheared_measures", spy)
+        for n, w in zip(ns, want):
+            groups.clear()
+            got = projected_lengths(ifs, thetas, n)
+            rows = max(1, 64 // 4 ** n)
+            assert len(groups) == -(-len(thetas) // rows)
+            assert all(g * k <= 64 or g == 1 for g, k in groups)
+            assert np.max(np.abs(got - w)) <= 1e-12
+        groups.clear()
+        est = favard(ifs, 2, QuadratureConfig(max_refinements=1))
+        assert groups and all(g * k <= 64 for g, k in groups)
+        assert est.value == pytest.approx(fav.value, abs=1e-12)
+
+    def test_size_cap_per_row(self):
+        # at generation 5, slope 0 keeps 32 intervals and slope 1/3 keeps 232
+        batch = DirectionBatch(np.array([False, False]), np.array([0.0, 1 / 3]))
+        assert sheared_measures(four_corner(), batch[:1], 5, backend="float",
+                                max_count=100)[5, 0] > 0
+        with pytest.raises(SizeCapExceeded):
+            sheared_measures(four_corner(), batch, 5, backend="float",
+                             max_count=100)
+        with pytest.raises(SizeCapExceeded):
+            projected_lengths(four_corner(), np.linspace(0.1, 0.7, 5), 5,
+                              max_count=10)
+        with pytest.raises(SizeCapExceeded):
+            favard(four_corner(), 5, max_count=10)
+
+    def test_negative_generation_and_exact_backend_rejected(self):
+        batch = DirectionBatch.from_angles(np.linspace(0.1, 0.7, 5))
+        with pytest.raises(ValueError):
+            sheared_measures(four_corner(), batch, -1, backend="float")
+        with pytest.raises(ValueError):
+            projected_lengths(four_corner(), batch.slope, -1)
+        with pytest.raises(ValueError):
+            favard(four_corner(), -1)
+        with pytest.raises(ValueError):
+            sheared_measures(four_corner(), batch, 1, backend="exact")
