@@ -27,14 +27,22 @@ The int64 step does not re-sort.  Every ratio is positive, so each image
 ``a*E_n + c`` of the canonical set is already sorted with positive gaps.
 The images are stacked in order of their exact left ends, and only the
 index windows where image hulls overlap (found by binary search at each
-image boundary, touching counted as overlapping) go through
-``merge_int64_arrays``; clean stretches are compacted in place around the
-merged windows.  Results are bit-identical to concatenating all images and
-merging them, the reference kept in ``tests/oracles.py``.  On the
-``exact-deep`` benchmark workload (four-corner to generation 12 in 33
-directions, 2-core Xeon VM, 10 alternating 28 s runs per side) this took
-the pass median from 7.58 s to 2.18 s, the peak RSS from 932 MB to 289 MB,
-and the merge input from 119.2 M to 21.7 M endpoints per pass.
+image boundary, touching counted as overlapping) are computed and merged by
+``merge_int64_arrays``.  The clean stretches between them are already
+merged; each is written once, straight into its slot of output arrays of
+the exact merged size.  The measure is carried, not recounted: the engine
+keeps the exact integer numerator of |E_n|, and a step multiplies it by
+the sum of the scaled ratios and subtracts the overlap loss of the windows
+(their summed image lengths minus their merged length), all in Python
+ints.  ``sheared_measures`` reads only the measure of its last
+generation, so its last step merges the windows and never builds that
+set.  Results are bit-identical to concatenating all images and merging
+them, the reference kept in ``tests/oracles.py``.  On the ``exact-deep``
+benchmark workload (four-corner to generation 12 in 33 directions, 2-core
+Xeon VM, 10 alternating 28 s runs per side) the window merge took the pass
+median from 7.58 s to 2.18 s and the peak RSS from 932 MB to 289 MB;
+carrying the measure and skipping the last set took it from 1.20 s to
+0.78 s and from 263 MB to 140 MB.
 
 The float engine holds one row per direction and steps all rows at once.
 A ``Direction`` is a one-row batch whose offsets are the floats of the
@@ -221,47 +229,89 @@ def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
     return windows
 
 
-def _merge_images_int64(lo: np.ndarray, hi: np.ndarray,
-                        coeffs: list) -> tuple[np.ndarray, np.ndarray]:
+def _image_pieces(n: int, start: int, stop: int):
+    """The pieces (j, i0, i1) of the stacked index range [start, stop):
+    elements i0..i1-1 of image j, which occupies stacked indices j*n..j*n+n-1."""
+    for j in range(start // n, -(-stop // n)):
+        i0, i1 = max(start - j * n, 0), min(stop - j * n, n)
+        if i0 < i1:
+            yield j, i0, i1
+
+
+def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
+                  lo: np.ndarray, hi: np.ndarray, coeffs: list,
+                  start: int, stop: int) -> int:
+    """Write the stacked images [start, stop) into dst from index w on;
+    returns the index after the last one written."""
+    for j, i0, i1 in _image_pieces(lo.size, start, stop):
+        a, c = coeffs[j]
+        end = w + i1 - i0
+        for src, dst in ((lo, dst_lo), (hi, dst_hi)):
+            part = dst[w:end]
+            np.multiply(a, src[i0:i1], out=part)
+            part += c
+        w = end
+    return w
+
+
+def _merge_images_int64(lo: np.ndarray, hi: np.ndarray, coeffs: list,
+                        keep: bool = True) -> tuple:
     """Merged union of the images a*[lo, hi] + c of a canonical int64 set.
 
     Under a positive ratio each image of a set sorted with positive gaps is
     sorted with positive gaps, so the images are stacked in order of their
-    left ends and only the windows where image hulls overlap go through
-    ``merge_int64_arrays``; the stacked arrays are compacted in place
-    around them.
+    left ends and only the windows where image hulls overlap are computed
+    and merged, each by ``merge_int64_arrays``; everything between them is
+    already merged.  Returns ``(count, loss, lo, hi)``: the merged interval
+    count; the overlap loss, the summed lengths of the images minus the
+    length of their union, as an exact int; and, when ``keep`` is set, the
+    merged endpoints in new arrays of exactly ``count`` entries, with each
+    clean stretch written straight into its final slot.  Without ``keep``
+    the clean stretches are never computed and lo, hi are None.
     """
-    if lo.size == 0:
-        return lo, hi
+    n = lo.size
+    if n == 0:
+        return 0, 0, lo.copy(), hi.copy()
     lo0 = int(lo[0])
     coeffs = sorted(coeffs, key=lambda ac: ac[0] * lo0 + ac[1])
-    a = np.array([[a] for a, _ in coeffs], dtype=np.int64)
-    c = np.array([[c] for _, c in coeffs], dtype=np.int64)
-    out_lo = np.multiply(a, lo)
-    out_lo += c
-    out_hi = np.multiply(a, hi)
-    out_hi += c
-    out_lo, out_hi = out_lo.ravel(), out_hi.ravel()
+    windows = _overlap_windows(lo, hi, coeffs)
+    count, loss, merged = len(coeffs) * n, 0, []
+    for start, stop in windows:
+        wlo = np.empty(stop - start, dtype=np.int64)
+        whi = np.empty_like(wlo)
+        _write_images(wlo, whi, 0, lo, hi, coeffs, start, stop)
+        mlo, mhi = merge_int64_arrays(wlo, whi)
+        count -= wlo.size - mlo.size
+        # Python ints: a piece's lengths, and the merged ones, are disjoint
+        # and sum within int64, but a times such a sum need not.
+        raw = sum(coeffs[j][0] * int(np.subtract(hi[i0:i1], lo[i0:i1]).sum())
+                  for j, i0, i1 in _image_pieces(n, start, stop))
+        loss += raw - int(np.subtract(mhi, mlo).sum())
+        merged.append((mlo, mhi))
+    if not keep:
+        return count, loss, None, None
+    out_lo = np.empty(count, dtype=np.int64)
+    out_hi = np.empty_like(out_lo)
     w = r = 0
-    for start, stop in _overlap_windows(lo, hi, coeffs):
-        if w < r:
-            out_lo[w:w + start - r] = out_lo[r:start]
-            out_hi[w:w + start - r] = out_hi[r:start]
-        w += start - r
-        mlo, mhi = merge_int64_arrays(out_lo[start:stop], out_hi[start:stop])
+    for (start, stop), (mlo, mhi) in zip(windows, merged):
+        w = _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, start)
         out_lo[w:w + mlo.size] = mlo
         out_hi[w:w + mhi.size] = mhi
         w += mlo.size
         r = stop
-    end = w + out_lo.size - r
-    if w < r:
-        out_lo[w:end] = out_lo[r:]
-        out_hi[w:end] = out_hi[r:]
-    return out_lo[:end], out_hi[:end]
+    _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, len(coeffs) * n)
+    return count, loss, out_lo, out_hi
 
 
 class _ExactEngine:
-    """Iterates E_{n+1} = union T_i(E_n) over scaled-integer interval sets."""
+    """Iterates E_{n+1} = union T_i(E_n) over scaled-integer interval sets.
+
+    The measure is carried, not recounted: ``total`` is the exact integer
+    numerator of |E_n| over ``den``, and a step of the int64 path sets
+    total_{n+1} = sum_j a_j * total_n - loss from the overlap loss of the
+    merged windows.  A step with ``keep=False`` may leave the set unbuilt
+    (lo and hi None on the int64 path), so it must be the last one.
+    """
 
     def __init__(self, proj: ProjectedIFS1D, max_count: int = DEFAULT_MAX_COUNT):
         if any(r <= 0 for r, _ in proj.maps):
@@ -270,8 +320,10 @@ class _ExactEngine:
         lo, hi = proj.base
         den = _lcm(lo.denominator, hi.denominator)
         self.den = den
-        self.lo: Union[list, np.ndarray] = [lo.numerator * (den // lo.denominator)]
-        self.hi: Union[list, np.ndarray] = [hi.numerator * (den // hi.denominator)]
+        self.lo: Union[list, np.ndarray, None] = [lo.numerator * (den // lo.denominator)]
+        self.hi: Union[list, np.ndarray, None] = [hi.numerator * (den // hi.denominator)]
+        self.total = self.hi[0] - self.lo[0]
+        self.count = 1
         self.maps = [(r.numerator, r.denominator, c.numerator, c.denominator)
                      for r, c in proj.maps]
         self.ratio_lcm = 1
@@ -290,30 +342,25 @@ class _ExactEngine:
         return new_den, coeffs
 
     def _extreme(self) -> int:
-        if isinstance(self.lo, np.ndarray):
-            if self.lo.size == 0:
-                return 0
-            return max(abs(int(self.lo[0])), abs(int(self.hi[-1])))
-        if not self.lo:
+        if self.count == 0:
             return 0
-        return max(abs(self.lo[0]), abs(self.hi[-1]))
+        return max(abs(int(self.lo[0])), abs(int(self.hi[-1])))
 
-    def step(self) -> None:
+    def step(self, keep: bool = True) -> None:
         new_den, coeffs = self._coefficients()
         xmax = self._extreme()
         fits = new_den < _INT64_SAFE and all(
             abs(a) * xmax + abs(c) < _INT64_SAFE for a, c in coeffs
         )
-        if fits:
-            lo = np.asarray(self.lo, dtype=np.int64)
-            hi = np.asarray(self.hi, dtype=np.int64)
-            mlo, mhi = _merge_images_int64(lo, hi, coeffs)
-            if self.n == 0:
-                # Only the base can be degenerate: positive ratios map the
-                # canonical sets of later generations to nondegenerate images.
-                keep = mhi > mlo
-                mlo, mhi = mlo[keep], mhi[keep]
-            self.lo, self.hi = mlo, mhi
+        if fits and self.total == 0:
+            # Empty, or the degenerate base: every image has length 0.
+            self.lo = self.hi = np.empty(0, dtype=np.int64)
+            self.count = 0
+        elif fits:
+            self.count, loss, self.lo, self.hi = _merge_images_int64(
+                np.asarray(self.lo, dtype=np.int64),
+                np.asarray(self.hi, dtype=np.int64), coeffs, keep)
+            self.total = sum(a for a, _ in coeffs) * self.total - loss
         else:
             if isinstance(self.lo, np.ndarray):
                 self.lo = [int(v) for v in self.lo]
@@ -324,6 +371,8 @@ class _ExactEngine:
             mlo, mhi = _merge_scaled(pairs)
             self.lo = [x for x, y in zip(mlo, mhi) if y > x]
             self.hi = [y for x, y in zip(mlo, mhi) if y > x]
+            self.total = sum(b - a for a, b in zip(self.lo, self.hi))
+            self.count = len(self.lo)
         self.den = new_den
         self.n += 1
         if self.count > self.max_count:
@@ -333,18 +382,8 @@ class _ExactEngine:
             )
 
     @property
-    def count(self) -> int:
-        return len(self.lo) if isinstance(self.lo, list) else int(self.lo.size)
-
-    @property
     def measure(self) -> Fraction:
-        if isinstance(self.lo, np.ndarray):
-            # Both int64 sums wrap modulo 2**64 and the true total lies in
-            # [0, 2**63), so the difference reduced modulo 2**64 is exact.
-            total = (int(self.hi.sum()) - int(self.lo.sum())) % (1 << 64)
-        else:
-            total = sum(b - a for a, b in zip(self.lo, self.hi))
-        return Fraction(total, self.den)
+        return Fraction(self.total, self.den)
 
     def snapshot(self) -> IntervalSet:
         if isinstance(self.lo, np.ndarray):
@@ -434,7 +473,9 @@ class _FloatEngine:
         self.lo, self.hi = base[:, :1], base[:, 1:]
         self.n = 0
 
-    def step(self) -> None:
+    def step(self, keep: bool = True) -> None:
+        """One generation for every row.  The rows are always kept, whatever
+        ``keep`` says: their measures are summed from them."""
         rows = self.lo.shape[0]
         if self.lo.size:
             lo = self.ratios * self.lo[:, None, :]
@@ -503,7 +544,10 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
                      max_count: int = DEFAULT_MAX_COUNT):
     """Sheared measures of generations 0..n_max in direction d.
 
-    The sets are not materialized.  For a Direction the result is a list,
+    The sets are not materialized.  On the exact backend the measure is
+    carried from step to step, not summed from the endpoints, and the last
+    step only merges the overlap windows: the intervals of generation n_max
+    are never built.  For a Direction the result is a list,
     of Fractions on the exact backend and floats on the float backend; the
     true projected length of generation n is ``values[n] * d.scale``.  A
     DirectionBatch runs on the float backend only and gives an array of
@@ -511,8 +555,9 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     """
     eng = _engine(ifs, d, n_max, backend, max_count)
     values = [eng.measure]
-    for _ in range(n_max):
-        eng.step()
+    for k in range(1, n_max + 1):
+        # Only the measure of the last generation is read, never its set.
+        eng.step(keep=k < n_max)
         values.append(eng.measure)
     if isinstance(d, DirectionBatch):
         return np.array(values)

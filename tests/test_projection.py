@@ -211,10 +211,21 @@ class TestGenerationEngine:
         assert [(iv.lo, iv.hi) for iv in got.intervals] == want
 
 
+def _python_measure(eng):
+    """|E_n| of the engine's materialized endpoints, summed in Python ints."""
+    lo, hi = eng.lo, eng.hi
+    if isinstance(lo, np.ndarray):
+        lo, hi = lo.tolist(), hi.tolist()
+    return Fraction(sum(hi) - sum(lo), eng.den)
+
+
 def _engine_vs_reference(proj, steps):
     """Step the exact engine and check (den, lo, hi) against the re-sorting
-    reference after every step; returns the int64/bigint path of each."""
+    reference after every step, the carried measure against the Python sum
+    of the endpoints, and that int64 endpoints own their buffers (no view
+    keeps a larger array alive); returns the int64/bigint path of each."""
     eng = _ExactEngine(proj)
+    assert eng.measure == _python_measure(eng)
     paths = []
     for _ in range(steps):
         den, lo, hi, int64 = exact_step_reference(eng.den, eng.lo, eng.hi,
@@ -225,8 +236,11 @@ def _engine_vs_reference(proj, steps):
         if int64:
             assert eng.lo.dtype == eng.hi.dtype == np.int64
             assert np.array_equal(eng.lo, lo) and np.array_equal(eng.hi, hi)
+            assert eng.lo.base is None and eng.hi.base is None
         else:
             assert (eng.lo, eng.hi) == (lo, hi)
+        assert eng.count == len(lo)
+        assert eng.measure == _python_measure(eng)
         paths.append(int64)
     return paths
 
@@ -285,8 +299,11 @@ class TestImageWindowMerge:
         # around 6: the touching pair must land in one window and merge.
         lo, hi = np.array([0, 4]), np.array([2, 6])
         coeffs = [(1, 0), (1, 3), (1, 6)]
-        mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        count, loss, mlo, mhi = _merge_images_int64(lo, hi, coeffs)
         assert (mlo.tolist(), mhi.tolist()) == ([0, 3, 10], [2, 9, 12])
+        # three images of length 4 whose union has length 10
+        assert (count, loss) == (3, 2)
+        assert _merge_images_int64(lo, hi, coeffs, keep=False) == (3, 2, None, None)
 
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
                     min_size=1, max_size=6),
@@ -302,10 +319,15 @@ class TestImageWindowMerge:
             hi.append(x + gap + length)
             x = hi[-1]
         lo, hi = np.array(lo), np.array(hi)
-        mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        count, loss, mlo, mhi = _merge_images_int64(lo, hi, coeffs)
         _, want_lo, want_hi, _ = exact_step_reference(
             1, lo, hi, [(Fraction(a), Fraction(c)) for a, c in coeffs])
         assert np.array_equal(mlo, want_lo) and np.array_equal(mhi, want_hi)
+        raw = sum(a for a, _ in coeffs) * sum(length for _, length in steps)
+        assert count == want_lo.size
+        assert loss == raw - int(np.sum(want_hi - want_lo))
+        assert _merge_images_int64(lo, hi, coeffs, keep=False) == \
+            (count, loss, None, None)
 
     def test_nonpositive_ratio_rejected(self):
         proj = ProjectedIFS1D(((Fraction(-1, 2), Fraction(0)),
@@ -381,21 +403,60 @@ class TestExactMeasure:
         assert eng.measure == Fraction(want, eng.den)
 
     def test_endpoint_sums_wrap_past_int64(self):
-        # both endpoint sums leave the int64 range, the total does not
-        eng = _ExactEngine(project_ifs(four_corner(), Direction("x", Fraction(0))))
-        top = (1 << 62) - 1
-        lo = [-top + 3] + [top - 100 + 10 * i for i in range(8)]
-        hi = [-top + 5] + [top - 97 + 11 * i for i in range(8)]
-        eng.lo = np.array(lo, dtype=np.int64)
-        eng.hi = np.array(hi, dtype=np.int64)
-        eng.den = 7
-        assert sum(hi) > 1 << 63
-        assert eng.measure == Fraction(sum(b - a for a, b in zip(lo, hi)), 7)
+        # One int64 step whose endpoints reach +-2^62 and whose endpoint
+        # sums both leave int64, while the carried total stays exact.
+        den = (1 << 57) - 1
+        top, gap = 31 * den // 32, den // 10
+        offsets = [top - j * gap for j in range(7)] + [top - den // 40, -top]
+        proj = ProjectedIFS1D(tuple((Fraction(1, 32), Fraction(c, den))
+                                    for c in offsets), (Fraction(-1), Fraction(1)))
+        eng = _ExactEngine(proj)
+        eng.step()
+        assert isinstance(eng.lo, np.ndarray) and eng.count == 8
+        lo, hi = eng.lo.tolist(), eng.hi.tolist()
+        assert min(lo) < -(1 << 61) and max(hi) > 1 << 61
+        assert sum(lo) > 1 << 63 and sum(hi) > 1 << 63
+        assert eng.measure == _python_measure(eng)
+        assert eng.measure == Fraction(9 * 2, 32) - Fraction(1, 16) + Fraction(den // 40, den)
+        last = _ExactEngine(proj)
+        last.step(keep=False)
+        assert last.lo is None and last.count == 8
+        assert last.measure == eng.measure
 
     def test_empty_set(self):
-        eng = _ExactEngine(project_ifs(four_corner(), Direction("x", Fraction(0))))
-        eng.lo = eng.hi = np.array([], dtype=np.int64)
+        # A degenerate base has measure 0 and an empty generation 1, which
+        # stays empty and of measure 0, with or without keeping the set.
+        proj = ProjectedIFS1D(((Fraction(1, 2), Fraction(0)),
+                               (Fraction(1, 2), Fraction(1, 2))),
+                              (Fraction(1, 3), Fraction(1, 3)))
+        eng = _ExactEngine(proj)
         assert eng.measure == 0
+        for _ in range(3):
+            eng.step()
+            assert eng.count == eng.lo.size == eng.hi.size == 0
+            assert eng.measure == 0
+        eng.step(keep=False)
+        assert eng.count == 0 and eng.measure == 0
+        empty = np.empty(0, dtype=np.int64)
+        count, loss, mlo, mhi = _merge_images_int64(empty, empty, [(1, 0), (1, 1)])
+        assert (count, loss, mlo.size, mhi.size) == (0, 0, 0, 0)
+
+    def test_last_step_measure_only(self):
+        # sheared_measures never builds generation n_max, yet gives the same
+        # Fraction as the materialized set, on both the int64 and bigint paths
+        tiny = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
+                              Similitude2D.of("1/524288", "1/2", "1/3")),
+                     (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+        cases = [(ifs, Direction(chart, t))
+                 for ifs in (four_corner(), sierpinski_gasket(), sparse_corner(5),
+                             _OVERLAP5)
+                 for chart in ("x", "y")
+                 for t in (Fraction(0), Fraction(1, 2), Fraction(-2, 7),
+                           Fraction(355, 452))]
+        cases.append((tiny, Direction("x", Fraction(2, 7))))
+        for ifs, d in cases:
+            for n in range(8):
+                assert sheared_measures(ifs, d, n)[n] == generation(ifs, d, n).set.measure
 
 
 _BATCH_SYSTEMS = [four_corner(), sierpinski_gasket(), sparse_corner(8)]
