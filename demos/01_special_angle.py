@@ -37,7 +37,7 @@ print(f"t = 1/2: tiles = {rep.tiles}, defect = {rep.defect}, "
 
 d = Direction("x", Fraction(1, 2))
 for n in (0, 4, 8):
-    gen = generation(fc, d, n, backend="exact")
+    gen = generation(fc, d, n)
     ivals = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in gen.set.intervals)
     print(f"  generation {n}: {gen.set.count} interval(s): {ivals}")
 

@@ -5,9 +5,11 @@ From neighborhood decay to a dimension estimate
 If the Favard length of the r-neighborhood of a set decays like r^s, the
 set cannot have Hausdorff dimension above 1 - s.  The pipeline here turns
 that into a number for self-similar sets: pick scales r, match each to a
-generation depth, expand the exact projected generations by r, integrate
-over directions, and fit the decay exponent on a log-log line.  The fit
-over finitely many scales makes 1 - s an estimate, not a proved bound.
+generation depth, expand the float projected generations by r (all
+quadrature nodes of a depth at once, each at the float tangent of its
+angle), integrate over directions, and fit the decay exponent on a log-log
+line.  The fit over finitely many scales makes 1 - s an estimate, not a
+proved bound.  The cover statistics at the end are exact.
 
 The sparse four-corner variant with ratio 1/8 (similarity dimension 2/3)
 is a good test: the estimate 1 - s should land near 2/3, on either side.

@@ -24,13 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    MalformedIntervalError,
-    PreconditionError,
-    SizeCapExceeded,
-)
+from .errors import DegenerateFitError, PreconditionError, SizeCapExceeded
 from .favard import (
     QuadratureConfig,
     alpha_sequence,
@@ -118,7 +112,7 @@ def _cmd_alpha(args) -> int:
     if out:
         write_csv(out / "alpha.csv", ("n", "slope", "sheared", "true"), rows)
         if args.generations:
-            gens = iter_generations(ifs, d, args.depth, backend=args.backend)
+            gens = iter_generations(ifs, d, args.depth)
             write_csv(out / "generations.csv",
                       ("n", "chart", "slope", "lo", "hi"),
                       generation_rows(gens))
@@ -421,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     slope_flags(p)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--generations", action="store_true",
-                   help="also write generation intervals CSV")
+                   help="also write the exact generation intervals CSV, "
+                        "whatever the backend")
     p.set_defaults(handler=_cmd_alpha)
 
     p = subs.add_parser("convexity", help="second-difference report")
@@ -517,15 +512,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except SizeCapExceeded as exc:
+    except (SizeCapExceeded, DegenerateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    except DegenerateFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
-    except (PreconditionError, ConfigError, MalformedIntervalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # PreconditionError, ConfigError and MalformedIntervalError are ValueErrors.
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

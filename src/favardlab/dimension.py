@@ -6,6 +6,8 @@ projection is computed by expanding the projected generation whose cylinder
 diameter matches r.  If the window-integrated measure of these neighborhoods
 decays like C*r^s, the Hausdorff dimension of the set is at most 1 - s; the
 fit is reported together with its residual so power-law fidelity is visible.
+The decay series is a float estimate: its generations run on the row-batched
+float engine at unsnapped slopes, all nodes of one depth at once.
 
 Cover statistics expose the proof-side objects: the expanded projection is a
 finite union of disjoint intervals, each of length at least 2r, so their
@@ -33,9 +35,9 @@ from .ifs import IFS2D
 from .intervals import IntervalSet, to_fraction
 from .projection import (
     DEFAULT_MAX_COUNT,
-    DEFAULT_SLOPE_DENOMINATOR,
     Direction,
     generation,
+    neighborhood_lengths,
 )
 
 RADIUS_SNAP_DENOMINATOR = 10 ** 12
@@ -115,7 +117,7 @@ def cover_stats(ifs: IFS2D, d: Direction, r, exponents: Sequence = (Fraction(1, 
         if not 0 < p < 1:
             raise ValueError(f"Holder exponent must lie in (0, 1), got {p}")
     depth = matched_depth(ifs, r)
-    gen = generation(ifs, d, depth, backend="exact", max_count=max_count)
+    gen = generation(ifs, d, depth, max_count=max_count)
     r_sh = sheared_radius(r, d)
     cover = gen.set.expand(r_sh)
     scale = d.scale
@@ -146,18 +148,9 @@ class DecayRecord:
     total_deeper: Optional[float] = None
 
 
-def _expanded_measure(ifs: IFS2D, theta: float, depth: int, r: float,
-                      max_denominator: int, max_count: int):
-    d = Direction.from_angle(theta, max_denominator)
-    gen = generation(ifs, d, depth, backend="float", max_count=max_count)
-    expanded = gen.set.expand(r / d.scale)
-    return expanded.measure * d.scale, expanded.count
-
-
 def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
                  order: int = 16, sensitivity: bool = False,
                  include_directions: bool = True,
-                 max_denominator: int = DEFAULT_SLOPE_DENOMINATOR,
                  max_count: int = DEFAULT_MAX_COUNT) -> list:
     """Window-integrated projected neighborhood measure per scale.
 
@@ -165,7 +158,12 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
     matched generation depth; with sensitivity=True the integral is also
     computed one generation shallower and deeper, bracketing the depth
     choice.  The default window is the full half-period (quarter period
-    with the dihedral shortcut, scaled back by its multiplicity).
+    with the dihedral shortcut, scaled back by its multiplicity); a given
+    window must be finite.
+
+    All quadrature nodes of one depth go through ``neighborhood_lengths``
+    at once: float generations at the slope ``tan`` of each node angle, not
+    snapped to a rational, each expanded by its own sheared radius.
     """
     rs = [to_fraction(s) for s in scales]
     if not rs:
@@ -174,6 +172,8 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
         raise PreconditionError("scales must be strictly decreasing and positive")
     if window is not None:
         lo, hi, factor = float(window[0]), float(window[1]), 1.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise PreconditionError(f"angular window must be finite, got {lo}, {hi}")
     elif ifs.dihedral_symmetry:
         lo, hi, factor = 0.0, _QUARTER_PI, 4.0
     else:
@@ -184,16 +184,15 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
     weights = factor * weights
 
     def integrate(depth: int, rf: float):
-        rows = [_expanded_measure(ifs, theta, depth, rf, max_denominator,
-                                  max_count) for theta in nodes.tolist()]
-        return float(np.dot(weights, np.array([m for m, _ in rows]))), rows
+        measures, counts = neighborhood_lengths(ifs, nodes, depth, rf, max_count)
+        return float(np.dot(weights, measures)), measures, counts
 
     records = []
     for r in rs:
         depth = matched_depth(ifs, r)
         rf = float(r)
-        total, rows = integrate(depth, rf)
-        per_dir = tuple((float(t), m, c) for t, (m, c) in zip(nodes, rows)) \
+        total, measures, counts = integrate(depth, rf)
+        per_dir = tuple(zip(nodes.tolist(), measures.tolist(), counts.tolist())) \
             if include_directions else None
         t_lo = integrate(depth - 1, rf)[0] if sensitivity and depth > 0 else None
         t_hi = integrate(depth + 1, rf)[0] if sensitivity else None
@@ -207,9 +206,6 @@ class ExponentFit:
     C: float
     residual: float         # max abs log-space residual
     dim_bound: float        # 1 - s, a fitted estimate, not a proved bound
-
-    def as_tuple(self):
-        return self.s, self.C, self.residual
 
 
 def exponent_fit(series: Sequence) -> ExponentFit:

@@ -210,7 +210,7 @@ def special_slope_check(ifs: IFS2D, t) -> SpecialSlopeReport:
     alpha_n = alpha_0 for every n at this direction.
     """
     t = to_fraction(t)
-    g0, g1 = iter_generations(ifs, Direction.from_slope(t), 1, backend="exact")
+    g0, g1 = iter_generations(ifs, Direction.from_slope(t), 1)
     defect = g0.set.measure - g1.set.measure
     tiles = g1.set.count == 1 and defect == 0
     return SpecialSlopeReport(t, tiles, defect, g1.set.count, g0.set.measure)

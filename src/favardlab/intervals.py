@@ -173,10 +173,6 @@ def merge_float_arrays(
     return out_lo, out_hi
 
 
-def _exact_sum(values: Iterable[int]) -> int:
-    return sum(values)
-
-
 def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
@@ -258,14 +254,14 @@ class IntervalSet:
                     canonical: bool = False) -> "IntervalSet":
         """Build from pre-scaled integer endpoints over denominator ``den``.
 
-        With ``canonical=True`` the input is trusted to be merged and sorted
-        already (fast path for the generation engine).
+        With ``canonical=True`` the input is trusted to be Python ints,
+        merged and sorted already (fast path for the generation engine).
         """
         if den <= 0:
             raise MalformedIntervalError("denominator must be positive")
-        lo = [int(v) for v in lo]
-        hi = [int(v) for v in hi]
         if not canonical:
+            lo = [int(v) for v in lo]
+            hi = [int(v) for v in hi]
             for a, b in zip(lo, hi):
                 if a > b:
                     raise MalformedIntervalError("scaled interval with lo > hi")
@@ -308,7 +304,7 @@ class IntervalSet:
     @property
     def measure(self) -> Fraction:
         """Exact total length, summed in ascending-lo order."""
-        return Fraction(_exact_sum(b - a for a, b in zip(self._lo, self._hi)), self._den)
+        return Fraction(sum(b - a for a, b in zip(self._lo, self._hi)), self._den)
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -365,12 +361,6 @@ class IntervalSet:
             if i == len(my) or not (my[i][0] <= a and b <= my[i][1]):
                 return False
         return True
-
-    def to_float(self) -> "FloatIntervalSet":
-        d = float(self._den)
-        lo = np.array([a / d for a in self._lo], dtype=np.float64)
-        hi = np.array([b / d for b in self._hi], dtype=np.float64)
-        return FloatIntervalSet._trusted(lo, hi, MERGE_EPSILON)
 
     # -- dunder ------------------------------------------------------------
 

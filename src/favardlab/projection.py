@@ -44,19 +44,19 @@ median from 7.58 s to 2.18 s and the peak RSS from 932 MB to 289 MB;
 carrying the measure and skipping the last set took it from 1.20 s to
 0.78 s and from 263 MB to 140 MB.
 
-The float engine holds one row per direction and steps all rows at once.
-A ``Direction`` is a one-row batch whose offsets are the floats of the
-exact projected ones, so its results are those of a per-direction float
-engine bit for bit (reference in ``tests/oracles.py``).  A
-``DirectionBatch`` takes float slopes, from ``tan`` of the angles for
-``projected_lengths``, and projects in float arithmetic with no snapping
-and no Fractions.  At small generations the cost of a float step is
-per-call overhead, so ``favard`` and ``lipschitz_scan`` send whole
-quadrature passes through ``projected_lengths`` in groups bounded by
-``_GROUP_ENDPOINTS``: favard(four_corner(), n) for n = 2 and 3 fell from
-3.6 s to 0.1 s in-process, at the same peak RSS.  Once k**n reaches the
-bound (n = 6 for four maps) a group is one row and a step is sort-bound,
-as before.
+The float engine holds one row per direction and steps all rows at once;
+it gives measures only, since generations are exact only.  A ``Direction``
+is a one-row batch whose offsets are the floats of the exact projected
+ones, so its results are those of a per-direction float engine bit for bit
+(reference in ``tests/oracles.py``).  A ``DirectionBatch`` takes float
+slopes, ``tan`` of the angles, and projects in float arithmetic with no
+snapping and no Fractions.  At small generations a float step costs
+per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
+and ``neighborhood_lengths`` (``decay_series``) send all their angles
+through one loop of row groups bounded by ``_GROUP_ENDPOINTS``:
+favard(four_corner(), n) for n = 2 and 3 fell from 3.6 s to 0.1 s
+in-process, at the same peak RSS.  Once k**n reaches the bound (n = 6 for
+four maps) a group is one row and a step is sort-bound, as before.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import numpy as np
 from .errors import SizeCapExceeded
 from .ifs import IFS2D
 from .intervals import (
-    FloatIntervalSet,
     IntervalSet,
     MERGE_EPSILON,
     _INT64_SAFE,
@@ -191,7 +190,7 @@ class GenerationSet:
 
     n: int
     direction: Direction
-    set: Union[IntervalSet, FloatIntervalSet]
+    set: IntervalSet
 
 
 def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
@@ -363,8 +362,7 @@ class _ExactEngine:
             self.total = sum(a for a, _ in coeffs) * self.total - loss
         else:
             if isinstance(self.lo, np.ndarray):
-                self.lo = [int(v) for v in self.lo]
-                self.hi = [int(v) for v in self.hi]
+                self.lo, self.hi = self.lo.tolist(), self.hi.tolist()
             pairs = []
             for a, c in coeffs:
                 pairs.extend((a * x + c, a * y + c) for x, y in zip(self.lo, self.hi))
@@ -386,11 +384,9 @@ class _ExactEngine:
         return Fraction(self.total, self.den)
 
     def snapshot(self) -> IntervalSet:
-        if isinstance(self.lo, np.ndarray):
-            lo = [int(v) for v in self.lo]
-            hi = [int(v) for v in self.hi]
-        else:
-            lo, hi = list(self.lo), list(self.hi)
+        lo, hi = self.lo, self.hi
+        if isinstance(lo, np.ndarray):
+            lo, hi = lo.tolist(), hi.tolist()
         return IntervalSet.from_scaled(self.den, lo, hi, canonical=True)
 
 
@@ -501,10 +497,6 @@ class _FloatEngine:
         """Sheared measure of each row."""
         return np.sum(self.hi - self.lo, axis=1)
 
-    def snapshot(self) -> FloatIntervalSet:
-        return FloatIntervalSet._trusted(self.lo[0].copy(), self.hi[0].copy(),
-                                         self.eps)
-
 
 def _engine(ifs: IFS2D, d, n: int, backend: str, max_count: int):
     """Start the engine for generation n of the system projected through d."""
@@ -519,20 +511,19 @@ def _engine(ifs: IFS2D, d, n: int, backend: str, max_count: int):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def generation(ifs: IFS2D, d: Direction, n: int, backend: str = "exact",
+def generation(ifs: IFS2D, d: Direction, n: int,
                max_count: int = DEFAULT_MAX_COUNT) -> GenerationSet:
-    """Generation n projected in direction d, as a canonical interval set."""
-    eng = _engine(ifs, d, n, backend, max_count)
+    """Generation n projected in direction d, as an exact canonical set."""
+    eng = _engine(ifs, d, n, "exact", max_count)
     for _ in range(n):
         eng.step()
     return GenerationSet(n, d, eng.snapshot())
 
 
 def iter_generations(ifs: IFS2D, d: Direction, n_max: int,
-                     backend: str = "exact",
                      max_count: int = DEFAULT_MAX_COUNT) -> Iterator[GenerationSet]:
-    """Yield generations 0..n_max, reusing the merged set between steps."""
-    eng = _engine(ifs, d, n_max, backend, max_count)
+    """Yield exact generations 0..n_max, reusing the merged set between steps."""
+    eng = _engine(ifs, d, n_max, "exact", max_count)
     yield GenerationSet(0, d, eng.snapshot())
     for k in range(1, n_max + 1):
         eng.step()
@@ -566,23 +557,53 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     return values
 
 
-def projected_lengths(ifs: IFS2D, thetas, n_max: int,
-                      max_count: int = DEFAULT_MAX_COUNT) -> np.ndarray:
-    """True projected lengths of generations 0..n_max at float angles.
+def _row_groups(ifs: IFS2D, thetas, n_max: int) -> list:
+    """The float angles as (columns, ``DirectionBatch``) row groups.
 
-    Float backend, with slopes taken as ``tan`` of the angles unsnapped.
-    The angles go through ``sheared_measures`` in groups of at most
-    ``_GROUP_ENDPOINTS // k**n_max`` rows (at least one) for a system of
-    k maps, which bounds the endpoints one group can hold.  Returns an
-    array of shape (n_max + 1, len(thetas)).
+    Slopes are ``tan`` of the angles, unsnapped.  A group holds at most
+    ``_GROUP_ENDPOINTS // k**n_max`` rows (at least one) for a system of k
+    maps, which bounds its endpoints at generation n_max.
     """
     if n_max < 0:
         raise ValueError("generation index must be >= 0")
     ds = DirectionBatch.from_angles(thetas)
     size = max(1, _GROUP_ENDPOINTS // len(ifs.maps) ** n_max)
-    out = np.empty((n_max + 1, len(ds)))
-    for start in range(0, len(ds), size):
-        group = ds[start:start + size]
-        out[:, start:start + size] = sheared_measures(
-            ifs, group, n_max, "float", max_count) * group.scale
+    return [(slice(i, i + size), ds[i:i + size])
+            for i in range(0, len(ds), size)]
+
+
+def projected_lengths(ifs: IFS2D, thetas, n_max: int,
+                      max_count: int = DEFAULT_MAX_COUNT) -> np.ndarray:
+    """True projected lengths of generations 0..n_max at float angles.
+
+    Each row group of ``_row_groups`` goes through ``sheared_measures`` on
+    the float backend.  Returns an array of shape (n_max + 1, len(thetas)).
+    """
+    out = np.empty((n_max + 1, len(thetas)))
+    for cols, group in _row_groups(ifs, thetas, n_max):
+        out[:, cols] = sheared_measures(ifs, group, n_max, "float",
+                                        max_count) * group.scale
     return out
+
+
+def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float,
+                         max_count: int = DEFAULT_MAX_COUNT) -> tuple:
+    """The r-neighborhood of projected generation n at each float angle.
+
+    Each row group of ``_row_groups`` is stepped to generation n on the
+    float engine, every row expanded by its own sheared radius r / scale,
+    and all rows merged in one ``merge_float_arrays`` call.  Returns the
+    true length and the merged interval count of each neighborhood.
+    """
+    measures = np.empty(len(thetas))
+    counts = np.empty(len(thetas), dtype=np.int64)
+    for cols, group in _row_groups(ifs, thetas, n):
+        eng = _FloatEngine(ifs, group, max_count)
+        for _ in range(n):
+            eng.step()
+        scale = group.scale
+        radius = (r / scale)[:, None]
+        lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius, eng.eps)
+        measures[cols] = np.sum(hi - lo, axis=1) * scale
+        counts[cols] = np.count_nonzero(hi > lo, axis=1)
+    return measures, counts

@@ -85,7 +85,7 @@ class ManifestTimer:
 
 
 def interval_rows(interval_set):
-    """CSV rows lo,hi for one interval set (exact or float backend)."""
+    """CSV rows lo,hi for one exact interval set."""
     return [(iv.lo, iv.hi) for iv in interval_set.intervals]
 
 

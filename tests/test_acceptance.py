@@ -59,7 +59,7 @@ def test_criterion_01_special_angle_tiling(fc):
     target = IntervalSet.from_intervals([(Fraction(0), Fraction(3, 2))])
     tiled = []
     for n in range(9):
-        gen = generation(fc, d, n, backend="exact")
+        gen = generation(fc, d, n)
         tiled.append(gen.set == target)
     elapsed = time.perf_counter() - t0
     ok = (rep.defect == 0 and rep.tiles and all(tiled) and elapsed < 1.0)

@@ -93,6 +93,13 @@ class TestExitCodes:
                    "--backend", "exact") == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["nan,1", "0,inf", "-inf,0.5"])
+    def test_usage_dimension_non_finite_window(self, window, capsys):
+        # "=" keeps argparse from reading "-inf,0.5" as an option
+        assert run("dimension", "--preset", "four-corner",
+                   f"--window={window}") == 2
+        assert "window must be finite" in capsys.readouterr().err
+
     def test_claim_certificate_fails(self, overlap_config, capsys):
         assert run("certificate", "--config", overlap_config, "--n", "3",
                    "--grid", "16") == 3
@@ -187,6 +194,18 @@ class TestOutputs:
         assert manifest["parameters"]["snapped_slope"] == "1/2"
         assert manifest["backend"] == "exact"
         assert manifest["wall_time_s"] >= 0
+        capsys.readouterr()
+
+    def test_generations_are_exact_on_either_backend(self, tmp_path, capsys):
+        written = []
+        for backend in ("exact", "float"):
+            out = tmp_path / backend
+            assert run("alpha", "--preset", "four-corner", "--slope", "3/10",
+                       "--depth", "5", "--generations", "--backend", backend,
+                       "--out", str(out)) == 0
+            written.append((out / "generations.csv").read_bytes())
+        assert written[0] == written[1]
+        assert b"3/10" in written[0]
         capsys.readouterr()
 
     def test_angle_is_snapped_to_rational(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,18 @@ from favardlab.dimension import (
     seesaw_builder,
     sheared_radius,
 )
-from favardlab.ifs import four_corner, sparse_corner
-from favardlab.intervals import IntervalSet
-from favardlab.projection import Direction
+from favardlab.ifs import four_corner, sierpinski_gasket, sparse_corner
+from favardlab.intervals import MERGE_EPSILON, IntervalSet
+from favardlab.projection import Direction, DirectionBatch
 
-from oracles import expand_components, neighborhood_measure, union_measure
+from oracles import (
+    expand_components,
+    float_generations_reference,
+    float_step_reference,
+    neighborhood_measure,
+    project_square_ifs,
+    union_measure,
+)
 
 
 class TestMatchedDepth:
@@ -191,6 +199,55 @@ class TestDecayAndFit:
         full = decay_series(four_corner(), [Fraction(1, 16)],
                             include_directions=False)
         assert series[0].total < full[0].total
+
+    @pytest.mark.parametrize("ifs, scales, window", [
+        (four_corner(), [Fraction(1, 16), Fraction(1, 64)], None),
+        (sparse_corner(8), [Fraction(1, 64), Fraction(1, 512)], None),
+        (sierpinski_gasket(), [Fraction(1, 8), Fraction(1, 32)],
+         (-math.pi / 4, 3 * math.pi / 4)),
+    ], ids=["four-corner", "sparse-corner(8)", "gasket"])
+    def test_per_direction_rows_match_one_node_reference(self, ifs, scales,
+                                                         window):
+        # each node's float generation, at the same unsnapped slope, built by
+        # the per-direction step, then expanded by r / scale and merged
+        series = decay_series(ifs, scales, window=window, panels=4, order=8)
+        maps2d = [(m.ratio, m.translation) for m in ifs.maps]
+        for rec in series:
+            thetas = [t for t, _, _ in rec.per_direction]
+            batch = DirectionBatch.from_angles(thetas)
+            for (_, measure, count), cy, s, scale in zip(
+                    rec.per_direction, batch.chart_y, batch.slope, batch.scale):
+                maps1d, base = project_square_ifs(
+                    maps2d, ifs.base, "y" if cy else "x", Fraction(float(s)))
+                sets, _ = float_generations_reference(
+                    [(float(r), float(c)) for r, c in maps1d],
+                    [float(v) for v in base], rec.depth, MERGE_EPSILON)
+                lo, hi = sets[-1]
+                radius = rec.r / scale
+                lo, hi = float_step_reference(lo - radius, hi + radius,
+                                              [(1.0, 0.0)], MERGE_EPSILON)
+                assert count == lo.size
+                assert measure == pytest.approx(float(np.sum(hi - lo)) * scale,
+                                                rel=1e-12)
+
+    def test_sparse_corner_pinned_to_snapped_values(self):
+        # totals and fit before the nodes stopped being snapped to rational
+        # slopes (denominator <= 10^6); the move is a few 1e-12
+        sc = sparse_corner(8)
+        series = decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
+                              include_directions=False)
+        snapped = [0.9585972863253329, 0.47692162731044274,
+                   0.23810689841342614, 0.11898494021296699]
+        for rec, want in zip(series, snapped):
+            assert rec.total == pytest.approx(want, abs=1e-10)
+        assert exponent_fit(series).s == pytest.approx(0.3344193467127999,
+                                                       abs=1e-10)
+
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.inf),
+                                        (-math.inf, 0.5)], ids=str)
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(PreconditionError):
+            decay_series(four_corner(), [Fraction(1, 16)], window=window)
 
     def test_sanity_ceiling(self):
         # window length times the largest possible projected length

@@ -17,7 +17,7 @@ from favardlab.ifs import (
     sierpinski_gasket,
     sparse_corner,
 )
-from favardlab.intervals import MERGE_EPSILON
+from favardlab.intervals import MERGE_EPSILON, IntervalSet
 from favardlab.projection import (
     Direction,
     DirectionBatch,
@@ -196,7 +196,7 @@ class TestGenerationEngine:
         ifs = four_corner()
         d = Direction("x", Fraction(0))
         with pytest.raises(ValueError):
-            generation(ifs, d, 1, backend="decimal")
+            sheared_measures(ifs, d, 1, backend="decimal")
 
     def test_bigint_fallback_matches_oracle(self):
         # a slope with a large denominator forces denominators past the
@@ -293,6 +293,22 @@ class TestImageWindowMerge:
                     (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
         paths = _engine_vs_reference(project_ifs(ifs, Direction("x", Fraction(2, 7))), 5)
         assert paths[0] and not paths[-1]
+
+    def test_snapshot_endpoints_are_python_ints(self):
+        # the int64 arrays and the bigint lists both reach the set as plain
+        # ints, and the set is that of the engine's endpoints
+        tiny = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
+                              Similitude2D.of("1/524288", "1/2", "1/3")),
+                     (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+        for ifs, t, steps in ((four_corner(), Fraction(3, 10), 6),
+                              (tiny, Fraction(2, 7), 5)):
+            eng = _ExactEngine(project_ifs(ifs, Direction("x", t)))
+            for _ in range(steps):
+                eng.step()
+                snap = eng.snapshot()
+                assert all(type(v) is int for v in snap._lo + snap._hi)
+                assert snap == IntervalSet.from_scaled(eng.den, eng.lo, eng.hi)
+            assert isinstance(eng.lo, list) == (ifs is tiny)
 
     def test_touch_through_a_gap(self):
         # A = S ends at 6 where C = S + 6 starts, and B = S + 3 has a gap
@@ -497,10 +513,11 @@ class TestFloatBatch:
             d = Direction(chart, t)
             sets, want = _float_oracle(ifs, d, 6)
             assert sheared_measures(ifs, d, 6, backend="float") == want
-            gens = iter_generations(ifs, d, 6, backend="float")
-            for g, (lo, hi) in zip(gens, sets):
-                glo, ghi = g.set.arrays()
-                assert np.array_equal(glo, lo) and np.array_equal(ghi, hi)
+            eng = projection._engine(ifs, d, 6, "float", 10 ** 6)
+            for k, (lo, hi) in enumerate(sets):
+                if k:
+                    eng.step()
+                assert np.array_equal(eng.lo[0], lo) and np.array_equal(eng.hi[0], hi)
 
     def test_from_angles_matches_from_angle(self):
         rng = random.Random(11)
