@@ -33,12 +33,7 @@ from .errors import DegenerateFitError, PreconditionError
 from .favard import ConvexityReport, _panel_nodes, check_convexity
 from .ifs import IFS2D
 from .intervals import IntervalSet, to_fraction
-from .projection import (
-    DEFAULT_MAX_COUNT,
-    Direction,
-    generation,
-    neighborhood_lengths,
-)
+from .projection import Direction, generation, neighborhood_lengths
 
 RADIUS_SNAP_DENOMINATOR = 10 ** 12
 
@@ -106,8 +101,8 @@ class CoverStatistic:
     count_ceiling_ok: bool      # count <= measure/(2r), verified exactly
 
 
-def cover_stats(ifs: IFS2D, d: Direction, r, exponents: Sequence = (Fraction(1, 2),),
-                max_count: int = DEFAULT_MAX_COUNT) -> CoverStatistic:
+def cover_stats(ifs: IFS2D, d: Direction, r,
+                exponents: Sequence = (Fraction(1, 2),)) -> CoverStatistic:
     """Expand the matched-depth projected generation by r and measure it."""
     r = to_fraction(r)
     if r <= 0:
@@ -117,7 +112,7 @@ def cover_stats(ifs: IFS2D, d: Direction, r, exponents: Sequence = (Fraction(1, 
         if not 0 < p < 1:
             raise ValueError(f"Holder exponent must lie in (0, 1), got {p}")
     depth = matched_depth(ifs, r)
-    gen = generation(ifs, d, depth, max_count=max_count)
+    gen = generation(ifs, d, depth)
     r_sh = sheared_radius(r, d)
     cover = gen.set.expand(r_sh)
     scale = d.scale
@@ -150,8 +145,7 @@ class DecayRecord:
 
 def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
                  order: int = 16, sensitivity: bool = False,
-                 include_directions: bool = True,
-                 max_count: int = DEFAULT_MAX_COUNT) -> list:
+                 include_directions: bool = True) -> list:
     """Window-integrated projected neighborhood measure per scale.
 
     Scales must be strictly decreasing and positive.  Each scale picks its
@@ -184,7 +178,7 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
     weights = factor * weights
 
     def integrate(depth: int, rf: float):
-        measures, counts = neighborhood_lengths(ifs, nodes, depth, rf, max_count)
+        measures, counts = neighborhood_lengths(ifs, nodes, depth, rf)
         return float(np.dot(weights, measures)), measures, counts
 
     records = []

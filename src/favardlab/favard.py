@@ -30,8 +30,6 @@ from .errors import PreconditionError
 from .ifs import IFS2D, validate
 from .intervals import to_fraction
 from .projection import (
-    DEFAULT_MAX_COUNT,
-    DEFAULT_SLOPE_DENOMINATOR,
     Direction,
     iter_generations,
     projected_lengths,
@@ -60,10 +58,10 @@ class AlphaSequence:
         return len(self.values)
 
 
-def alpha_sequence(ifs: IFS2D, d: Direction, n_max: int, backend: str = "exact",
-                   max_count: int = DEFAULT_MAX_COUNT) -> AlphaSequence:
+def alpha_sequence(ifs: IFS2D, d: Direction, n_max: int,
+                   backend: str = "exact") -> AlphaSequence:
     """Compute alpha_0 .. alpha_{n_max}, reusing the merged set per step."""
-    values = sheared_measures(ifs, d, n_max, backend=backend, max_count=max_count)
+    values = sheared_measures(ifs, d, n_max, backend=backend)
     return AlphaSequence(d, tuple(values), d.scale)
 
 
@@ -111,9 +109,6 @@ class QuadratureConfig:
     panel_order: int = 16
     initial_panels: int = 4
     max_refinements: int = 6
-    backend: str = "float"
-    # Snapping bound for node slopes; the float backend does not snap.
-    max_denominator: int = DEFAULT_SLOPE_DENOMINATOR
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,8 @@ def _panel_nodes(lo: float, hi: float, panels: int, order: int):
     return nodes, weights
 
 
-def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
-           max_count: int = DEFAULT_MAX_COUNT) -> FavardEstimate:
+def favard(ifs: IFS2D, n: int,
+           quad: Optional[QuadratureConfig] = None) -> FavardEstimate:
     """Estimate the full-turn Favard length of generation n by quadrature.
 
     The integrand has period pi, so the result is twice the half-period
@@ -154,11 +149,8 @@ def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
     Panels double until two successive composite Gauss-Legendre estimates
     agree to quad.tol; the last delta is reported as the error bar.
 
-    On the float backend each pass sends all its node angles, slopes taken
-    as float tangents, through ``projected_lengths`` in row groups of the
-    batched float engine.  The exact backend snaps every node to a rational
-    slope with denominator at most quad.max_denominator and evaluates it on
-    its own.
+    Each pass sends all its node angles, slopes taken as float tangents,
+    through ``projected_lengths`` in row groups of the batched float engine.
     """
     quad = quad or QuadratureConfig()
     if ifs.dihedral_symmetry:
@@ -168,15 +160,7 @@ def favard(ifs: IFS2D, n: int, quad: Optional[QuadratureConfig] = None,
 
     def evaluate(panels: int) -> float:
         nodes, weights = _panel_nodes(lo, hi, panels, quad.panel_order)
-        if quad.backend == "float":
-            values = projected_lengths(ifs, nodes, n, max_count)[n]
-        else:
-            values = []
-            for theta in nodes.tolist():
-                d = Direction.from_angle(theta, quad.max_denominator)
-                values.append(sheared_measures(ifs, d, n, quad.backend,
-                                               max_count)[n] * d.scale)
-        return factor * float(np.dot(weights, np.array(values)))
+        return factor * float(np.dot(weights, projected_lengths(ifs, nodes, n)[n]))
 
     panels = quad.initial_panels
     est = evaluate(panels)
@@ -286,9 +270,7 @@ class Certificate:
 
 
 def lower_bound_certificate(ifs: IFS2D, n: int, grid_count: int = 64,
-                            special_slope=SPECIAL_SLOPE,
-                            max_denominator: int = DEFAULT_SLOPE_DENOMINATOR,
-                            ) -> Certificate:
+                            special_slope=SPECIAL_SLOPE) -> Certificate:
     """Certify Fav(generation n) >= 1/(40n) by exact grid evaluation.
 
     Works on the angular window of half-width 1/(40n) centered at the
@@ -322,7 +304,7 @@ def lower_bound_certificate(ifs: IFS2D, n: int, grid_count: int = 64,
     rows = []
     witness = None
     for theta in angles:
-        d = Direction.from_angle(float(theta), max_denominator)
+        d = Direction.from_angle(float(theta))
         a0, a1 = sheared_measures(ifs, d, 1)
         d1 = a0 - a1
         lower = a0 - n * d1

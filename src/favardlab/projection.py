@@ -83,7 +83,8 @@ from .intervals import (
     to_fraction,
 )
 
-DEFAULT_MAX_COUNT = 50_000_000
+# A step whose merged interval count passes this raises SizeCapExceeded.
+MAX_COUNT = 50_000_000
 DEFAULT_SLOPE_DENOMINATOR = 10 ** 6
 
 _QUARTER_PI = math.pi / 4
@@ -302,6 +303,12 @@ def _merge_images_int64(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     return count, loss, out_lo, out_hi
 
 
+def _check_cap(count: int, n: int) -> None:
+    if count > MAX_COUNT:
+        raise SizeCapExceeded(f"merged interval count {count} exceeds cap "
+                              f"{MAX_COUNT} at generation {n}")
+
+
 class _ExactEngine:
     """Iterates E_{n+1} = union T_i(E_n) over scaled-integer interval sets.
 
@@ -312,10 +319,9 @@ class _ExactEngine:
     (lo and hi None on the int64 path), so it must be the last one.
     """
 
-    def __init__(self, proj: ProjectedIFS1D, max_count: int = DEFAULT_MAX_COUNT):
+    def __init__(self, proj: ProjectedIFS1D):
         if any(r <= 0 for r, _ in proj.maps):
             raise ValueError("the exact engine needs positive map ratios")
-        self.max_count = max_count
         lo, hi = proj.base
         den = _lcm(lo.denominator, hi.denominator)
         self.den = den
@@ -373,11 +379,7 @@ class _ExactEngine:
             self.count = len(self.lo)
         self.den = new_den
         self.n += 1
-        if self.count > self.max_count:
-            raise SizeCapExceeded(
-                f"merged interval count {self.count} exceeds cap {self.max_count} "
-                f"at generation {self.n}"
-            )
+        _check_cap(self.count, self.n)
 
     @property
     def measure(self) -> Fraction:
@@ -446,9 +448,7 @@ class _FloatEngine:
     """
 
     def __init__(self, ifs: IFS2D, d: Union[Direction, DirectionBatch],
-                 max_count: int = DEFAULT_MAX_COUNT,
                  merge_eps: float = MERGE_EPSILON):
-        self.max_count = max_count
         self.eps = merge_eps
         if isinstance(d, Direction):
             proj = project_ifs(ifs, d)
@@ -482,11 +482,7 @@ class _FloatEngine:
                 lo.reshape(rows, -1), hi.reshape(rows, -1), self.eps)
         self.n += 1
         # Rows are padded to the longest, so the width is the largest count.
-        if self.count > self.max_count:
-            raise SizeCapExceeded(
-                f"merged interval count {self.count} exceeds cap {self.max_count} "
-                f"at generation {self.n}"
-            )
+        _check_cap(self.count, self.n)
 
     @property
     def count(self) -> int:
@@ -498,32 +494,31 @@ class _FloatEngine:
         return np.sum(self.hi - self.lo, axis=1)
 
 
-def _engine(ifs: IFS2D, d, n: int, backend: str, max_count: int):
+def _engine(ifs: IFS2D, d, n: int, backend: str):
     """Start the engine for generation n of the system projected through d."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
     if backend == "float":
-        return _FloatEngine(ifs, d, max_count)
+        return _FloatEngine(ifs, d)
     if not isinstance(d, Direction):
         raise ValueError("a DirectionBatch needs the float backend")
     if backend == "exact":
-        return _ExactEngine(project_ifs(ifs, d), max_count)
+        return _ExactEngine(project_ifs(ifs, d))
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def generation(ifs: IFS2D, d: Direction, n: int,
-               max_count: int = DEFAULT_MAX_COUNT) -> GenerationSet:
+def generation(ifs: IFS2D, d: Direction, n: int) -> GenerationSet:
     """Generation n projected in direction d, as an exact canonical set."""
-    eng = _engine(ifs, d, n, "exact", max_count)
+    eng = _engine(ifs, d, n, "exact")
     for _ in range(n):
         eng.step()
     return GenerationSet(n, d, eng.snapshot())
 
 
-def iter_generations(ifs: IFS2D, d: Direction, n_max: int,
-                     max_count: int = DEFAULT_MAX_COUNT) -> Iterator[GenerationSet]:
+def iter_generations(ifs: IFS2D, d: Direction,
+                     n_max: int) -> Iterator[GenerationSet]:
     """Yield exact generations 0..n_max, reusing the merged set between steps."""
-    eng = _engine(ifs, d, n_max, "exact", max_count)
+    eng = _engine(ifs, d, n_max, "exact")
     yield GenerationSet(0, d, eng.snapshot())
     for k in range(1, n_max + 1):
         eng.step()
@@ -531,8 +526,7 @@ def iter_generations(ifs: IFS2D, d: Direction, n_max: int,
 
 
 def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
-                     n_max: int, backend: str = "exact",
-                     max_count: int = DEFAULT_MAX_COUNT):
+                     n_max: int, backend: str = "exact"):
     """Sheared measures of generations 0..n_max in direction d.
 
     The sets are not materialized.  On the exact backend the measure is
@@ -544,7 +538,7 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     DirectionBatch runs on the float backend only and gives an array of
     shape (n_max + 1, len(d)), one column per direction.
     """
-    eng = _engine(ifs, d, n_max, backend, max_count)
+    eng = _engine(ifs, d, n_max, backend)
     values = [eng.measure]
     for k in range(1, n_max + 1):
         # Only the measure of the last generation is read, never its set.
@@ -572,8 +566,7 @@ def _row_groups(ifs: IFS2D, thetas, n_max: int) -> list:
             for i in range(0, len(ds), size)]
 
 
-def projected_lengths(ifs: IFS2D, thetas, n_max: int,
-                      max_count: int = DEFAULT_MAX_COUNT) -> np.ndarray:
+def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
     """True projected lengths of generations 0..n_max at float angles.
 
     Each row group of ``_row_groups`` goes through ``sheared_measures`` on
@@ -581,13 +574,11 @@ def projected_lengths(ifs: IFS2D, thetas, n_max: int,
     """
     out = np.empty((n_max + 1, len(thetas)))
     for cols, group in _row_groups(ifs, thetas, n_max):
-        out[:, cols] = sheared_measures(ifs, group, n_max, "float",
-                                        max_count) * group.scale
+        out[:, cols] = sheared_measures(ifs, group, n_max, "float") * group.scale
     return out
 
 
-def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float,
-                         max_count: int = DEFAULT_MAX_COUNT) -> tuple:
+def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float) -> tuple:
     """The r-neighborhood of projected generation n at each float angle.
 
     Each row group of ``_row_groups`` is stepped to generation n on the
@@ -598,7 +589,7 @@ def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float,
     measures = np.empty(len(thetas))
     counts = np.empty(len(thetas), dtype=np.int64)
     for cols, group in _row_groups(ifs, thetas, n):
-        eng = _FloatEngine(ifs, group, max_count)
+        eng = _FloatEngine(ifs, group)
         for _ in range(n):
             eng.step()
         scale = group.scale

@@ -3,8 +3,9 @@
 Exact rationals serialize as "p/q" strings (plain "p" for integers) and
 parse back to identical values; floats use repr, the shortest decimal that
 round-trips.  Every CLI run directory carries a manifest echoing the full
-parameter set, the backend, the package version, and the wall time, so an
-exact-backend run can be reproduced bit for bit from its manifest.
+parameter set, the backend, the package version, the wall time and the
+exit code, with the error of a failed run, so an exact-backend run can be
+reproduced bit for bit from its manifest.
 """
 
 from __future__ import annotations
@@ -73,13 +74,15 @@ class ManifestTimer:
         self.backend = backend
         self.start = time.perf_counter()
 
-    def write(self, out_dir) -> None:
+    def write(self, out_dir, exit_code: int, error=None) -> None:
         payload = {
             "subcommand": self.subcommand,
             "parameters": jsonable(self.parameters),
             "backend": self.backend,
             "version": __version__,
             "wall_time_s": time.perf_counter() - self.start,
+            "exit_code": exit_code,
+            "error": None if error is None else str(error),
         }
         write_json(Path(out_dir) / "manifest.json", payload)
 
@@ -90,10 +93,10 @@ def interval_rows(interval_set):
 
 
 def generation_rows(gensets):
-    """CSV rows (n, chart, slope, lo, hi) across generation sets."""
-    rows = []
+    """CSV rows (n, chart, slope, lo, hi) across generation sets, yielded
+    one at a time: fed by ``iter_generations``, no generation is built
+    before the rows of the one before it are written."""
     for g in gensets:
         d = g.direction
         for iv in g.set.intervals:
-            rows.append((g.n, d.chart, d.slope, iv.lo, iv.hi))
-    return rows
+            yield g.n, d.chart, d.slope, iv.lo, iv.hi

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from favardlab import projection
 from favardlab.cli import main
 from favardlab.favard import check_convexity
 from favardlab.ifs import IFS2D, Similitude2D, dump_config
@@ -80,6 +81,8 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
+        ("favard", "--n", "1"),
+        ("convexity", "--slope", "2/7"),
         ("certificate", "--n", "1"),
         ("special-angle", "--slope", "1/2"),
         ("cover", "--slope", "0", "--radius", "1/16"),
@@ -88,7 +91,9 @@ class TestExitCodes:
         ("dimension",),
     ], ids=lambda argv: argv[0])
     def test_usage_backend_rejected(self, argv, capsys):
-        # these subcommands use one backend each; --backend used to be ignored
+        # every subcommand but alpha runs on one backend; favard's exact mode
+        # certified nothing, and float convexity margins failed the exact
+        # claim at 2/7 on rounding alone
         assert run(*argv, "--preset", "four-corner",
                    "--backend", "exact") == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
@@ -100,10 +105,21 @@ class TestExitCodes:
                    f"--window={window}") == 2
         assert "window must be finite" in capsys.readouterr().err
 
-    def test_claim_certificate_fails(self, overlap_config, capsys):
+    def test_dimension_negative_window(self, capsys):
+        # "--window -0.5,0.5" would read as an option; the help says "="
+        assert run("dimension", "--preset", "four-corner",
+                   "--window=-0.5,0.5", "--scale-base", "4",
+                   "--depth-min", "2", "--depth-max", "4",
+                   "--panels", "2", "--order", "8") == 0
+        assert "fitted dim estimate" in capsys.readouterr().out
+
+    def test_claim_certificate_fails(self, overlap_config, tmp_path, capsys):
         assert run("certificate", "--config", overlap_config, "--n", "3",
-                   "--grid", "16") == 3
+                   "--grid", "16", "--out", str(tmp_path)) == 3
         assert "FAIL" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3
+        assert manifest["error"] is None
 
     def test_certificate_passes_small_n(self, overlap_config, capsys):
         assert run("certificate", "--config", overlap_config, "--n", "1",
@@ -132,7 +148,34 @@ class TestExitCodes:
                    "--out", str(out)) == 1
         payload = json.loads((out / "favard.json").read_text())
         assert payload["status"] == "unconverged"
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
         capsys.readouterr()
+
+    def test_computation_size_cap(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(projection, "MAX_COUNT", 10)
+        argv = ("alpha", "--preset", "four-corner", "--slope", "355/452",
+                "--depth", "8")
+        assert run(*argv, "--out", str(tmp_path)) == 1
+        assert "exceeds cap" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+        assert "exceeds cap" in manifest["error"]
+        # a manifest that cannot be written keeps the exit code of the run
+        blocked = tmp_path / "manifest.json"
+        assert run(*argv, "--out", str(blocked)) == 1
+        capsys.readouterr()
+
+    def test_usage_error_writes_manifest(self, tmp_path, capsys):
+        assert run("alpha", "--preset", "four-corner", "--slope", "1/3",
+                   "--depth", "-1", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert "generation index" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert "generation index" in manifest["error"]
+        assert manifest["parameters"]["depth"] == -1
 
     @pytest.mark.parametrize("argv", [
         ("favard", "--n", "1"),
@@ -235,15 +278,28 @@ class TestOutputs:
     @pytest.mark.parametrize("argv", [
         ("alpha", "--preset", "four-corner", "--slope", "1/3", "--depth", "3",
          "--backend", "float"),
+        ("convexity", "--preset", "four-corner", "--angle", "0.3",
+         "--depth", "4"),
         ("favard", "--preset", "four-corner", "--n", "1"),
+        ("certificate", "--preset", "four-corner", "--n", "1", "--grid", "8"),
+        ("special-angle", "--preset", "four-corner", "--slope", "1/2"),
         ("lipschitz", "--preset", "four-corner", "--nodes", "101"),
+        ("dimension", "--preset", "sparse-corner(8)", "--depth-max", "5",
+         "--panels", "2", "--order", "8"),
+        ("cover", "--preset", "four-corner", "--slope", "1/3",
+         "--radius", "1/64", "--intervals"),
+        ("counterexample", "--seesaw", "0,1/4,5;20,1/64,3"),
+        ("needle", "--preset", "four-corner", "--n", "1", "--trials", "100"),
+        ("validate", "--preset", "sierpinski-gasket"),
     ], ids=lambda argv: argv[0])
     def test_manifests_repeat_but_for_wall_time(self, argv, tmp_path, capsys):
         manifests = []
         for _ in range(2):
             assert run(*argv, "--out", str(tmp_path)) == 0
             manifest = json.loads((tmp_path / "manifest.json").read_text())
-            assert "handler" not in manifest["parameters"]
+            assert not {"handler", "spec"} & manifest["parameters"].keys()
+            assert manifest["subcommand"] == argv[0]
+            assert (manifest["exit_code"], manifest["error"]) == (0, None)
             assert manifest.pop("wall_time_s") >= 0
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
@@ -252,8 +308,7 @@ class TestOutputs:
     def test_convexity_files(self, tmp_path, capsys):
         out = tmp_path / "cvx"
         assert run("convexity", "--preset", "four-corner", "--slope", "1/3",
-                   "--depth", "5", "--backend", "exact",
-                   "--out", str(out)) == 0
+                   "--depth", "5", "--out", str(out)) == 0
         header, rows = read_csv(out / "convexity.csv")
         assert header == ["k", "margin"]
         assert len(rows) == 4

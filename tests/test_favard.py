@@ -150,12 +150,6 @@ class TestFavardQuadrature:
         assert abs(est.value - value) <= 1e-9
         assert (est.status, est.panels) == (status, panels)
 
-    def test_exact_backend_agrees(self):
-        qf = favard(four_corner(), 2)
-        qe = favard(four_corner(), 2,
-                    QuadratureConfig(backend="exact"))
-        assert qe.value == pytest.approx(qf.value, abs=1e-9)
-
     @pytest.mark.parametrize("quad", [QuadratureConfig(initial_panels=0),
                                       QuadratureConfig(panel_order=0)])
     def test_empty_rule_rejected(self, quad):

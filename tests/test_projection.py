@@ -175,11 +175,12 @@ class TestGenerationEngine:
             for e, f in zip(ex, fl):
                 assert f == pytest.approx(float(e), abs=1e-9)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         ifs = four_corner()
         d = Direction("x", Fraction(355, 452))
+        monkeypatch.setattr(projection, "MAX_COUNT", 10)
         with pytest.raises(SizeCapExceeded):
-            generation(ifs, d, 8, max_count=10)
+            generation(ifs, d, 8)
 
     def test_negative_generation_rejected(self):
         ifs = four_corner()
@@ -513,7 +514,7 @@ class TestFloatBatch:
             d = Direction(chart, t)
             sets, want = _float_oracle(ifs, d, 6)
             assert sheared_measures(ifs, d, 6, backend="float") == want
-            eng = projection._engine(ifs, d, 6, "float", 10 ** 6)
+            eng = projection._engine(ifs, d, 6, "float")
             for k, (lo, hi) in enumerate(sets):
                 if k:
                     eng.step()
@@ -558,19 +559,19 @@ class TestFloatBatch:
         assert groups and all(g * k <= 64 for g, k in groups)
         assert est.value == pytest.approx(fav.value, abs=1e-12)
 
-    def test_size_cap_per_row(self):
+    def test_size_cap_per_row(self, monkeypatch):
         # at generation 5, slope 0 keeps 32 intervals and slope 1/3 keeps 232
         batch = DirectionBatch(np.array([False, False]), np.array([0.0, 1 / 3]))
-        assert sheared_measures(four_corner(), batch[:1], 5, backend="float",
-                                max_count=100)[5, 0] > 0
+        monkeypatch.setattr(projection, "MAX_COUNT", 100)
+        assert sheared_measures(four_corner(), batch[:1], 5,
+                                backend="float")[5, 0] > 0
         with pytest.raises(SizeCapExceeded):
-            sheared_measures(four_corner(), batch, 5, backend="float",
-                             max_count=100)
+            sheared_measures(four_corner(), batch, 5, backend="float")
+        monkeypatch.setattr(projection, "MAX_COUNT", 10)
         with pytest.raises(SizeCapExceeded):
-            projected_lengths(four_corner(), np.linspace(0.1, 0.7, 5), 5,
-                              max_count=10)
+            projected_lengths(four_corner(), np.linspace(0.1, 0.7, 5), 5)
         with pytest.raises(SizeCapExceeded):
-            favard(four_corner(), 5, max_count=10)
+            favard(four_corner(), 5)
 
     def test_negative_generation_and_exact_backend_rejected(self):
         batch = DirectionBatch.from_angles(np.linspace(0.1, 0.7, 5))
