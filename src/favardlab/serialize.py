@@ -88,8 +88,8 @@ class ManifestTimer:
 
 
 def interval_rows(interval_set):
-    """CSV rows lo,hi for one exact interval set."""
-    return [(iv.lo, iv.hi) for iv in interval_set.intervals]
+    """CSV rows lo,hi for one exact interval set, yielded one at a time."""
+    return ((iv.lo, iv.hi) for iv in interval_set.intervals)
 
 
 def generation_rows(gensets):
