@@ -13,8 +13,10 @@ its exit code.  One runner, ``_run``, does the rest: it loads the system,
 builds the direction and the manifest, calls the handler, writes the files
 and then the manifest under --out, and prints the line.  It maps
 exceptions to exit codes, and under --out a failed run still writes its
-manifest, with the exit code and the error.  Each subcommand runs on one
-backend, which the manifest records; only ``alpha`` takes --backend.
+manifest, with the exit code and the error.  A flag that only adds a file
+(--generations, --intervals) is a usage error without --out.  Each
+subcommand runs on one backend, which the manifest records; only
+``alpha`` takes --backend.
 
 Slopes are given exactly as rational strings ("1/2"); angles may be given
 as decimal radians instead and are snapped to a nearby rational slope.  An
@@ -332,6 +334,10 @@ def _run(args) -> int:
                              params.get("backend", backend))
     error = None
     try:
+        # flags that only add a file are usage errors without --out
+        for flag in ("generations", "intervals"):
+            if getattr(args, flag, False) and not out:
+                raise PreconditionError(f"--{flag} writes a file, so it needs --out")
         ifs = d = None
         if source:
             ifs = preset(args.preset) if args.preset else load_config(args.config)

@@ -31,6 +31,7 @@ from .ifs import IFS2D, validate
 from .intervals import to_fraction
 from .projection import (
     Direction,
+    DirectionBatch,
     iter_generations,
     projected_lengths,
     sheared_measures,
@@ -60,8 +61,18 @@ class AlphaSequence:
 
 def alpha_sequence(ifs: IFS2D, d: Direction, n_max: int,
                    backend: str = "exact") -> AlphaSequence:
-    """Compute alpha_0 .. alpha_{n_max}, reusing the merged set per step."""
-    values = sheared_measures(ifs, d, n_max, backend=backend)
+    """Compute alpha_0 .. alpha_{n_max}, reusing the merged set per step.
+
+    The ``"exact"`` backend gives Fractions; ``"float"`` runs d as a
+    one-row ``DirectionBatch`` at the float slope and gives floats.
+    """
+    if backend == "float":
+        batch = DirectionBatch(np.array([d.chart == "y"]), np.array([float(d.slope)]))
+        values = sheared_measures(ifs, batch, n_max)[:, 0].tolist()
+    elif backend == "exact":
+        values = sheared_measures(ifs, d, n_max)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
     return AlphaSequence(d, tuple(values), d.scale)
 
 
@@ -109,6 +120,14 @@ class QuadratureConfig:
     panel_order: int = 16
     initial_panels: int = 4
     max_refinements: int = 6
+
+    def __post_init__(self):
+        # nan fails every comparison, so `not tol > 0` rejects it too
+        if not self.tol > 0:
+            raise PreconditionError(f"quadrature tol must be > 0, got {self.tol}")
+        if self.max_refinements < 0:
+            raise PreconditionError(
+                f"max_refinements must be >= 0, got {self.max_refinements}")
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,9 @@ def _merge_scaled(pairs: list) -> tuple[list, list]:
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized merge of int64 endpoint arrays (closed-interval semantics)."""
+    """Vectorized merge of integer endpoint arrays (closed-interval
+    semantics): int64, or ``dtype=object`` arrays of Python ints, which
+    keep their dtype."""
     if lo.size == 0:
         return lo, hi
     order = np.argsort(lo, kind="stable")

@@ -16,14 +16,16 @@ Projecting a planar homothety system gives a 1D affine system
 ``T_i(x) = r_i x + p(beta_i)`` acting on the projection of the base
 rectangle.  Generation n is computed by mapping the current *merged*
 interval set through every map and renormalizing, which is exponentially
-cheaper than enumerating cylinders whenever images overlap.  The engine
-tracks one shared integer denominator so each step is pure integer work,
-vectorized through int64 arrays when magnitudes allow and falling back to
-Python integers otherwise.  ``sheared_measures``, ``generation`` and
-``iter_generations`` are the one path from a system and a direction to
-generations: each projects the system itself and rejects n < 0.
+cheaper than enumerating cylinders whenever images overlap.  The type of
+the direction picks the engine: the exact one for a ``Direction``, the
+float one for a ``DirectionBatch``.  ``sheared_measures``, ``generation``
+and ``iter_generations`` are the one path from a system and a direction
+to generations: each projects the system itself and rejects n < 0.
 
-The int64 step does not re-sort.  Every ratio is positive, so each image
+The exact engine tracks one shared integer denominator, so each step is
+integer work on numpy arrays: int64 while magnitudes stay below 2^62 and
+``dtype=object`` arrays of Python ints past that, through the same code.
+A step does not re-sort.  Every ratio is positive, so each image
 ``a*E_n + c`` of the canonical set is already sorted with positive gaps.
 The images are stacked in order of their exact left ends, and only the
 index windows where image hulls overlap (found by binary search at each
@@ -44,11 +46,10 @@ median from 7.58 s to 2.18 s and the peak RSS from 932 MB to 289 MB;
 carrying the measure and skipping the last set took it from 1.20 s to
 0.78 s and from 263 MB to 140 MB.
 
-The float engine holds one row per direction and steps all rows at once;
-it gives measures only, since generations are exact only.  A ``Direction``
-is a one-row batch whose offsets are the floats of the exact projected
-ones, so its results are those of a per-direction float engine bit for bit
-(reference in ``tests/oracles.py``).  A ``DirectionBatch`` takes float
+The float engine holds one row per direction of a ``DirectionBatch`` and
+steps all rows at once; each row gives the measures of a per-direction
+float engine bit for bit (reference in ``tests/oracles.py``).  It gives
+measures only, since generations are exact only.  A batch takes float
 slopes, ``tan`` of the angles, and projects in float arithmetic with no
 snapping and no Fractions.  At small generations a float step costs
 per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
@@ -76,7 +77,6 @@ from .intervals import (
     MERGE_EPSILON,
     _INT64_SAFE,
     _lcm,
-    _merge_scaled,
     merge_float_arrays,
     merge_int64_arrays,
     rational_str,
@@ -254,20 +254,22 @@ def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
     return w
 
 
-def _merge_images_int64(lo: np.ndarray, hi: np.ndarray, coeffs: list,
-                        keep: bool = True) -> tuple:
-    """Merged union of the images a*[lo, hi] + c of a canonical int64 set.
+def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
+                 keep: bool = True) -> tuple:
+    """Merged union of the images a*[lo, hi] + c of a canonical integer set.
 
-    Under a positive ratio each image of a set sorted with positive gaps is
-    sorted with positive gaps, so the images are stacked in order of their
-    left ends and only the windows where image hulls overlap are computed
-    and merged, each by ``merge_int64_arrays``; everything between them is
-    already merged.  Returns ``(count, loss, lo, hi)``: the merged interval
-    count; the overlap loss, the summed lengths of the images minus the
-    length of their union, as an exact int; and, when ``keep`` is set, the
-    merged endpoints in new arrays of exactly ``count`` entries, with each
-    clean stretch written straight into its final slot.  Without ``keep``
-    the clean stretches are never computed and lo, hi are None.
+    ``lo`` and ``hi`` are int64 arrays, or ``dtype=object`` arrays of Python
+    ints, and the merged arrays keep their dtype.  Under a positive ratio
+    each image of a set sorted with positive gaps is sorted with positive
+    gaps, so the images are stacked in order of their left ends and only
+    the windows where image hulls overlap are computed and merged, each by
+    ``merge_int64_arrays``; everything between them is already merged.
+    Returns ``(count, loss, lo, hi)``: the merged interval count; the
+    overlap loss, the summed lengths of the images minus the length of
+    their union, as an exact int; and, when ``keep`` is set, the merged
+    endpoints in new arrays of exactly ``count`` entries, with each clean
+    stretch written straight into its final slot.  Without ``keep`` the
+    clean stretches are never computed and lo, hi are None.
     """
     n = lo.size
     if n == 0:
@@ -277,7 +279,7 @@ def _merge_images_int64(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     windows = _overlap_windows(lo, hi, coeffs)
     count, loss, merged = len(coeffs) * n, 0, []
     for start, stop in windows:
-        wlo = np.empty(stop - start, dtype=np.int64)
+        wlo = np.empty(stop - start, dtype=lo.dtype)
         whi = np.empty_like(wlo)
         _write_images(wlo, whi, 0, lo, hi, coeffs, start, stop)
         mlo, mhi = merge_int64_arrays(wlo, whi)
@@ -290,7 +292,7 @@ def _merge_images_int64(lo: np.ndarray, hi: np.ndarray, coeffs: list,
         merged.append((mlo, mhi))
     if not keep:
         return count, loss, None, None
-    out_lo = np.empty(count, dtype=np.int64)
+    out_lo = np.empty(count, dtype=lo.dtype)
     out_hi = np.empty_like(out_lo)
     w = r = 0
     for (start, stop), (mlo, mhi) in zip(windows, merged):
@@ -312,11 +314,15 @@ def _check_cap(count: int, n: int) -> None:
 class _ExactEngine:
     """Iterates E_{n+1} = union T_i(E_n) over scaled-integer interval sets.
 
-    The measure is carried, not recounted: ``total`` is the exact integer
-    numerator of |E_n| over ``den``, and a step of the int64 path sets
-    total_{n+1} = sum_j a_j * total_n - loss from the overlap loss of the
-    merged windows.  A step with ``keep=False`` may leave the set unbuilt
-    (lo and hi None on the int64 path), so it must be the last one.
+    The endpoints are numerators over the shared denominator ``den``, held
+    in int64 arrays while a step's images fit below 2^62 and in
+    ``dtype=object`` arrays of Python ints after that; every step is the
+    same window merge, ``_merge_images``, on either dtype.  The measure is
+    carried, not recounted: ``total`` is the exact integer numerator of
+    |E_n| over ``den``, and a step sets total_{n+1} = sum_j a_j * total_n -
+    loss from the overlap loss of the merged windows.  A step with
+    ``keep=False`` leaves the set unbuilt (lo and hi None), so it must be
+    the last one.
     """
 
     def __init__(self, proj: ProjectedIFS1D):
@@ -325,8 +331,8 @@ class _ExactEngine:
         lo, hi = proj.base
         den = _lcm(lo.denominator, hi.denominator)
         self.den = den
-        self.lo: Union[list, np.ndarray, None] = [lo.numerator * (den // lo.denominator)]
-        self.hi: Union[list, np.ndarray, None] = [hi.numerator * (den // hi.denominator)]
+        self.lo = np.array([lo.numerator * (den // lo.denominator)], dtype=object)
+        self.hi = np.array([hi.numerator * (den // hi.denominator)], dtype=object)
         self.total = self.hi[0] - self.lo[0]
         self.count = 1
         self.maps = [(r.numerator, r.denominator, c.numerator, c.denominator)
@@ -357,26 +363,16 @@ class _ExactEngine:
         fits = new_den < _INT64_SAFE and all(
             abs(a) * xmax + abs(c) < _INT64_SAFE for a, c in coeffs
         )
-        if fits and self.total == 0:
+        dtype = np.int64 if fits else object
+        if self.total == 0:
             # Empty, or the degenerate base: every image has length 0.
-            self.lo = self.hi = np.empty(0, dtype=np.int64)
+            self.lo = self.hi = np.empty(0, dtype=dtype)
             self.count = 0
-        elif fits:
-            self.count, loss, self.lo, self.hi = _merge_images_int64(
-                np.asarray(self.lo, dtype=np.int64),
-                np.asarray(self.hi, dtype=np.int64), coeffs, keep)
-            self.total = sum(a for a, _ in coeffs) * self.total - loss
         else:
-            if isinstance(self.lo, np.ndarray):
-                self.lo, self.hi = self.lo.tolist(), self.hi.tolist()
-            pairs = []
-            for a, c in coeffs:
-                pairs.extend((a * x + c, a * y + c) for x, y in zip(self.lo, self.hi))
-            mlo, mhi = _merge_scaled(pairs)
-            self.lo = [x for x, y in zip(mlo, mhi) if y > x]
-            self.hi = [y for x, y in zip(mlo, mhi) if y > x]
-            self.total = sum(b - a for a, b in zip(self.lo, self.hi))
-            self.count = len(self.lo)
+            self.count, loss, self.lo, self.hi = _merge_images(
+                self.lo.astype(dtype, copy=False),
+                self.hi.astype(dtype, copy=False), coeffs, keep)
+            self.total = sum(a for a, _ in coeffs) * self.total - loss
         self.den = new_den
         self.n += 1
         _check_cap(self.count, self.n)
@@ -386,15 +382,13 @@ class _ExactEngine:
         return Fraction(self.total, self.den)
 
     def snapshot(self) -> IntervalSet:
-        lo, hi = self.lo, self.hi
-        if isinstance(lo, np.ndarray):
-            lo, hi = lo.tolist(), hi.tolist()
-        return IntervalSet.from_scaled(self.den, lo, hi, canonical=True)
+        return IntervalSet.from_scaled(self.den, self.lo.tolist(),
+                                       self.hi.tolist(), canonical=True)
 
 
 @dataclass(frozen=True)
 class DirectionBatch:
-    """Float directions for the float backend, one row each.
+    """Float directions for the float engine, one row each.
 
     Row i is chart y where ``chart_y[i]`` is true and chart x otherwise, with
     float slope ``slope[i]`` in [-1, 1].  Nothing is snapped to a rational.
@@ -434,37 +428,29 @@ class DirectionBatch:
 
 
 class _FloatEngine:
-    """Float-backend twin of :class:`_ExactEngine`, one row per direction.
+    """Float twin of :class:`_ExactEngine`, one row per direction.
 
-    A single Direction is a one-row batch whose map offsets and base are the
-    floats of the exact projected ones; a DirectionBatch projects in float
-    arithmetic.  Each step maps every row through all maps and merges all
-    rows at once with ``merge_float_arrays``.  Rows shorter than the longest
-    are padded with degenerate copies [x, x] of their right end x.  Under a
-    map the image of a pad is the right end of the image of the row's last
-    interval and comes after it in the stable sort, so a pad never starts a
-    merged interval nor raises a running maximum: every row merges as it
-    would alone.
+    The rows of a DirectionBatch are projected in float arithmetic.  Each
+    step maps every row through all maps and merges all rows at once with
+    ``merge_float_arrays``.  Rows shorter than the longest are padded with
+    degenerate copies [x, x] of their right end x.  Under a map the image
+    of a pad is the right end of the image of the row's last interval and
+    comes after it in the stable sort, so a pad never starts a merged
+    interval nor raises a running maximum: every row merges as it would
+    alone.
     """
 
-    def __init__(self, ifs: IFS2D, d: Union[Direction, DirectionBatch],
+    def __init__(self, ifs: IFS2D, d: DirectionBatch,
                  merge_eps: float = MERGE_EPSILON):
         self.eps = merge_eps
-        if isinstance(d, Direction):
-            proj = project_ifs(ifs, d)
-            ratios = [float(r) for r, _ in proj.maps]
-            offsets = np.array([[float(c) for _, c in proj.maps]])
-            base = np.array([[float(v) for v in proj.base]])
-        else:
-            ratios = [float(m.ratio) for m in ifs.maps]
-            offsets = d.functional(
-                np.array([float(m.translation[0]) for m in ifs.maps]),
-                np.array([float(m.translation[1]) for m in ifs.maps]))
-            x0, y0, x1, y1 = (float(v) for v in ifs.base)
-            corners = d.functional(np.array([x0, x0, x1, x1]),
-                                   np.array([y0, y1, y0, y1]))
-            base = np.stack([corners.min(axis=1), corners.max(axis=1)], axis=1)
-        self.ratios = np.array(ratios)[:, None]
+        offsets = d.functional(
+            np.array([float(m.translation[0]) for m in ifs.maps]),
+            np.array([float(m.translation[1]) for m in ifs.maps]))
+        x0, y0, x1, y1 = (float(v) for v in ifs.base)
+        corners = d.functional(np.array([x0, x0, x1, x1]),
+                               np.array([y0, y1, y0, y1]))
+        base = np.stack([corners.min(axis=1), corners.max(axis=1)], axis=1)
+        self.ratios = np.array([float(m.ratio) for m in ifs.maps])[:, None]
         self.offsets = offsets[:, :, None]
         self.lo, self.hi = base[:, :1], base[:, 1:]
         self.n = 0
@@ -494,22 +480,19 @@ class _FloatEngine:
         return np.sum(self.hi - self.lo, axis=1)
 
 
-def _engine(ifs: IFS2D, d, n: int, backend: str):
-    """Start the engine for generation n of the system projected through d."""
+def _engine(ifs: IFS2D, d: Union[Direction, DirectionBatch], n: int):
+    """Start the engine for generation n of the system projected through d:
+    the exact engine for a Direction, the float engine for a DirectionBatch."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
-    if backend == "float":
+    if isinstance(d, DirectionBatch):
         return _FloatEngine(ifs, d)
-    if not isinstance(d, Direction):
-        raise ValueError("a DirectionBatch needs the float backend")
-    if backend == "exact":
-        return _ExactEngine(project_ifs(ifs, d))
-    raise ValueError(f"unknown backend {backend!r}")
+    return _ExactEngine(project_ifs(ifs, d))
 
 
 def generation(ifs: IFS2D, d: Direction, n: int) -> GenerationSet:
     """Generation n projected in direction d, as an exact canonical set."""
-    eng = _engine(ifs, d, n, "exact")
+    eng = _engine(ifs, d, n)
     for _ in range(n):
         eng.step()
     return GenerationSet(n, d, eng.snapshot())
@@ -518,7 +501,7 @@ def generation(ifs: IFS2D, d: Direction, n: int) -> GenerationSet:
 def iter_generations(ifs: IFS2D, d: Direction,
                      n_max: int) -> Iterator[GenerationSet]:
     """Yield exact generations 0..n_max, reusing the merged set between steps."""
-    eng = _engine(ifs, d, n_max, "exact")
+    eng = _engine(ifs, d, n_max)
     yield GenerationSet(0, d, eng.snapshot())
     for k in range(1, n_max + 1):
         eng.step()
@@ -526,28 +509,24 @@ def iter_generations(ifs: IFS2D, d: Direction,
 
 
 def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
-                     n_max: int, backend: str = "exact"):
+                     n_max: int):
     """Sheared measures of generations 0..n_max in direction d.
 
-    The sets are not materialized.  On the exact backend the measure is
-    carried from step to step, not summed from the endpoints, and the last
-    step only merges the overlap windows: the intervals of generation n_max
-    are never built.  For a Direction the result is a list,
-    of Fractions on the exact backend and floats on the float backend; the
-    true projected length of generation n is ``values[n] * d.scale``.  A
-    DirectionBatch runs on the float backend only and gives an array of
-    shape (n_max + 1, len(d)), one column per direction.
+    The sets are not materialized.  For a Direction the result is a list
+    of exact Fractions, carried from step to step rather than summed from
+    the endpoints, and the last step only merges the overlap windows: the
+    intervals of generation n_max are never built.  The true projected
+    length of generation n is ``values[n] * d.scale``.  A DirectionBatch
+    runs on the float engine and gives an array of shape
+    (n_max + 1, len(d)), one column per direction.
     """
-    eng = _engine(ifs, d, n_max, backend)
+    eng = _engine(ifs, d, n_max)
     values = [eng.measure]
     for k in range(1, n_max + 1):
-        # Only the measure of the last generation is read, never its set.
         eng.step(keep=k < n_max)
         values.append(eng.measure)
     if isinstance(d, DirectionBatch):
         return np.array(values)
-    if backend == "float":
-        return [float(v[0]) for v in values]
     return values
 
 
@@ -570,11 +549,11 @@ def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
     """True projected lengths of generations 0..n_max at float angles.
 
     Each row group of ``_row_groups`` goes through ``sheared_measures`` on
-    the float backend.  Returns an array of shape (n_max + 1, len(thetas)).
+    the float engine.  Returns an array of shape (n_max + 1, len(thetas)).
     """
     out = np.empty((n_max + 1, len(thetas)))
     for cols, group in _row_groups(ifs, thetas, n_max):
-        out[:, cols] = sheared_measures(ifs, group, n_max, "float") * group.scale
+        out[:, cols] = sheared_measures(ifs, group, n_max) * group.scale
     return out
 
 

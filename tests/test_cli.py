@@ -200,6 +200,33 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--slope", "1/3", "--depth", "3", "--generations"),
+        ("cover", "--slope", "1/3", "--radius", "1/64", "--intervals"),
+    ], ids=lambda argv: argv[0])
+    def test_usage_file_flag_without_out(self, argv, monkeypatch, capsys):
+        # the flag only adds a file, so without --out it would do nothing;
+        # the run stops before computing anything
+        def boom(*args, **kwargs):
+            raise AssertionError("computed despite the usage error")
+
+        monkeypatch.setattr("favardlab.cli.preset", boom)
+        assert run(*argv, "--preset", "four-corner") == 2
+        captured = capsys.readouterr()
+        assert f"{argv[-1]} writes a file, so it needs --out" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option", [
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"), ("--refinements", "-1"),
+    ], ids=["tol-negative", "tol-nan", "tol-zero", "refinements-negative"])
+    def test_usage_bad_quadrature_settings(self, option, capsys):
+        # these used to run every refinement and exit 1 "unconverged", or
+        # print "+- inf" for a negative refinement count
+        assert run("favard", "--preset", "four-corner", "--n", "1", *option) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         capsys.readouterr()

@@ -159,6 +159,18 @@ class TestFavardQuadrature:
             favard(four_corner(), 1, quad)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan}, {"max_refinements": -1},
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "refinements-negative"])
+    def test_bad_config_rejected(self, kwargs):
+        with pytest.raises(PreconditionError):
+            QuadratureConfig(**kwargs)
+
+    def test_zero_refinements_allowed(self):
+        est = favard(four_corner(), 1, QuadratureConfig(max_refinements=0))
+        assert est.panels == QuadratureConfig().initial_panels
+
+
 class TestSpecialSlope:
     def test_half_tiles(self):
         rep = special_slope_check(four_corner(), Fraction(1, 2))

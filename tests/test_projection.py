@@ -23,7 +23,7 @@ from favardlab.projection import (
     DirectionBatch,
     ProjectedIFS1D,
     _ExactEngine,
-    _merge_images_int64,
+    _merge_images,
     generation,
     iter_generations,
     project_ifs,
@@ -170,8 +170,8 @@ class TestGenerationEngine:
         ifs = four_corner()
         for t in (Fraction(0), Fraction(1, 3), Fraction(4, 5), Fraction(-1, 2)):
             d = Direction("x", t)
-            ex = sheared_measures(ifs, d, 7, backend="exact")
-            fl = sheared_measures(ifs, d, 7, backend="float")
+            ex = alpha_sequence(ifs, d, 7, backend="exact").values
+            fl = alpha_sequence(ifs, d, 7, backend="float").values
             for e, f in zip(ex, fl):
                 assert f == pytest.approx(float(e), abs=1e-9)
 
@@ -189,15 +189,16 @@ class TestGenerationEngine:
             generation(ifs, d, -1)
         with pytest.raises(ValueError):
             list(iter_generations(ifs, d, -1))
-        for backend in ("exact", "float"):
-            with pytest.raises(ValueError):
-                sheared_measures(ifs, d, -1, backend=backend)
+        with pytest.raises(ValueError):
+            sheared_measures(ifs, d, -1)
+        with pytest.raises(ValueError):
+            alpha_sequence(ifs, d, -1, backend="float")
 
     def test_unknown_backend(self):
         ifs = four_corner()
         d = Direction("x", Fraction(0))
         with pytest.raises(ValueError):
-            sheared_measures(ifs, d, 1, backend="decimal")
+            alpha_sequence(ifs, d, 1, backend="decimal")
 
     def test_bigint_fallback_matches_oracle(self):
         # a slope with a large denominator forces denominators past the
@@ -214,17 +215,16 @@ class TestGenerationEngine:
 
 def _python_measure(eng):
     """|E_n| of the engine's materialized endpoints, summed in Python ints."""
-    lo, hi = eng.lo, eng.hi
-    if isinstance(lo, np.ndarray):
-        lo, hi = lo.tolist(), hi.tolist()
-    return Fraction(sum(hi) - sum(lo), eng.den)
+    return Fraction(sum(eng.hi.tolist()) - sum(eng.lo.tolist()), eng.den)
 
 
 def _engine_vs_reference(proj, steps):
     """Step the exact engine and check (den, lo, hi) against the re-sorting
     reference after every step, the carried measure against the Python sum
-    of the endpoints, and that int64 endpoints own their buffers (no view
-    keeps a larger array alive); returns the int64/bigint path of each."""
+    of the endpoints, the dtype of the path the reference took (int64, or
+    object arrays of Python ints), and that the endpoints own their buffers
+    (no view keeps a larger array alive); returns the int64/bigint path of
+    each."""
     eng = _ExactEngine(proj)
     assert eng.measure == _python_measure(eng)
     paths = []
@@ -233,13 +233,12 @@ def _engine_vs_reference(proj, steps):
                                                   proj.maps)
         eng.step()
         assert eng.den == den
-        assert isinstance(eng.lo, np.ndarray) == int64
+        assert eng.lo.dtype == eng.hi.dtype == (np.int64 if int64 else object)
+        assert eng.lo.base is None and eng.hi.base is None
         if int64:
-            assert eng.lo.dtype == eng.hi.dtype == np.int64
             assert np.array_equal(eng.lo, lo) and np.array_equal(eng.hi, hi)
-            assert eng.lo.base is None and eng.hi.base is None
         else:
-            assert (eng.lo, eng.hi) == (lo, hi)
+            assert (eng.lo.tolist(), eng.hi.tolist()) == (lo, hi)
         assert eng.count == len(lo)
         assert eng.measure == _python_measure(eng)
         paths.append(int64)
@@ -275,6 +274,23 @@ class TestImageWindowMerge:
             proj = project_ifs(ifs, Direction(chart, t))
             assert all(_engine_vs_reference(proj, steps))
 
+    @pytest.mark.parametrize("ifs", [four_corner(), sierpinski_gasket(),
+                                     sparse_corner(5), _OVERLAP5], ids=lambda f: f.name)
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_bigint_windows_bit_identical_to_resorting(self, ifs, chart):
+        # denominators near 10^18 put every step after the first past 2^62,
+        # onto object arrays, where images still overlap and merge
+        q = 10 ** 18 + 9
+        steps = 5 if len(ifs.maps) > 4 else 6
+        for p in (618033988749894848, -285714285714285717):
+            proj = project_ifs(ifs, Direction(chart, Fraction(p, q)))
+            assert not any(_engine_vs_reference(proj, steps)[1:])
+            eng = _ExactEngine(proj)
+            for _ in range(steps):
+                prev = eng.count
+                eng.step()
+                assert eng.count < len(proj.maps) * prev
+
     def test_tiling_slope_touching_images_merge(self):
         proj = project_ifs(four_corner(), Direction("x", Fraction(1, 2)))
         eng = _ExactEngine(proj)
@@ -296,7 +312,7 @@ class TestImageWindowMerge:
         assert paths[0] and not paths[-1]
 
     def test_snapshot_endpoints_are_python_ints(self):
-        # the int64 arrays and the bigint lists both reach the set as plain
+        # the int64 and the Python-int object arrays both reach the set as plain
         # ints, and the set is that of the engine's endpoints
         tiny = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
                               Similitude2D.of("1/524288", "1/2", "1/3")),
@@ -309,18 +325,18 @@ class TestImageWindowMerge:
                 snap = eng.snapshot()
                 assert all(type(v) is int for v in snap._lo + snap._hi)
                 assert snap == IntervalSet.from_scaled(eng.den, eng.lo, eng.hi)
-            assert isinstance(eng.lo, list) == (ifs is tiny)
+            assert (eng.lo.dtype == object) == (ifs is tiny)
 
     def test_touch_through_a_gap(self):
         # A = S ends at 6 where C = S + 6 starts, and B = S + 3 has a gap
         # around 6: the touching pair must land in one window and merge.
         lo, hi = np.array([0, 4]), np.array([2, 6])
         coeffs = [(1, 0), (1, 3), (1, 6)]
-        count, loss, mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        count, loss, mlo, mhi = _merge_images(lo, hi, coeffs)
         assert (mlo.tolist(), mhi.tolist()) == ([0, 3, 10], [2, 9, 12])
         # three images of length 4 whose union has length 10
         assert (count, loss) == (3, 2)
-        assert _merge_images_int64(lo, hi, coeffs, keep=False) == (3, 2, None, None)
+        assert _merge_images(lo, hi, coeffs, keep=False) == (3, 2, None, None)
 
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
                     min_size=1, max_size=6),
@@ -336,15 +352,20 @@ class TestImageWindowMerge:
             hi.append(x + gap + length)
             x = hi[-1]
         lo, hi = np.array(lo), np.array(hi)
-        count, loss, mlo, mhi = _merge_images_int64(lo, hi, coeffs)
+        count, loss, mlo, mhi = _merge_images(lo, hi, coeffs)
         _, want_lo, want_hi, _ = exact_step_reference(
             1, lo, hi, [(Fraction(a), Fraction(c)) for a, c in coeffs])
         assert np.array_equal(mlo, want_lo) and np.array_equal(mhi, want_hi)
         raw = sum(a for a, _ in coeffs) * sum(length for _, length in steps)
         assert count == want_lo.size
         assert loss == raw - int(np.sum(want_hi - want_lo))
-        assert _merge_images_int64(lo, hi, coeffs, keep=False) == \
+        assert _merge_images(lo, hi, coeffs, keep=False) == \
             (count, loss, None, None)
+        # the same images as object arrays of Python ints, as past 2^62
+        got = _merge_images(lo.astype(object), hi.astype(object), coeffs)
+        assert got[2].dtype == got[3].dtype == object
+        assert got[:2] == (count, loss)
+        assert (got[2].tolist(), got[3].tolist()) == (mlo.tolist(), mhi.tolist())
 
     def test_nonpositive_ratio_rejected(self):
         proj = ProjectedIFS1D(((Fraction(-1, 2), Fraction(0)),
@@ -404,7 +425,7 @@ class TestExactMeasure:
             eng = _ExactEngine(project_ifs(four_corner(), Direction("y", t)))
             for _ in range(6):
                 eng.step()
-                assert isinstance(eng.lo, np.ndarray)
+                assert eng.lo.dtype == np.int64
                 want = sum(int(b) - int(a) for a, b in zip(eng.lo, eng.hi))
                 assert eng.measure == Fraction(want, eng.den)
 
@@ -415,7 +436,7 @@ class TestExactMeasure:
         eng = _ExactEngine(project_ifs(ifs, Direction("x", Fraction(2, 7))))
         for _ in range(5):
             eng.step()
-        assert isinstance(eng.lo, list)
+        assert eng.lo.dtype == object
         want = sum(b - a for a, b in zip(eng.lo, eng.hi))
         assert eng.measure == Fraction(want, eng.den)
 
@@ -429,7 +450,7 @@ class TestExactMeasure:
                                     for c in offsets), (Fraction(-1), Fraction(1)))
         eng = _ExactEngine(proj)
         eng.step()
-        assert isinstance(eng.lo, np.ndarray) and eng.count == 8
+        assert eng.lo.dtype == np.int64 and eng.count == 8
         lo, hi = eng.lo.tolist(), eng.hi.tolist()
         assert min(lo) < -(1 << 61) and max(hi) > 1 << 61
         assert sum(lo) > 1 << 63 and sum(hi) > 1 << 63
@@ -455,7 +476,7 @@ class TestExactMeasure:
         eng.step(keep=False)
         assert eng.count == 0 and eng.measure == 0
         empty = np.empty(0, dtype=np.int64)
-        count, loss, mlo, mhi = _merge_images_int64(empty, empty, [(1, 0), (1, 1)])
+        count, loss, mlo, mhi = _merge_images(empty, empty, [(1, 0), (1, 1)])
         assert (count, loss, mlo.size, mhi.size) == (0, 0, 0, 0)
 
     def test_last_step_measure_only(self):
@@ -488,6 +509,18 @@ def _float_oracle(ifs, d, n_max):
                                        n_max, MERGE_EPSILON)
 
 
+def _row_oracle(ifs, row, n_max):
+    """Float generations of a one-row DirectionBatch by the per-direction
+    step, with the offsets and base corners of the row's own functional."""
+    offsets = row.functional(np.array([float(m.translation[0]) for m in ifs.maps]),
+                             np.array([float(m.translation[1]) for m in ifs.maps]))
+    x0, y0, x1, y1 = (float(v) for v in ifs.base)
+    corners = row.functional(np.array([x0, x0, x1, x1]), np.array([y0, y1, y0, y1]))
+    maps = [(float(m.ratio), c) for m, c in zip(ifs.maps, offsets[0].tolist())]
+    return float_generations_reference(maps, [corners.min(), corners.max()],
+                                       n_max, MERGE_EPSILON)
+
+
 def _float_slopes():
     rng = random.Random(20261018)
     return ([0.0, 1.0, -1.0, 0.5, -0.5, math.tan(0.3), 1 / 3]
@@ -500,7 +533,7 @@ class TestFloatBatch:
         slopes = _float_slopes()
         chart_y = np.array([False] * len(slopes) + [True] * len(slopes))
         batch = DirectionBatch(chart_y, np.array(slopes * 2))
-        got = sheared_measures(ifs, batch, 6, backend="float")
+        got = sheared_measures(ifs, batch, 6)
         assert got.shape == (7, len(batch))
         for i, (cy, s) in enumerate(zip(chart_y, batch.slope)):
             d = Direction("y" if cy else "x", Fraction(float(s)))
@@ -510,11 +543,12 @@ class TestFloatBatch:
     @pytest.mark.parametrize("ifs", _BATCH_SYSTEMS, ids=lambda f: f.name)
     @pytest.mark.parametrize("chart", ["x", "y"])
     def test_one_direction_bit_identical_to_oracle(self, ifs, chart):
-        for t in _window_slopes() + [Fraction(s) for s in _float_slopes()]:
-            d = Direction(chart, t)
-            sets, want = _float_oracle(ifs, d, 6)
-            assert sheared_measures(ifs, d, 6, backend="float") == want
-            eng = projection._engine(ifs, d, 6, "float")
+        # a one-row batch, against the oracle fed the batch's own offsets
+        for s in [float(t) for t in _window_slopes()] + _float_slopes():
+            row = DirectionBatch(np.array([chart == "y"]), np.array([s]))
+            sets, want = _row_oracle(ifs, row, 6)
+            assert sheared_measures(ifs, row, 6)[:, 0].tolist() == want
+            eng = projection._engine(ifs, row, 6)
             for k, (lo, hi) in enumerate(sets):
                 if k:
                     eng.step()
@@ -563,23 +597,20 @@ class TestFloatBatch:
         # at generation 5, slope 0 keeps 32 intervals and slope 1/3 keeps 232
         batch = DirectionBatch(np.array([False, False]), np.array([0.0, 1 / 3]))
         monkeypatch.setattr(projection, "MAX_COUNT", 100)
-        assert sheared_measures(four_corner(), batch[:1], 5,
-                                backend="float")[5, 0] > 0
+        assert sheared_measures(four_corner(), batch[:1], 5)[5, 0] > 0
         with pytest.raises(SizeCapExceeded):
-            sheared_measures(four_corner(), batch, 5, backend="float")
+            sheared_measures(four_corner(), batch, 5)
         monkeypatch.setattr(projection, "MAX_COUNT", 10)
         with pytest.raises(SizeCapExceeded):
             projected_lengths(four_corner(), np.linspace(0.1, 0.7, 5), 5)
         with pytest.raises(SizeCapExceeded):
             favard(four_corner(), 5)
 
-    def test_negative_generation_and_exact_backend_rejected(self):
+    def test_negative_generation_rejected(self):
         batch = DirectionBatch.from_angles(np.linspace(0.1, 0.7, 5))
         with pytest.raises(ValueError):
-            sheared_measures(four_corner(), batch, -1, backend="float")
+            sheared_measures(four_corner(), batch, -1)
         with pytest.raises(ValueError):
             projected_lengths(four_corner(), batch.slope, -1)
         with pytest.raises(ValueError):
             favard(four_corner(), -1)
-        with pytest.raises(ValueError):
-            sheared_measures(four_corner(), batch, 1, backend="exact")
