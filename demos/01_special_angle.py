@@ -38,8 +38,8 @@ print(f"t = 1/2: tiles = {rep.tiles}, defect = {rep.defect}, "
 d = Direction("x", Fraction(1, 2))
 for n in (0, 4, 8):
     gen = generation(fc, d, n)
-    ivals = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in gen.set.intervals)
-    print(f"  generation {n}: {gen.set.count} interval(s): {ivals}")
+    ivals = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in gen.intervals)
+    print(f"  generation {n}: {gen.count} interval(s): {ivals}")
 
 ###############################################################################
 # A generic slope: lengths shrink, but always convexly.  The sheared

@@ -32,7 +32,6 @@ from .intervals import (
 )
 from .projection import (
     Direction,
-    GenerationSet,
     ProjectedIFS1D,
     generation,
     iter_generations,

@@ -110,7 +110,7 @@ def _cmd_alpha(args, ifs, d) -> Result:
     if args.generations:
         files["generations.csv"] = (
             ("n", "chart", "slope", "lo", "hi"),
-            generation_rows(iter_generations(ifs, d, args.depth)))
+            generation_rows(d, iter_generations(ifs, d, args.depth)))
     first, last = (float(v) * seq.scale for v in (seq.values[0], seq.values[-1]))
     return Result(f"alpha {d.label()} n=0..{args.depth}: true length "
                   f"{first:.6f} -> {last:.6f}", files)
@@ -206,8 +206,7 @@ def _cmd_dimension(args, ifs, d) -> Result:
         lo, hi = (float(x) for x in args.window.split(","))
         window = (lo, hi)
     series = decay_series(ifs, scales, window=window, panels=args.panels,
-                          order=args.order, sensitivity=args.sensitivity,
-                          include_directions=False)
+                          order=args.order, sensitivity=args.sensitivity)
     fit = exponent_fit(series)
     return Result(
         f"dimension: s={fit.s:.4f}, fitted dim estimate {fit.dim_bound:.4f}, "
@@ -463,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("counterexample", _cmd_counterexample,
             "1D neighborhood sequences and seesaws", "exact", source=False)
-    p.add_argument("--points-file", help="file of rational points")
-    p.add_argument("--seesaw", help='stages "center,spacing,extent;..."')
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--points-file", help="file of rational points")
+    group.add_argument("--seesaw", help='stages "center,spacing,extent;..."')
     p.add_argument("--base", default="4")
     p.add_argument("--n-max", type=int, default=4)
 

@@ -25,19 +25,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateFitError, PreconditionError
-from .favard import ConvexityReport, _panel_nodes, check_convexity
+from .favard import ConvexityReport, _half_period, _panel_nodes, check_convexity
 from .ifs import IFS2D
 from .intervals import IntervalSet, to_fraction
 from .projection import Direction, generation, neighborhood_lengths
 
 RADIUS_SNAP_DENOMINATOR = 10 ** 12
-
-_QUARTER_PI = math.pi / 4
 
 
 def matched_depth(ifs: IFS2D, r) -> int:
@@ -70,9 +68,9 @@ def _ceil_sqrt_scaled(value: Fraction, den: int) -> Fraction:
     return Fraction(k, den)
 
 
-def sheared_radius(r: Fraction, d: Direction,
-                   den: int = RADIUS_SNAP_DENOMINATOR) -> Fraction:
-    """Rational radius >= r*sqrt(1+slope^2), within 1/den of it.
+def sheared_radius(r: Fraction, d: Direction) -> Fraction:
+    """Rational radius >= r*sqrt(1+slope^2), within 1/RADIUS_SNAP_DENOMINATOR
+    of it.
 
     Expanding the sheared projection by this radius contains the true
     r-neighborhood of the projection, so every derived floor (interval
@@ -80,7 +78,7 @@ def sheared_radius(r: Fraction, d: Direction,
     """
     if d.slope == 0:
         return r
-    return _ceil_sqrt_scaled(r * r * d.shear_norm_sq, den)
+    return _ceil_sqrt_scaled(r * r * d.shear_norm_sq, RADIUS_SNAP_DENOMINATOR)
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def cover_stats(ifs: IFS2D, d: Direction, r,
     depth = matched_depth(ifs, r)
     gen = generation(ifs, d, depth)
     r_sh = sheared_radius(r, d)
-    cover = gen.set.expand(r_sh)
+    cover = gen.expand(r_sh)
     scale = d.scale
     lengths_sh = [iv.length for iv in cover.intervals]
     min_sh = min(lengths_sh)
@@ -138,22 +136,20 @@ class DecayRecord:
     r: float
     total: float
     depth: int
-    per_direction: Optional[tuple]      # (theta, measure, count) rows
     total_shallower: Optional[float] = None
     total_deeper: Optional[float] = None
 
 
 def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
-                 order: int = 16, sensitivity: bool = False,
-                 include_directions: bool = True) -> list:
+                 order: int = 16, sensitivity: bool = False) -> list:
     """Window-integrated projected neighborhood measure per scale.
 
     Scales must be strictly decreasing and positive.  Each scale picks its
     matched generation depth; with sensitivity=True the integral is also
     computed one generation shallower and deeper, bracketing the depth
-    choice.  The default window is the full half-period (quarter period
-    with the dihedral shortcut, scaled back by its multiplicity); a given
-    window must be finite.
+    choice.  The default window is the half period of ``_half_period``
+    (with the dihedral shortcut, [0, pi/4] scaled back by its
+    multiplicity); a given window must be finite.
 
     All quadrature nodes of one depth go through ``neighborhood_lengths``
     at once: float generations at the slope ``tan`` of each node angle, not
@@ -168,29 +164,24 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
         lo, hi, factor = float(window[0]), float(window[1]), 1.0
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise PreconditionError(f"angular window must be finite, got {lo}, {hi}")
-    elif ifs.dihedral_symmetry:
-        lo, hi, factor = 0.0, _QUARTER_PI, 4.0
     else:
-        lo, hi, factor = -_QUARTER_PI, 3 * _QUARTER_PI, 1.0
+        lo, hi, factor = _half_period(ifs)
     if hi <= lo:
         raise ValueError("angular window must have positive length")
     nodes, weights = _panel_nodes(lo, hi, panels, order)
     weights = factor * weights
 
-    def integrate(depth: int, rf: float):
-        measures, counts = neighborhood_lengths(ifs, nodes, depth, rf)
-        return float(np.dot(weights, measures)), measures, counts
+    def integrate(depth: int, rf: float) -> float:
+        return float(np.dot(weights, neighborhood_lengths(ifs, nodes, depth, rf)))
 
     records = []
     for r in rs:
         depth = matched_depth(ifs, r)
         rf = float(r)
-        total, measures, counts = integrate(depth, rf)
-        per_dir = tuple(zip(nodes.tolist(), measures.tolist(), counts.tolist())) \
-            if include_directions else None
-        t_lo = integrate(depth - 1, rf)[0] if sensitivity and depth > 0 else None
-        t_hi = integrate(depth + 1, rf)[0] if sensitivity else None
-        records.append(DecayRecord(rf, total, depth, per_dir, t_lo, t_hi))
+        total = integrate(depth, rf)
+        t_lo = integrate(depth - 1, rf) if sensitivity and depth > 0 else None
+        t_hi = integrate(depth + 1, rf) if sensitivity else None
+        records.append(DecayRecord(rf, total, depth, t_lo, t_hi))
     return records
 
 
@@ -225,38 +216,21 @@ def exponent_fit(series: Sequence) -> ExponentFit:
                        1.0 - float(slope))
 
 
-def _as_interval_set(source) -> IntervalSet:
-    if isinstance(source, IntervalSet):
-        return source
-    items = list(source)
-    if not items:
-        return IntervalSet.from_points([])
-    if isinstance(items[0], (tuple, list)):
-        return IntervalSet.from_intervals(items)
-    return IntervalSet.from_points(items)
-
-
 def neighborhood_sequence(source, base, n_max: int) -> list:
     """Exact measures of E(base^-n) for n = 0..n_max.
 
-    The source is a 1D set given as rational points, (lo, hi) pairs, or an
-    IntervalSet; each entry of the result is (n, measure) with the measure
-    an exact Fraction.
+    The source is a 1D set given as rational points or as an IntervalSet;
+    each entry of the result is (n, measure) with the measure an exact
+    Fraction.
     """
     b = to_fraction(base)
     if b <= 1:
         raise PreconditionError("base must exceed 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    pts = _as_interval_set(source)
-    out = []
-    for n in range(n_max + 1):
-        radius = b ** -n
-        if pts.count == 0:
-            out.append((n, Fraction(0)))
-        else:
-            out.append((n, pts.expand(radius).measure))
-    return out
+    pts = source if isinstance(source, IntervalSet) else IntervalSet.from_points(source)
+    # an empty set expands to the empty set, of measure 0
+    return [(n, pts.expand(b ** -n).measure) for n in range(n_max + 1)]
 
 
 def lattice(center, spacing, extent) -> tuple:

@@ -32,14 +32,13 @@ from .intervals import to_fraction
 from .projection import (
     Direction,
     DirectionBatch,
+    _QUARTER_PI,
     iter_generations,
     projected_lengths,
     sheared_measures,
 )
 
 SPECIAL_SLOPE = Fraction(1, 2)
-
-_QUARTER_PI = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -158,24 +157,33 @@ def _panel_nodes(lo: float, hi: float, panels: int, order: int):
     return nodes, weights
 
 
+def _half_period(ifs: IFS2D) -> tuple[float, float, float]:
+    """(lo, hi, multiplicity): the angular domain of a sweep over directions
+    and how many times its integral fits in a half period.  Projected length
+    has period pi, so [-pi/4, 3pi/4] counts once; under dihedral symmetry it
+    also has period pi/2 and is symmetric about pi/4: [0, pi/4] counts 4 times.
+    """
+    if ifs.dihedral_symmetry:
+        return 0.0, _QUARTER_PI, 4.0
+    return -_QUARTER_PI, 3 * _QUARTER_PI, 1.0
+
+
 def favard(ifs: IFS2D, n: int,
            quad: Optional[QuadratureConfig] = None) -> FavardEstimate:
     """Estimate the full-turn Favard length of generation n by quadrature.
 
     The integrand has period pi, so the result is twice the half-period
-    integral; with dihedral symmetry the integrand additionally has period
-    pi/2 and is symmetric about pi/4, shrinking the domain to [0, pi/4].
-    Panels double until two successive composite Gauss-Legendre estimates
-    agree to quad.tol; the last delta is reported as the error bar.
+    integral, taken over the domain of ``_half_period``: [0, pi/4] under
+    dihedral symmetry.  Panels double until two successive composite
+    Gauss-Legendre estimates agree to quad.tol; the last delta is reported
+    as the error bar.
 
     Each pass sends all its node angles, slopes taken as float tangents,
     through ``projected_lengths`` in row groups of the batched float engine.
     """
     quad = quad or QuadratureConfig()
-    if ifs.dihedral_symmetry:
-        lo, hi, factor = 0.0, _QUARTER_PI, 8.0
-    else:
-        lo, hi, factor = -_QUARTER_PI, 3 * _QUARTER_PI, 2.0
+    lo, hi, multiplicity = _half_period(ifs)
+    factor = 2 * multiplicity
 
     def evaluate(panels: int) -> float:
         nodes, weights = _panel_nodes(lo, hi, panels, quad.panel_order)
@@ -214,9 +222,9 @@ def special_slope_check(ifs: IFS2D, t) -> SpecialSlopeReport:
     """
     t = to_fraction(t)
     g0, g1 = iter_generations(ifs, Direction.from_slope(t), 1)
-    defect = g0.set.measure - g1.set.measure
-    tiles = g1.set.count == 1 and defect == 0
-    return SpecialSlopeReport(t, tiles, defect, g1.set.count, g0.set.measure)
+    defect = g0.measure - g1.measure
+    tiles = g1.count == 1 and defect == 0
+    return SpecialSlopeReport(t, tiles, defect, g1.count, g0.measure)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ Config file grammar (one statement per line, ``#`` starts a comment)::
 
     name = four-corner
     base = [0, 0, 1, 1]
-    symmetry = dihedral          # optional; omit for none
+    symmetry = dihedral          # optional; omit for none, no other value
     map { ratio = "1/4", translate = ["0", "0"] }
     map { ratio = "1/4", translate = ["0", "3/4"] }
     ...
@@ -53,14 +53,32 @@ class Similitude2D:
         return Similitude2D(to_fraction(ratio), (to_fraction(dx), to_fraction(dy)))
 
 
+def _dihedral_invariant(maps, base) -> bool:
+    """Whether the base is a square whose map images, as (ratio, corner)
+    squares, are carried onto each other by the reflection in the vertical
+    center line and by the swap of the axes about the center.  These two
+    generate all 8 symmetries of the square."""
+    x0, y0, x1, y1 = base
+    side = x1 - x0
+    if y1 - y0 != side:
+        return False
+    squares = sorted((m.ratio, m.ratio * x0 + m.translation[0],
+                      m.ratio * y0 + m.translation[1]) for m in maps)
+    reflected = sorted((r, x0 + x1 - x - r * side, y) for r, x, y in squares)
+    swapped = sorted((r, x0 + y - y0, y0 + x - x0) for r, x, y in squares)
+    return squares == reflected == swapped
+
+
 @dataclass(frozen=True)
 class IFS2D:
     """A planar homothety system together with its generation-0 rectangle.
 
     ``base`` is (x0, y0, x1, y1) with x0 < x1 and y0 < y1.  The
     ``dihedral_symmetry`` flag marks systems invariant under the symmetries
-    of the square (swap/reflect axes), which lets direction sweeps restrict
-    to one eighth of the circle.
+    of the square, which lets direction sweeps restrict to one eighth of
+    the circle.  It is refused (``ValueError``) unless ``_dihedral_invariant``
+    holds, a sufficient check, not a necessary one: a symmetric set given
+    by a map set that is not itself symmetric is refused too.
     """
 
     name: str
@@ -74,6 +92,11 @@ class IFS2D:
         x0, y0, x1, y1 = self.base
         if not (x0 < x1 and y0 < y1):
             raise ValueError("base rectangle must have positive width and height")
+        if self.dihedral_symmetry and not _dihedral_invariant(self.maps, self.base):
+            raise ValueError(
+                f"{self.name}: dihedral symmetry needs a square base and maps "
+                "invariant under the reflection x -> x0+x1-x and the swap of "
+                "the axes (a sufficient check, not a necessary one)")
 
     @property
     def ratio_sum(self) -> Fraction:
@@ -127,12 +150,13 @@ def _projected_nesting_ok(ifs: IFS2D, chart: str, slope: Fraction) -> bool:
     return True
 
 
-def validate(ifs: IFS2D, display_bound: int = DEFAULT_CYLINDER_DISPLAY_BOUND) -> ValidationReport:
+def validate(ifs: IFS2D) -> ValidationReport:
     """Report-only hypothesis check: ratio sum, projected nesting, sizes.
 
     Nesting is sampled over 8 directions (4 slopes per chart); the axis
     directions make the check exact for rectangle bases.  Failure is
-    reported, never raised, so exploratory systems stay usable.
+    reported, never raised, so exploratory systems stay usable.  Cylinder
+    counts run over generations 0..DEFAULT_CYLINDER_DISPLAY_BOUND.
     """
     checks = []
     for chart in ("x", "y"):
@@ -141,7 +165,7 @@ def validate(ifs: IFS2D, display_bound: int = DEFAULT_CYLINDER_DISPLAY_BOUND) ->
             checks.append((chart, rational_str(slope), ok))
     nesting = all(ok for _, _, ok in checks)
     n = ifs.branching
-    counts = tuple(n ** k for k in range(display_bound + 1))
+    counts = tuple(n ** k for k in range(DEFAULT_CYLINDER_DISPLAY_BOUND + 1))
     return ValidationReport(
         ratio_sum=ifs.ratio_sum,
         ratio_sum_is_one=ifs.ratio_sum == 1,
@@ -274,7 +298,9 @@ def loads_config(text: str) -> IFS2D:
                     if len(base) != 4:
                         raise ConfigError("base needs [x0, y0, x1, y1]")
                 elif key == "symmetry":
-                    symmetry = value.strip().strip('"') == "dihedral"
+                    if value.strip('"') != "dihedral":
+                        raise ConfigError(f"symmetry must be dihedral, got {value!r}")
+                    symmetry = True
                 else:
                     raise ConfigError(f"unknown key {key!r}")
             else:

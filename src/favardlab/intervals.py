@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -54,8 +54,9 @@ def to_fraction(value: RationalLike) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def rational_str(value: Fraction) -> str:
-    """Render a Fraction as ``p`` or ``p/q`` (canonical, round-trippable)."""
+def rational_str(value: Union[Fraction, int]) -> str:
+    """Render a Fraction or an int as ``p`` or ``p/q`` (canonical,
+    round-trippable)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -175,10 +176,6 @@ def merge_float_arrays(
     return out_lo, out_hi
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 class IntervalSet:
     """Canonical union of disjoint closed intervals with rational endpoints.
 
@@ -216,12 +213,7 @@ class IntervalSet:
             if a > b:
                 raise MalformedIntervalError(f"interval with lo > hi: [{a}, {b}]")
             fracs.append((a, b))
-        if not fracs:
-            return cls(1, (), ())
-        den = 1
-        for a, b in fracs:
-            den = _lcm(den, a.denominator)
-            den = _lcm(den, b.denominator)
+        den = math.lcm(*(x.denominator for pair in fracs for x in pair))
         pairs = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
                  for a, b in fracs]
         lo, hi = _merge_scaled(pairs)
@@ -235,42 +227,20 @@ class IntervalSet:
         Measure is zero; the intended use is ``expand`` into a neighborhood.
         """
         pts = sorted({to_fraction(p) for p in points})
-        if not pts:
-            return cls(1, (), ())
-        den = 1
-        for p in pts:
-            den = _lcm(den, p.denominator)
-        scaled = tuple(p.numerator * (den // p.denominator) for p in pts)
-        g = den
-        for v in scaled:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            scaled = tuple(v // g for v in scaled)
-        return cls(den, scaled, scaled)
+        den = math.lcm(*(p.denominator for p in pts))
+        scaled = [p.numerator * (den // p.denominator) for p in pts]
+        return cls._reduced(den, scaled, scaled)
 
     @classmethod
-    def from_scaled(cls, den: int, lo: Sequence[int], hi: Sequence[int],
-                    canonical: bool = False) -> "IntervalSet":
-        """Build from pre-scaled integer endpoints over denominator ``den``.
+    def from_scaled(cls, den: int, lo: list, hi: list) -> "IntervalSet":
+        """Build from canonical integer endpoints over denominator ``den``.
 
-        With ``canonical=True`` the input is trusted to be Python ints,
-        merged and sorted already (fast path for the generation engine).
+        The input is trusted: lists of Python ints, sorted, merged and free
+        of degenerate intervals, as the generation engine produces them.
+        Only the set is reduced to lowest terms.
         """
         if den <= 0:
             raise MalformedIntervalError("denominator must be positive")
-        if not canonical:
-            lo = [int(v) for v in lo]
-            hi = [int(v) for v in hi]
-            for a, b in zip(lo, hi):
-                if a > b:
-                    raise MalformedIntervalError("scaled interval with lo > hi")
-            mlo, mhi = _merge_scaled(list(zip(lo, hi)))
-            keep = [(a, b) for a, b in zip(mlo, mhi) if b > a]
-            lo = [a for a, _ in keep]
-            hi = [b for _, b in keep]
         return cls._reduced(den, lo, hi)
 
     @classmethod
@@ -321,9 +291,6 @@ class IntervalSet:
             return None
         return Fraction(self._lo[0], self._den), Fraction(self._hi[-1], self._den)
 
-    def scaled(self) -> tuple[int, tuple, tuple]:
-        return self._den, self._lo, self._hi
-
     def min_length(self) -> Fraction:
         """Length of the shortest stored interval; raises on empty sets."""
         if not self._lo:
@@ -337,7 +304,7 @@ class IntervalSet:
         r = to_fraction(r)
         if r <= 0:
             raise ValueError(f"expansion radius must be positive, got {r}")
-        den = _lcm(self._den, r.denominator)
+        den = math.lcm(self._den, r.denominator)
         s = den // self._den
         rs = r.numerator * (den // r.denominator)
         pairs = [(a * s - rs, b * s + rs) for a, b in zip(self._lo, self._hi)]
@@ -350,7 +317,7 @@ class IntervalSet:
             return True
         if self.count == 0:
             return False
-        den = _lcm(self._den, other._den)
+        den = math.lcm(self._den, other._den)
         sa = den // self._den
         sb = den // other._den
         my = [(a * sa, b * sa) for a, b in zip(self._lo, self._hi)]

@@ -39,12 +39,7 @@ the sum of the scaled ratios and subtracts the overlap loss of the windows
 ints.  ``sheared_measures`` reads only the measure of its last
 generation, so its last step merges the windows and never builds that
 set.  Results are bit-identical to concatenating all images and merging
-them, the reference kept in ``tests/oracles.py``.  On the ``exact-deep``
-benchmark workload (four-corner to generation 12 in 33 directions, 2-core
-Xeon VM, 10 alternating 28 s runs per side) the window merge took the pass
-median from 7.58 s to 2.18 s and the peak RSS from 932 MB to 289 MB;
-carrying the measure and skipping the last set took it from 1.20 s to
-0.78 s and from 263 MB to 140 MB.
+them, the reference kept in ``tests/oracles.py``.
 
 The float engine holds one row per direction of a ``DirectionBatch`` and
 steps all rows at once; each row gives the measures of a per-direction
@@ -54,10 +49,9 @@ slopes, ``tan`` of the angles, and projects in float arithmetic with no
 snapping and no Fractions.  At small generations a float step costs
 per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
 and ``neighborhood_lengths`` (``decay_series``) send all their angles
-through one loop of row groups bounded by ``_GROUP_ENDPOINTS``:
-favard(four_corner(), n) for n = 2 and 3 fell from 3.6 s to 0.1 s
-in-process, at the same peak RSS.  Once k**n reaches the bound (n = 6 for
-four maps) a group is one row and a step is sort-bound, as before.
+through one loop of row groups bounded by ``_GROUP_ENDPOINTS``.  Once
+k**n reaches the bound (n = 6 for four maps) a group is one row and a
+step is sort-bound.
 """
 
 from __future__ import annotations
@@ -74,9 +68,7 @@ from .errors import SizeCapExceeded
 from .ifs import IFS2D
 from .intervals import (
     IntervalSet,
-    MERGE_EPSILON,
     _INT64_SAFE,
-    _lcm,
     merge_float_arrays,
     merge_int64_arrays,
     rational_str,
@@ -145,24 +137,23 @@ class Direction:
         return cls({"x": "y", "y": "x"}.get(chart, chart), 1 / t)
 
     @classmethod
-    def from_angle(cls, theta: float,
-                   max_denominator: int = DEFAULT_SLOPE_DENOMINATOR) -> "Direction":
+    def from_angle(cls, theta: float) -> "Direction":
         """Snap an angle to the nearest rational-slope direction.
 
         The angle is reduced mod pi into [-pi/4, 3pi/4); the tangent (or
         cotangent) is approximated by its best rational with denominator at
-        most ``max_denominator`` (continued fractions).
+        most ``DEFAULT_SLOPE_DENOMINATOR`` (continued fractions).
         """
         t = math.fmod(theta, math.pi)
         if t < -_QUARTER_PI:
             t += math.pi
         elif t >= 3 * _QUARTER_PI:
             t -= math.pi
-        if -_QUARTER_PI <= t <= _QUARTER_PI:
-            slope = Fraction(math.tan(t)).limit_denominator(max_denominator)
-            return cls("x", min(max(slope, Fraction(-1)), Fraction(1)))
-        slope = Fraction(math.tan(math.pi / 2 - t)).limit_denominator(max_denominator)
-        return cls("y", min(max(slope, Fraction(-1)), Fraction(1)))
+        chart = "x" if -_QUARTER_PI <= t <= _QUARTER_PI else "y"
+        if chart == "y":
+            t = math.pi / 2 - t
+        slope = Fraction(math.tan(t)).limit_denominator(DEFAULT_SLOPE_DENOMINATOR)
+        return cls(chart, min(max(slope, Fraction(-1)), Fraction(1)))
 
     def label(self) -> str:
         return f"{self.chart}:{rational_str(self.slope)}"
@@ -183,15 +174,6 @@ def project_ifs(ifs: IFS2D, d: Direction) -> ProjectedIFS1D:
     x0, y0, x1, y1 = ifs.base
     corners = [d.functional(x, y) for x in (x0, x1) for y in (y0, y1)]
     return ProjectedIFS1D(maps, (min(corners), max(corners)))
-
-
-@dataclass(frozen=True)
-class GenerationSet:
-    """Generation n of a projected system, in sheared coordinates."""
-
-    n: int
-    direction: Direction
-    set: IntervalSet
 
 
 def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
@@ -329,7 +311,7 @@ class _ExactEngine:
         if any(r <= 0 for r, _ in proj.maps):
             raise ValueError("the exact engine needs positive map ratios")
         lo, hi = proj.base
-        den = _lcm(lo.denominator, hi.denominator)
+        den = math.lcm(lo.denominator, hi.denominator)
         self.den = den
         self.lo = np.array([lo.numerator * (den // lo.denominator)], dtype=object)
         self.hi = np.array([hi.numerator * (den // hi.denominator)], dtype=object)
@@ -337,16 +319,13 @@ class _ExactEngine:
         self.count = 1
         self.maps = [(r.numerator, r.denominator, c.numerator, c.denominator)
                      for r, c in proj.maps]
-        self.ratio_lcm = 1
-        self.offset_lcm = 1
-        for _, q, _, b in self.maps:
-            self.ratio_lcm = _lcm(self.ratio_lcm, q)
-            self.offset_lcm = _lcm(self.offset_lcm, b)
+        self.ratio_lcm = math.lcm(*(q for _, q, _, _ in self.maps))
+        self.offset_lcm = math.lcm(*(b for _, _, _, b in self.maps))
         self.n = 0
 
     def _coefficients(self) -> tuple[int, list[tuple[int, int]]]:
         den = self.den
-        new_den = _lcm(den * self.ratio_lcm, self.offset_lcm)
+        new_den = math.lcm(den * self.ratio_lcm, self.offset_lcm)
         coeffs = []
         for p, q, a, b in self.maps:
             coeffs.append((p * (new_den // (q * den)), a * (new_den // b)))
@@ -382,8 +361,7 @@ class _ExactEngine:
         return Fraction(self.total, self.den)
 
     def snapshot(self) -> IntervalSet:
-        return IntervalSet.from_scaled(self.den, self.lo.tolist(),
-                                       self.hi.tolist(), canonical=True)
+        return IntervalSet.from_scaled(self.den, self.lo.tolist(), self.hi.tolist())
 
 
 @dataclass(frozen=True)
@@ -440,9 +418,7 @@ class _FloatEngine:
     alone.
     """
 
-    def __init__(self, ifs: IFS2D, d: DirectionBatch,
-                 merge_eps: float = MERGE_EPSILON):
-        self.eps = merge_eps
+    def __init__(self, ifs: IFS2D, d: DirectionBatch):
         offsets = d.functional(
             np.array([float(m.translation[0]) for m in ifs.maps]),
             np.array([float(m.translation[1]) for m in ifs.maps]))
@@ -465,7 +441,7 @@ class _FloatEngine:
             hi = self.ratios * self.hi[:, None, :]
             hi += self.offsets
             self.lo, self.hi = merge_float_arrays(
-                lo.reshape(rows, -1), hi.reshape(rows, -1), self.eps)
+                lo.reshape(rows, -1), hi.reshape(rows, -1))
         self.n += 1
         # Rows are padded to the longest, so the width is the largest count.
         _check_cap(self.count, self.n)
@@ -490,22 +466,24 @@ def _engine(ifs: IFS2D, d: Union[Direction, DirectionBatch], n: int):
     return _ExactEngine(project_ifs(ifs, d))
 
 
-def generation(ifs: IFS2D, d: Direction, n: int) -> GenerationSet:
-    """Generation n projected in direction d, as an exact canonical set."""
+def generation(ifs: IFS2D, d: Direction, n: int) -> IntervalSet:
+    """Generation n projected in direction d, as an exact canonical set in
+    sheared coordinates."""
     eng = _engine(ifs, d, n)
     for _ in range(n):
         eng.step()
-    return GenerationSet(n, d, eng.snapshot())
+    return eng.snapshot()
 
 
 def iter_generations(ifs: IFS2D, d: Direction,
-                     n_max: int) -> Iterator[GenerationSet]:
-    """Yield exact generations 0..n_max, reusing the merged set between steps."""
+                     n_max: int) -> Iterator[IntervalSet]:
+    """Yield the exact generations 0..n_max in order, as ``generation``
+    gives them, reusing the merged set between steps."""
     eng = _engine(ifs, d, n_max)
-    yield GenerationSet(0, d, eng.snapshot())
-    for k in range(1, n_max + 1):
+    yield eng.snapshot()
+    for _ in range(n_max):
         eng.step()
-        yield GenerationSet(k, d, eng.snapshot())
+        yield eng.snapshot()
 
 
 def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
@@ -557,23 +535,21 @@ def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
     return out
 
 
-def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float) -> tuple:
-    """The r-neighborhood of projected generation n at each float angle.
+def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float) -> np.ndarray:
+    """True lengths of the r-neighborhood of projected generation n at each
+    float angle.
 
     Each row group of ``_row_groups`` is stepped to generation n on the
     float engine, every row expanded by its own sheared radius r / scale,
-    and all rows merged in one ``merge_float_arrays`` call.  Returns the
-    true length and the merged interval count of each neighborhood.
+    and all rows merged in one ``merge_float_arrays`` call.
     """
     measures = np.empty(len(thetas))
-    counts = np.empty(len(thetas), dtype=np.int64)
     for cols, group in _row_groups(ifs, thetas, n):
         eng = _FloatEngine(ifs, group)
         for _ in range(n):
             eng.step()
         scale = group.scale
         radius = (r / scale)[:, None]
-        lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius, eng.eps)
+        lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius)
         measures[cols] = np.sum(hi - lo, axis=1) * scale
-        counts[cols] = np.count_nonzero(hi > lo, axis=1)
-    return measures, counts
+    return measures

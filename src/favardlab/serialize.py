@@ -25,7 +25,7 @@ def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (Fraction, int)):
-        return rational_str(Fraction(value))
+        return rational_str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -92,11 +92,10 @@ def interval_rows(interval_set):
     return ((iv.lo, iv.hi) for iv in interval_set.intervals)
 
 
-def generation_rows(gensets):
-    """CSV rows (n, chart, slope, lo, hi) across generation sets, yielded
-    one at a time: fed by ``iter_generations``, no generation is built
-    before the rows of the one before it are written."""
-    for g in gensets:
-        d = g.direction
-        for iv in g.set.intervals:
-            yield g.n, d.chart, d.slope, iv.lo, iv.hi
+def generation_rows(d, sets):
+    """CSV rows (n, chart, slope, lo, hi) for the generations 0, 1, ... of
+    direction d, yielded one at a time: fed by ``iter_generations``, no
+    generation is built before the rows of the one before it are written."""
+    for n, s in enumerate(sets):
+        for iv in s.intervals:
+            yield n, d.chart, d.slope, iv.lo, iv.hi

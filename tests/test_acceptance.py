@@ -60,7 +60,7 @@ def test_criterion_01_special_angle_tiling(fc):
     tiled = []
     for n in range(9):
         gen = generation(fc, d, n)
-        tiled.append(gen.set == target)
+        tiled.append(gen == target)
     elapsed = time.perf_counter() - t0
     ok = (rep.defect == 0 and rep.tiles and all(tiled) and elapsed < 1.0)
     report(1, "special-angle-tiling", ok,

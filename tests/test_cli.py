@@ -8,7 +8,7 @@ import pytest
 from favardlab import projection
 from favardlab.cli import main
 from favardlab.favard import check_convexity
-from favardlab.ifs import IFS2D, Similitude2D, dump_config
+from favardlab.ifs import IFS2D, Similitude2D, dump_config, sierpinski_gasket
 
 
 def run(*argv):
@@ -55,6 +55,25 @@ class TestExitCodes:
     def test_usage_missing_config_file(self, capsys):
         assert run("validate", "--config", "/nonexistent/x.cfg") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("maps", [
+        (Similitude2D.of(Fraction(1, 4), 0, 0),
+         Similitude2D.of(Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))),
+        sierpinski_gasket().maps,
+    ], ids=["diagonal-pair", "gasket"])
+    def test_usage_false_dihedral_claim(self, maps, tmp_path, capsys):
+        path = tmp_path / "claim.cfg"
+        dump_config(IFS2D("claim", maps, (0, 0, 1, 1)), path)
+        path.write_text(path.read_text() + "symmetry = dihedral\n")
+        assert run("favard", "--config", str(path), "--n", "2") == 2
+        assert "dihedral symmetry" in capsys.readouterr().err
+
+    def test_usage_points_file_with_seesaw(self, tmp_path, capsys):
+        pts = tmp_path / "pts.txt"
+        pts.write_text("0\n1/2\n")
+        assert run("counterexample", "--points-file", str(pts),
+                   "--seesaw", "0,1/4,5") == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_usage_certificate_gasket(self, capsys):
         # ratio sum 3/2 violates the certificate precondition

@@ -20,9 +20,10 @@ from favardlab.dimension import (
     seesaw_builder,
     sheared_radius,
 )
+from favardlab.favard import _half_period, _panel_nodes
 from favardlab.ifs import four_corner, sierpinski_gasket, sparse_corner
 from favardlab.intervals import MERGE_EPSILON, IntervalSet
-from favardlab.projection import Direction, DirectionBatch
+from favardlab.projection import Direction, DirectionBatch, neighborhood_lengths
 
 from oracles import (
     expand_components,
@@ -157,8 +158,7 @@ class TestDecayAndFit:
 
     def test_sparse_corner_pipeline(self):
         sc = sparse_corner(8)
-        series = decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
-                              include_directions=False)
+        series = decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)])
         totals = [rec.total for rec in series]
         assert all(b < a for a, b in zip(totals, totals[1:]))
         fit = exponent_fit(series)
@@ -167,8 +167,7 @@ class TestDecayAndFit:
 
     def test_four_corner_decays_slower(self):
         fc = four_corner()
-        series = decay_series(fc, [Fraction(4) ** -k for k in (3, 4, 5, 6)],
-                              include_directions=False)
+        series = decay_series(fc, [Fraction(4) ** -k for k in (3, 4, 5, 6)])
         fit = exponent_fit(series)
         assert fit.s < 0.25
 
@@ -178,26 +177,17 @@ class TestDecayAndFit:
 
     def test_depth_sensitivity_brackets(self):
         fc = four_corner()
-        series = decay_series(fc, [Fraction(1, 64)], sensitivity=True,
-                              include_directions=False)
+        series = decay_series(fc, [Fraction(1, 64)], sensitivity=True)
         rec = series[0]
         assert rec.total_shallower is not None
         assert rec.total_deeper is not None
         # deeper generations are smaller sets, shallower ones larger
         assert rec.total_deeper <= rec.total <= rec.total_shallower
 
-    def test_per_direction_rows(self):
-        series = decay_series(four_corner(), [Fraction(1, 16)], panels=2,
-                              order=4)
-        rows = series[0].per_direction
-        assert len(rows) == 8
-        assert all(m >= 0 and c >= 1 for _, m, c in rows)
-
     def test_explicit_window(self):
         series = decay_series(four_corner(), [Fraction(1, 16)],
-                              window=(0.0, 0.1), include_directions=False)
-        full = decay_series(four_corner(), [Fraction(1, 16)],
-                            include_directions=False)
+                              window=(0.0, 0.1))
+        full = decay_series(four_corner(), [Fraction(1, 16)])
         assert series[0].total < full[0].total
 
     @pytest.mark.parametrize("ifs, scales, window", [
@@ -211,12 +201,15 @@ class TestDecayAndFit:
         # each node's float generation, at the same unsnapped slope, built by
         # the per-direction step, then expanded by r / scale and merged
         series = decay_series(ifs, scales, window=window, panels=4, order=8)
+        lo, hi, factor = _half_period(ifs) if window is None else (*window, 1.0)
+        thetas, weights = _panel_nodes(lo, hi, 4, 8)
+        batch = DirectionBatch.from_angles(thetas)
         maps2d = [(m.ratio, m.translation) for m in ifs.maps]
         for rec in series:
-            thetas = [t for t, _, _ in rec.per_direction]
-            batch = DirectionBatch.from_angles(thetas)
-            for (_, measure, count), cy, s, scale in zip(
-                    rec.per_direction, batch.chart_y, batch.slope, batch.scale):
+            measures = neighborhood_lengths(ifs, thetas, rec.depth, rec.r)
+            assert rec.total == float(np.dot(factor * weights, measures))
+            for measure, cy, s, scale in zip(
+                    measures, batch.chart_y, batch.slope, batch.scale):
                 maps1d, base = project_square_ifs(
                     maps2d, ifs.base, "y" if cy else "x", Fraction(float(s)))
                 sets, _ = float_generations_reference(
@@ -226,7 +219,6 @@ class TestDecayAndFit:
                 radius = rec.r / scale
                 lo, hi = float_step_reference(lo - radius, hi + radius,
                                               [(1.0, 0.0)], MERGE_EPSILON)
-                assert count == lo.size
                 assert measure == pytest.approx(float(np.sum(hi - lo)) * scale,
                                                 rel=1e-12)
 
@@ -234,8 +226,7 @@ class TestDecayAndFit:
         # totals and fit before the nodes stopped being snapped to rational
         # slopes (denominator <= 10^6); the move is a few 1e-12
         sc = sparse_corner(8)
-        series = decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
-                              include_directions=False)
+        series = decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)])
         snapped = [0.9585972863253329, 0.47692162731044274,
                    0.23810689841342614, 0.11898494021296699]
         for rec, want in zip(series, snapped):
@@ -251,8 +242,7 @@ class TestDecayAndFit:
 
     def test_sanity_ceiling(self):
         # window length times the largest possible projected length
-        series = decay_series(four_corner(), [Fraction(1, 16)],
-                              include_directions=False)
+        series = decay_series(four_corner(), [Fraction(1, 16)])
         assert series[0].total <= math.pi * (math.sqrt(2) + 2 / 16)
 
 
@@ -276,12 +266,10 @@ class TestNeighborhoodSequence:
 
     def test_interval_sources(self):
         pairs = [(0, 1), (2, Fraction(5, 2))]
-        seq = neighborhood_sequence(pairs, 2, 2)
+        seq = neighborhood_sequence(IntervalSet.from_intervals(pairs), 2, 2)
         for n, m in seq:
             assert m == union_measure(
                 expand_components(pairs, Fraction(2) ** -n))
-        via_set = neighborhood_sequence(IntervalSet.from_intervals(pairs), 2, 2)
-        assert seq == via_set
 
     def test_empty_source(self):
         seq = neighborhood_sequence([], 4, 2)

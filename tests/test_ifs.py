@@ -36,6 +36,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             IFS2D("flat", (m, m), (0, 0, 1, 0))
 
+    @pytest.mark.parametrize("maps, base", [
+        # the swap of the axes keeps the diagonal pair, the reflection not
+        ((Similitude2D.of("1/4", 0, 0), Similitude2D.of("1/4", "3/4", "3/4")),
+         (0, 0, 1, 1)),
+        # the reflection keeps the gasket, the swap not
+        (sierpinski_gasket().maps, (0, 0, 1, 1)),
+        (four_corner().maps, (0, 0, 1, 2)),
+    ], ids=["diagonal-pair", "gasket", "rectangle"])
+    def test_false_dihedral_claim_rejected(self, maps, base):
+        with pytest.raises(ValueError, match="sufficient check"):
+            IFS2D("claim", maps, base, dihedral_symmetry=True)
+        assert not IFS2D("claim", maps, base).dihedral_symmetry
+
+    def test_dihedral_claim_on_a_shifted_square(self):
+        # ratio 1/4 maps fixing the corners of [1, 3] x [2, 4]
+        maps = tuple(Similitude2D.of("1/4", Fraction(3, 4) * x, Fraction(3, 4) * y)
+                     for x in (1, 3) for y in (2, 4))
+        assert IFS2D("shifted", maps, (1, 2, 3, 4), dihedral_symmetry=True)
+        with pytest.raises(ValueError):
+            IFS2D("shifted", maps[:3], (1, 2, 3, 4), dihedral_symmetry=True)
+
     def test_ratio_sum_and_convexity_flag(self):
         assert four_corner().ratio_sum == 1
         assert four_corner().convexity_applies
@@ -144,9 +165,21 @@ class TestConfig:
         base = [0, 0, 1, 1]
         symmetry = dihedral
         map { ratio = "1/4", translate = ["0", "0"] }
+        map { ratio = "1/4", translate = ["0", "3/4"] }
+        map { ratio = "1/4", translate = ["3/4", "0"] }
         map { ratio = "1/4", translate = ["3/4", "3/4"] }
         """
         assert loads_config(text).dihedral_symmetry
+
+    @pytest.mark.parametrize("value", ["dihedrla", "none", "true"])
+    def test_symmetry_value_checked(self, value):
+        text = dumps_config(four_corner()).replace("dihedral", value)
+        with pytest.raises(ConfigError, match="line 3"):
+            loads_config(text)
+
+    def test_false_dihedral_claim_in_config_rejected(self):
+        with pytest.raises(ValueError, match="dihedral symmetry"):
+            loads_config(dumps_config(sierpinski_gasket()) + "symmetry = dihedral\n")
 
     def test_errors_carry_line_numbers(self):
         bad = "name = x\nbase = [0, 0, 1, 1]\nmap { ratio = \"2\", translate = [\"0\", \"0\"] }\nmap { ratio = \"1/2\", translate = [\"0\", \"0\"] }\n"

@@ -101,8 +101,8 @@ class TestExactSet:
 
     def test_equality_is_canonical(self):
         a = IntervalSet.from_intervals([(0, Fraction(1, 2))])
-        b = IntervalSet.from_scaled(4, [0], [2], canonical=True)
-        c = IntervalSet.from_scaled(8, [0], [4], canonical=True)
+        b = IntervalSet.from_scaled(4, [0], [2])
+        c = IntervalSet.from_scaled(8, [0], [4])
         assert a == b == c
         assert len({a, b, c}) == 1
 
