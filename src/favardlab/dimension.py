@@ -114,9 +114,10 @@ def cover_stats(ifs: IFS2D, d: Direction, r,
     r_sh = sheared_radius(r, d)
     cover = gen.expand(r_sh)
     scale = d.scale
-    lengths_sh = [iv.length for iv in cover.intervals]
-    min_sh = min(lengths_sh)
-    true_lengths = [float(l) * scale for l in lengths_sh]
+    min_sh = cover.min_length()
+    den = cover.denominator
+    # int / int rounds once, exactly as float(Fraction(b - a, den)) does
+    true_lengths = [(b - a) / den * scale for a, b in zip(*cover.numerators)]
     holder = {p: math.fsum(l ** float(p) for l in true_lengths) for p in ps}
     qs = {p: p / (1 - p) for p in ps}
     s2 = d.shear_norm_sq
@@ -194,14 +195,8 @@ class ExponentFit:
 
 
 def exponent_fit(series: Sequence) -> ExponentFit:
-    """Least-squares power-law fit total ~ C * r^s over a decay series."""
-    rows = []
-    for rec in series:
-        if isinstance(rec, DecayRecord):
-            rows.append((rec.r, rec.total))
-        else:
-            r, total = rec
-            rows.append((float(r), float(total)))
+    """Least-squares power-law fit total ~ C * r^s over ``DecayRecord``s."""
+    rows = [(rec.r, rec.total) for rec in series]
     if len(rows) < 3:
         raise PreconditionError("need at least 3 records to fit an exponent")
     if any(t <= 0 for _, t in rows):

@@ -62,6 +62,19 @@ def rational_str(value: Union[Fraction, int]) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Intervals per block in ``IntervalSet.rational_strs``: bounds the numpy
+# temporaries, whatever the size of the set.
+_TEXT_BLOCK = 4096
+
+
+def _reduced_strs(num: np.ndarray, den: int) -> list:
+    """``rational_str(Fraction(v, den))`` for every v of an integer array
+    (int64, or ``dtype=object`` of Python ints), with den > 0."""
+    g = np.gcd(num, den)
+    return [f"{p}/{q}" if q != 1 else str(p)
+            for p, q in zip((num // g).tolist(), (den // g).tolist())]
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval ``[lo, hi]`` with lo <= hi.
@@ -291,6 +304,32 @@ class IntervalSet:
             return None
         return Fraction(self._lo[0], self._den), Fraction(self._hi[-1], self._den)
 
+    @property
+    def numerators(self) -> tuple[tuple, tuple]:
+        """The (lo, hi) endpoint numerators over ``denominator``, as tuples
+        of Python ints."""
+        return self._lo, self._hi
+
+    def rational_strs(self):
+        """Yield every interval as a ``(lo, hi)`` pair of ``rational_str``
+        text, in order.
+
+        Each numerator is reduced against the shared denominator with
+        ``np.gcd``, no ``Fraction`` is built.  Blocks of ``_TEXT_BLOCK``
+        intervals go through int64 arrays while the denominator and every
+        numerator lie below 2^62, and through object arrays of Python ints
+        otherwise.
+        """
+        if not self._lo:
+            return
+        den = self._den
+        big = max(den, abs(self._lo[0]), abs(self._hi[-1])) >= _INT64_SAFE
+        dtype = object if big else np.int64
+        for i in range(0, len(self._lo), _TEXT_BLOCK):
+            j = i + _TEXT_BLOCK
+            yield from zip(_reduced_strs(np.array(self._lo[i:j], dtype=dtype), den),
+                           _reduced_strs(np.array(self._hi[i:j], dtype=dtype), den))
+
     def min_length(self) -> Fraction:
         """Length of the shortest stored interval; raises on empty sets."""
         if not self._lo:
@@ -350,10 +389,7 @@ class IntervalSet:
     def __repr__(self) -> str:
         if not self._lo:
             return "IntervalSet(empty)"
-        parts = ", ".join(
-            f"[{rational_str(Fraction(a, self._den))}, {rational_str(Fraction(b, self._den))}]"
-            for a, b in zip(self._lo, self._hi)
-        )
+        parts = ", ".join(f"[{a}, {b}]" for a, b in self.rational_strs())
         return f"IntervalSet({parts})"
 
 

@@ -2,10 +2,16 @@
 
 Exact rationals serialize as "p/q" strings (plain "p" for integers) and
 parse back to identical values; floats use repr, the shortest decimal that
-round-trips.  Every CLI run directory carries a manifest echoing the full
-parameter set, the backend, the package version, the wall time and the
-exit code, with the error of a failed run, so an exact-backend run can be
-reproduced bit for bit from its manifest.
+round-trips.  The interval CSVs (``generations.csv``, ``intervals.csv``)
+get their exact endpoints as reduced p/q text computed from the integer
+numerators over each set's shared denominator, a block of intervals at a
+time (``IntervalSet.rational_strs``), with no Fraction per endpoint; the
+bytes are the same as formatting each endpoint as a Fraction.
+``write_csv`` writes str values as they are.  Every CLI run directory
+carries a manifest echoing the full parameter set, the backend, the
+package version, the wall time and the exit code, with the error of a
+failed run, so an exact-backend run can be reproduced bit for bit from its
+manifest.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
 
 
 def write_json(path, payload) -> None:
@@ -88,14 +94,18 @@ class ManifestTimer:
 
 
 def interval_rows(interval_set):
-    """CSV rows lo,hi for one exact interval set, yielded one at a time."""
-    return ((iv.lo, iv.hi) for iv in interval_set.intervals)
+    """CSV rows lo,hi of text for one exact interval set, yielded one at a
+    time."""
+    return interval_set.rational_strs()
 
 
 def generation_rows(d, sets):
-    """CSV rows (n, chart, slope, lo, hi) for the generations 0, 1, ... of
-    direction d, yielded one at a time: fed by ``iter_generations``, no
-    generation is built before the rows of the one before it are written."""
+    """CSV rows (n, chart, slope, lo, hi) of text for the generations 0, 1,
+    ... of direction d, yielded one at a time: fed by ``iter_generations``,
+    no generation is built before the rows of the one before it are
+    written."""
+    slope = rational_str(d.slope)
     for n, s in enumerate(sets):
-        for iv in s.intervals:
-            yield n, d.chart, d.slope, iv.lo, iv.hi
+        head = (str(n), d.chart, slope)
+        for lo, hi in s.rational_strs():
+            yield (*head, lo, hi)

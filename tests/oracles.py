@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive and self-contained: plain Fraction
 arithmetic, quadratic algorithms, no imports from the package under test.
-The package must agree with these on small instances.  The needle oracle
-uses numpy only to replay the same Philox line stream, the exact-step
-reference only for its int64 re-sort, and the float-step reference because
-float results depend on the order of float operations.
+The package must agree with these on small instances.  The CSV reference
+reads interval sets through their ``intervals`` property only.  The needle
+oracle uses numpy only to replay the same Philox line stream, the
+exact-step reference only for its int64 re-sort, and the float-step
+reference because float results depend on the order of float operations.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 from itertools import product
@@ -240,3 +243,42 @@ def float_generations_reference(maps, base, n_max, eps):
         lo, hi = float_step_reference(lo, hi, maps, eps)
         sets.append((lo, hi))
     return sets, [float(np.sum(b - a)) for a, b in sets]
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (Fraction, int)):
+        value = Fraction(value)
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_csv_bytes(header, rows) -> bytes:
+    """A CSV file as written one scalar at a time: csv.writer, UTF-8, each
+    value rendered as true/false, p or p/q for exact values, repr for
+    floats and str otherwise."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_reference_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def reference_interval_csv(interval_set) -> bytes:
+    """intervals.csv of one exact set, one Fraction pair per interval."""
+    return reference_csv_bytes(("lo", "hi"), ((iv.lo, iv.hi)
+                                              for iv in interval_set.intervals))
+
+
+def reference_generations_csv(chart, slope, sets) -> bytes:
+    """generations.csv of exact sets 0, 1, ... in direction (chart, slope)."""
+    return reference_csv_bytes(
+        ("n", "chart", "slope", "lo", "hi"),
+        ((n, chart, slope, iv.lo, iv.hi)
+         for n, s in enumerate(sets) for iv in s.intervals))

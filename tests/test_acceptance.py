@@ -15,6 +15,7 @@ import pytest
 
 from oracles import union_measure
 from favardlab.dimension import (
+    DecayRecord,
     cover_stats,
     decay_series,
     exponent_fit,
@@ -161,7 +162,7 @@ def test_criterion_07_dimension_pipeline():
     sc = preset("sparse-corner(8)")
     scales = [Fraction(8) ** -k for k in range(3, 7)]
     fit = exponent_fit(decay_series(sc, scales))
-    synthetic = [(Fraction(2) ** -k, 3.0 * float(Fraction(2) ** -k) ** (1 / 3))
+    synthetic = [DecayRecord(2.0 ** -k, 3.0 * (2.0 ** -k) ** (1 / 3), k)
                  for k in range(2, 9)]
     syn = exponent_fit(synthetic)
     ok = (0.28 <= fit.s <= 0.40 and abs(fit.dim_bound - 2 / 3) <= 0.05

@@ -7,8 +7,14 @@ import pytest
 
 from favardlab import projection
 from favardlab.cli import main
+from favardlab.dimension import cover_stats
 from favardlab.favard import check_convexity
-from favardlab.ifs import IFS2D, Similitude2D, dump_config, sierpinski_gasket
+from favardlab.ifs import (IFS2D, Similitude2D, dump_config, four_corner,
+                           sierpinski_gasket)
+from favardlab.intervals import rational_str
+from favardlab.projection import Direction, iter_generations
+
+from oracles import reference_generations_csv, reference_interval_csv
 
 
 def run(*argv):
@@ -549,4 +555,44 @@ class TestRoundTrip:
         assert manifest["parameters"]["snapped_slope"] == "1/2"
         _, rows = read_csv(out_y / "alpha.csv")
         assert float(rows[-1][3]) == pytest.approx(0.950329, abs=1e-6)
+        capsys.readouterr()
+
+
+# Slope 3/10 + 2^-63 puts every denominator past 2^62: the object-array path.
+BIG_SLOPE = Fraction(3, 10) + Fraction(1, 2 ** 63)
+
+
+class TestIntervalCsvBytes:
+    """The interval CSVs match a writer that formats one Fraction per
+    endpoint, byte for byte, on the int64 and on the object path."""
+
+    @pytest.mark.parametrize("chart, slope, depth, big", [
+        ("y", Fraction(-2, 7), 6, False),
+        ("x", Fraction(3, 10), 6, False),
+        ("x", BIG_SLOPE, 4, True),
+    ])
+    def test_generations(self, tmp_path, capsys, chart, slope, depth, big):
+        out = tmp_path / "gen"
+        assert run("alpha", "--preset", "four-corner", "--chart", chart,
+                   f"--slope={rational_str(slope)}", "--depth", str(depth),
+                   "--generations", "--out", str(out)) == 0
+        sets = list(iter_generations(four_corner(), Direction(chart, slope), depth))
+        assert (sets[-1].denominator >= 2 ** 62) == big
+        assert (out / "generations.csv").read_bytes() == \
+            reference_generations_csv(chart, slope, sets)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("slope, radius, big", [
+        (Fraction(-3117, 10000), Fraction(1, 65536), False),
+        (BIG_SLOPE, Fraction(1, 1000), True),
+    ])
+    def test_cover_intervals(self, tmp_path, capsys, slope, radius, big):
+        out = tmp_path / "cov"
+        assert run("cover", "--preset", "four-corner",
+                   f"--slope={rational_str(slope)}",
+                   f"--radius={rational_str(radius)}",
+                   "--intervals", "--out", str(out)) == 0
+        cover = cover_stats(four_corner(), Direction("x", slope), radius).intervals
+        assert (cover.denominator >= 2 ** 62) == big
+        assert (out / "intervals.csv").read_bytes() == reference_interval_csv(cover)
         capsys.readouterr()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from favardlab.errors import DegenerateFitError, PreconditionError
 from favardlab.dimension import (
+    DecayRecord,
     cover_stats,
     decay_series,
     exponent_fit,
@@ -120,6 +121,26 @@ class TestCoverStats:
         with pytest.raises(ValueError):
             cover_stats(fc, d, 0)
 
+    @pytest.mark.parametrize("direction", [
+        Direction("x", Fraction(0)),
+        Direction("x", Fraction(3117, 10000)),
+        Direction("y", Fraction(-2, 7) + Fraction(1, 3 ** 40)),
+    ], ids=Direction.label)
+    def test_fields_match_interval_path(self, direction):
+        # the statistics read from one Interval of Fractions per piece; the
+        # last denominator is past 2^53, where float(p) / float(q) would
+        # round twice
+        ps = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        cs = cover_stats(four_corner(), direction, Fraction(1, 4096), ps)
+        lengths = [iv.length for iv in cs.intervals.intervals]
+        true_lengths = [float(l) * direction.scale for l in lengths]
+        assert cs.count == len(lengths) > 1
+        assert cs.min_length_sheared == min(lengths)
+        assert cs.min_length == float(min(lengths)) * direction.scale
+        assert cs.measure == float(sum(lengths)) * direction.scale
+        assert cs.holder_sums == {p: math.fsum(l ** float(p) for l in true_lengths)
+                                  for p in ps}
+
     def test_scale_monotonicity(self):
         fc = four_corner()
         d = Direction("x", Fraction(2, 5))
@@ -134,27 +155,30 @@ class TestCoverStats:
         assert grown.count <= base.count
 
 
+def records(pairs):
+    return [DecayRecord(r, total, depth) for depth, (r, total) in enumerate(pairs)]
+
+
 class TestDecayAndFit:
     def test_synthetic_power_law(self):
-        rows = [(Fraction(8) ** -k, float(Fraction(8) ** -k) ** (1 / 3))
-                for k in (3, 4, 5, 6)]
+        rows = records((8.0 ** -k, (8.0 ** -k) ** (1 / 3)) for k in (3, 4, 5, 6))
         fit = exponent_fit(rows)
         assert fit.s == pytest.approx(1 / 3, abs=1e-9)
         assert fit.residual < 1e-6
         assert fit.dim_bound == pytest.approx(2 / 3, abs=1e-9)
 
     def test_constant_totals(self):
-        fit = exponent_fit([(0.1, 2.0), (0.01, 2.0), (0.001, 2.0)])
+        fit = exponent_fit(records([(0.1, 2.0), (0.01, 2.0), (0.001, 2.0)]))
         assert fit.s == pytest.approx(0.0, abs=1e-12)
         assert fit.dim_bound == pytest.approx(1.0)
 
     def test_degenerate_inputs(self):
         with pytest.raises(PreconditionError):
-            exponent_fit([(0.1, 1.0), (0.01, 0.5)])
+            exponent_fit(records([(0.1, 1.0), (0.01, 0.5)]))
         with pytest.raises(DegenerateFitError):
-            exponent_fit([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)])
+            exponent_fit(records([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)]))
         with pytest.raises(DegenerateFitError):
-            exponent_fit([(0.1, 1.0), (0.01, 0.0), (0.001, 0.2)])
+            exponent_fit(records([(0.1, 1.0), (0.01, 0.0), (0.001, 0.2)]))
 
     def test_sparse_corner_pipeline(self):
         sc = sparse_corner(8)

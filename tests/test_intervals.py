@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favardlab import intervals
 from favardlab.errors import MalformedIntervalError
 from favardlab.intervals import (
     FloatIntervalSet,
@@ -163,6 +166,54 @@ class TestExactSet:
         assert grown.count <= s.count
         lo, hi = s.bounds
         assert grown.bounds == (lo - r, hi + r)
+
+
+@st.composite
+def scaled_sets(draw):
+    """Canonical sets over a drawn denominator, below or above 2^62."""
+    den = draw(st.one_of(st.integers(1, 60), st.integers(2 ** 62, 2 ** 80)))
+    reach = draw(st.sampled_from([3 * den, 2 ** 70]))
+    cuts = sorted(draw(st.lists(st.integers(-reach, reach), max_size=24,
+                                unique=True)))
+    if len(cuts) % 2:
+        cuts.pop()
+    return IntervalSet.from_scaled(den, cuts[::2], cuts[1::2])
+
+
+def fraction_strs(s):
+    den = s.denominator
+    return [(rational_str(Fraction(a, den)), rational_str(Fraction(b, den)))
+            for a, b in zip(*s.numerators)]
+
+
+class TestRationalStrs:
+    @given(scaled_sets(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rational_str(self, s, block):
+        # small blocks, so most sets cross a block boundary
+        with patch.object(intervals, "_TEXT_BLOCK", block):
+            got = list(s.rational_strs())
+        assert got == fraction_strs(s)
+
+    def test_signs_zero_and_integers(self):
+        s = IntervalSet.from_intervals([(-3, Fraction(-5, 2)), (Fraction(-1, 6), 0),
+                                        (1, Fraction(7, 3)), (4, 9)])
+        assert list(s.rational_strs()) == [("-3", "-5/2"), ("-1/6", "0"),
+                                           ("1", "7/3"), ("4", "9")]
+        assert list(IntervalSet.from_intervals([]).rational_strs()) == []
+
+    @pytest.mark.parametrize("den, big", [(3 ** 20, False), (3 ** 40, True)],
+                             ids=["int64", "object"])
+    def test_several_blocks_both_dtypes(self, den, big):
+        rng = random.Random(den)
+        count = 2 * intervals._TEXT_BLOCK + 7
+        cuts = list(itertools.accumulate(
+            (rng.randrange(1, den // 3) for _ in range(2 * count)),
+            initial=-500 * den))[1:]
+        s = IntervalSet.from_scaled(den, cuts[::2], cuts[1::2])
+        assert s.count == count
+        assert (den >= 2 ** 62) == big
+        assert list(s.rational_strs()) == fraction_strs(s)
 
 
 class TestMergeKernels:
