@@ -121,7 +121,9 @@ def _cmd_convexity(args, ifs, d) -> Result:
     report = check_convexity(seq)
     applies = ifs.convexity_applies
     verdict = "convex" if report.convex else "NOT convex"
-    mode = "theorem applies" if applies else "exploratory: ratio sum != 1"
+    failures = [text for holds, text in ((ifs.ratio_sum == 1, "ratio sum != 1"),
+                                         (ifs.nests, "nesting fails")) if not holds]
+    mode = "theorem applies" if applies else "exploratory: " + ", ".join(failures)
     return Result(
         f"convexity {d.label()} depth {args.depth}: {verdict} ({mode})",
         {"convexity.csv": (("k", "margin"), report.margins),

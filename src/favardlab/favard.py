@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .ifs import IFS2D, validate
+from .ifs import IFS2D
 from .intervals import to_fraction
 from .projection import (
     Direction,
@@ -317,13 +317,10 @@ def lower_bound_certificate(ifs: IFS2D, n: int, grid_count: int = 64,
     if grid_count < 2:
         raise PreconditionError("need at least 2 grid slopes")
     if not ifs.convexity_applies:
-        raise PreconditionError(
-            f"contraction ratios sum to {ifs.ratio_sum}, not 1; "
-            "the convexity theorem does not apply")
-    report = validate(ifs)
-    if not report.nesting:
-        raise PreconditionError("projected images leave the base interval; "
-                                "nesting hypothesis fails")
+        failure = (f"contraction ratios sum to {ifs.ratio_sum}, not 1"
+                   if ifs.ratio_sum != 1 else
+                   "a map image leaves the base rectangle, so nesting fails")
+        raise PreconditionError(f"{failure}; the convexity theorem does not apply")
     t_star = to_fraction(special_slope)
     center = math.atan(float(t_star))
     halfwidth = 1.0 / (40 * n)

@@ -10,14 +10,14 @@ Config file grammar (one statement per line, ``#`` starts a comment)::
 
     name = four-corner
     base = [0, 0, 1, 1]
-    symmetry = dihedral          # optional; omit for none, no other value
     map { ratio = "1/4", translate = ["0", "0"] }
     map { ratio = "1/4", translate = ["0", "3/4"] }
     ...
 
 Numbers parse as exact rationals from ``p/q`` or finite-decimal strings,
 quoted or bare.  A ``rotation`` field inside ``map { ... }`` is reserved and
-rejected unless it equals 0.
+rejected unless it equals 0.  Symmetry is not a key: ``IFS2D`` detects it
+from the maps.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .errors import ConfigError
 from .intervals import rational_str, to_fraction
 
 DEFAULT_CYLINDER_DISPLAY_BOUND = 8
-
-# Slopes sampled by the nesting check: four per chart, covering both axis
-# directions (exact for rectangles) plus interior slopes.
-NESTING_SAMPLE_SLOPES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -73,18 +69,20 @@ def _dihedral_invariant(maps, base) -> bool:
 class IFS2D:
     """A planar homothety system together with its generation-0 rectangle.
 
-    ``base`` is (x0, y0, x1, y1) with x0 < x1 and y0 < y1.  The
-    ``dihedral_symmetry`` flag marks systems invariant under the symmetries
-    of the square, which lets direction sweeps restrict to one eighth of
-    the circle.  It is refused (``ValueError``) unless ``_dihedral_invariant``
-    holds, a sufficient check, not a necessary one: a symmetric set given
-    by a map set that is not itself symmetric is refused too.
+    ``base`` is (x0, y0, x1, y1) with x0 < x1 and y0 < y1.  The hypotheses
+    are worked out exactly from the maps and the base, never claimed:
+    ``nests`` and ``convexity_applies`` are rational comparisons, and
+    ``dihedral_symmetry``, set once at construction, marks systems that
+    ``_dihedral_invariant`` finds invariant under the symmetries of the
+    square, which lets direction sweeps restrict to one eighth of the
+    circle.  That check is sufficient, not necessary: a symmetric set given
+    by a map set that is not itself symmetric runs on the full domain.
     """
 
     name: str
     maps: tuple[Similitude2D, ...]
     base: tuple[Fraction, Fraction, Fraction, Fraction]
-    dihedral_symmetry: bool = False
+    dihedral_symmetry: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.maps) < 2:
@@ -92,20 +90,30 @@ class IFS2D:
         x0, y0, x1, y1 = self.base
         if not (x0 < x1 and y0 < y1):
             raise ValueError("base rectangle must have positive width and height")
-        if self.dihedral_symmetry and not _dihedral_invariant(self.maps, self.base):
-            raise ValueError(
-                f"{self.name}: dihedral symmetry needs a square base and maps "
-                "invariant under the reflection x -> x0+x1-x and the swap of "
-                "the axes (a sufficient check, not a necessary one)")
+        object.__setattr__(self, "dihedral_symmetry",
+                           _dihedral_invariant(self.maps, self.base))
 
     @property
     def ratio_sum(self) -> Fraction:
         return sum((m.ratio for m in self.maps), Fraction(0))
 
     @property
+    def nests(self) -> bool:
+        """Whether every map's image rectangle r*B + t lies inside the base B,
+        so each generation nests in the one before."""
+        x0, y0, x1, y1 = self.base
+        for m in self.maps:
+            r, (dx, dy) = m.ratio, m.translation
+            if not (x0 <= r * x0 + dx and r * x1 + dx <= x1
+                    and y0 <= r * y0 + dy and r * y1 + dy <= y1):
+                return False
+        return True
+
+    @property
     def convexity_applies(self) -> bool:
-        """Whether the ratio sum is exactly 1 (nested projection convexity)."""
-        return self.ratio_sum == 1
+        """Whether both hypotheses of the convexity theorem hold: the ratios
+        sum to exactly 1 and the first generation nests in the base."""
+        return self.ratio_sum == 1 and self.nests
 
     @property
     def branching(self) -> int:
@@ -117,7 +125,6 @@ class ValidationReport:
     ratio_sum: Fraction
     ratio_sum_is_one: bool
     convexity_applies: bool
-    nesting_checks: tuple[tuple[str, str, bool], ...]  # (chart, slope, ok)
     nesting: bool
     branching: int
     cylinder_counts: tuple[int, ...]
@@ -128,50 +135,25 @@ class ValidationReport:
             "ratio_sum_is_one": self.ratio_sum_is_one,
             "convexity_applies": self.convexity_applies,
             "nesting": "pass" if self.nesting else "fail",
-            "nesting_checks": [
-                {"chart": c, "slope": s, "ok": ok} for c, s, ok in self.nesting_checks
-            ],
             "branching": self.branching,
             "cylinder_counts": list(self.cylinder_counts),
         }
 
 
-def _projected_nesting_ok(ifs: IFS2D, chart: str, slope: Fraction) -> bool:
-    # Images of the base must land inside the base's own projection.
-    from .projection import Direction, project_ifs  # local import, no cycle at call time
-
-    proj = project_ifs(ifs, Direction(chart, slope))
-    lo, hi = proj.base
-    for ratio, offset in proj.maps:
-        a = ratio * lo + offset
-        b = ratio * hi + offset
-        if a < lo or b > hi:
-            return False
-    return True
-
-
 def validate(ifs: IFS2D) -> ValidationReport:
-    """Report-only hypothesis check: ratio sum, projected nesting, sizes.
+    """Report-only hypothesis check: ratio sum, nesting, sizes.
 
-    Nesting is sampled over 8 directions (4 slopes per chart); the axis
-    directions make the check exact for rectangle bases.  Failure is
+    Nesting is exact, not sampled: it is ``IFS2D.nests``.  Failure is
     reported, never raised, so exploratory systems stay usable.  Cylinder
     counts run over generations 0..DEFAULT_CYLINDER_DISPLAY_BOUND.
     """
-    checks = []
-    for chart in ("x", "y"):
-        for slope in NESTING_SAMPLE_SLOPES:
-            ok = _projected_nesting_ok(ifs, chart, slope)
-            checks.append((chart, rational_str(slope), ok))
-    nesting = all(ok for _, _, ok in checks)
     n = ifs.branching
     counts = tuple(n ** k for k in range(DEFAULT_CYLINDER_DISPLAY_BOUND + 1))
     return ValidationReport(
         ratio_sum=ifs.ratio_sum,
         ratio_sum_is_one=ifs.ratio_sum == 1,
         convexity_applies=ifs.convexity_applies,
-        nesting_checks=tuple(checks),
-        nesting=nesting,
+        nesting=ifs.nests,
         branching=n,
         cylinder_counts=counts,
     )
@@ -190,7 +172,7 @@ def four_corner() -> IFS2D:
         Similitude2D(q, (dx, dy))
         for dx, dy in ((Fraction(0), Fraction(0)), (Fraction(0), t), (t, Fraction(0)), (t, t))
     )
-    return IFS2D("four-corner", maps, _UNIT_BASE, dihedral_symmetry=True)
+    return IFS2D("four-corner", maps, _UNIT_BASE)
 
 
 def sparse_corner(k: int) -> IFS2D:
@@ -203,7 +185,7 @@ def sparse_corner(k: int) -> IFS2D:
         Similitude2D(r, (dx, dy))
         for dx, dy in ((Fraction(0), Fraction(0)), (Fraction(0), t), (t, Fraction(0)), (t, t))
     )
-    return IFS2D(f"sparse-corner({k})", maps, _UNIT_BASE, dihedral_symmetry=True)
+    return IFS2D(f"sparse-corner({k})", maps, _UNIT_BASE)
 
 
 def sierpinski_gasket() -> IFS2D:
@@ -214,7 +196,7 @@ def sierpinski_gasket() -> IFS2D:
         Similitude2D(h, (h, Fraction(0))),
         Similitude2D(h, (Fraction(1, 4), h)),
     )
-    return IFS2D("sierpinski-gasket", maps, _UNIT_BASE, dihedral_symmetry=False)
+    return IFS2D("sierpinski-gasket", maps, _UNIT_BASE)
 
 
 _SPARSE_RE = re.compile(r"^sparse-corner\((\d+)\)$")
@@ -277,7 +259,6 @@ def loads_config(text: str) -> IFS2D:
     """Parse the config grammar into a system."""
     name: Optional[str] = None
     base: Optional[list[Fraction]] = None
-    symmetry = False
     maps: list[Similitude2D] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -297,10 +278,6 @@ def loads_config(text: str) -> IFS2D:
                     base = _parse_list(value)
                     if len(base) != 4:
                         raise ConfigError("base needs [x0, y0, x1, y1]")
-                elif key == "symmetry":
-                    if value.strip('"') != "dihedral":
-                        raise ConfigError(f"symmetry must be dihedral, got {value!r}")
-                    symmetry = True
                 else:
                     raise ConfigError(f"unknown key {key!r}")
             else:
@@ -309,16 +286,13 @@ def loads_config(text: str) -> IFS2D:
             raise ConfigError(f"line {lineno}: {exc}") from None
     if name is None or base is None or not maps:
         raise ConfigError("config needs name, base, and at least one map block")
-    return IFS2D(name, tuple(maps), (base[0], base[1], base[2], base[3]),
-                 dihedral_symmetry=symmetry)
+    return IFS2D(name, tuple(maps), (base[0], base[1], base[2], base[3]))
 
 
 def dumps_config(ifs: IFS2D) -> str:
     """Serialize a system in the config grammar (exact round trip)."""
     lines = [f"name = {ifs.name}"]
     lines.append("base = [" + ", ".join(rational_str(v) for v in ifs.base) + "]")
-    if ifs.dihedral_symmetry:
-        lines.append("symmetry = dihedral")
     for m in ifs.maps:
         dx, dy = m.translation
         lines.append(

@@ -40,6 +40,20 @@ def overlap_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def off_base_config(tmp_path):
+    # ratio sum 1, but the first and last images leave the unit square, so
+    # the convexity theorem does not cover this system
+    ifs = IFS2D("off-base", tuple(
+        Similitude2D.of(Fraction(1, 3), dx, dy)
+        for dx, dy in ((Fraction(-1, 4), 1), (Fraction(-1, 8), 0),
+                       (Fraction(7, 8), Fraction(-1, 4)))),
+        (0, 0, 1, 1))
+    path = tmp_path / "off-base.cfg"
+    dump_config(ifs, path)
+    return str(path)
+
+
 class TestExitCodes:
     def test_usage_no_subcommand(self, capsys):
         assert run() == 2
@@ -68,11 +82,15 @@ class TestExitCodes:
         sierpinski_gasket().maps,
     ], ids=["diagonal-pair", "gasket"])
     def test_usage_false_dihedral_claim(self, maps, tmp_path, capsys):
+        # symmetry is detected from the maps; the old claim line is an
+        # unknown key, reported with its line number
         path = tmp_path / "claim.cfg"
         dump_config(IFS2D("claim", maps, (0, 0, 1, 1)), path)
-        path.write_text(path.read_text() + "symmetry = dihedral\n")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["symmetry = dihedral"]) + "\n")
         assert run("favard", "--config", str(path), "--n", "2") == 2
-        assert "dihedral symmetry" in capsys.readouterr().err
+        assert (f"line {len(lines) + 1}: unknown key 'symmetry'"
+                in capsys.readouterr().err)
 
     def test_usage_points_file_with_seesaw(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"
@@ -165,6 +183,21 @@ class TestExitCodes:
         assert run("convexity", "--preset", "sierpinski-gasket",
                    "--slope", "1/3", "--depth", "4") == 0
         assert "exploratory" in capsys.readouterr().out
+
+    def test_off_base_convexity_is_exploratory(self, off_base_config, capsys):
+        # ratio sum 1 alone used to count as the hypothesis and exit 3 here
+        assert run("convexity", "--config", off_base_config,
+                   "--slope", "0", "--depth", "7") == 0
+        assert "(exploratory: nesting fails)" in capsys.readouterr().out
+
+    def test_off_base_validate(self, off_base_config, capsys):
+        assert run("validate", "--config", off_base_config) == 0
+        out = capsys.readouterr().out
+        assert "ratio sum 1 (convexity hypothesis fails), nesting FAILS" in out
+
+    def test_off_base_certificate_refused(self, off_base_config, capsys):
+        assert run("certificate", "--config", off_base_config, "--n", "2") == 2
+        assert "nesting fails" in capsys.readouterr().err
 
     def test_computation_unconverged_favard(self, tmp_path, capsys):
         out = tmp_path / "o"

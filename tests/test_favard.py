@@ -251,7 +251,7 @@ class TestCertificate:
         maps = (Similitude2D.of(Fraction(1, 2), 0, 0),
                 Similitude2D.of(Fraction(1, 2), Fraction(3, 4), 0))
         escaping = IFS2D("escape", maps, (0, 0, 1, 1))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="nesting fails"):
             lower_bound_certificate(escaping, 1)
 
     def test_overlap_pair_fails_at_depth(self):

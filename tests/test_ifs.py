@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favardlab.errors import ConfigError
+from favardlab.favard import favard
 from favardlab.ifs import (
     IFS2D,
     Similitude2D,
@@ -15,6 +18,7 @@ from favardlab.ifs import (
     sparse_corner,
     validate,
 )
+from favardlab.projection import Direction, project_ifs
 
 
 class TestTypes:
@@ -45,7 +49,8 @@ class TestTypes:
         (four_corner().maps, (0, 0, 1, 2)),
     ], ids=["diagonal-pair", "gasket", "rectangle"])
     def test_false_dihedral_claim_rejected(self, maps, base):
-        with pytest.raises(ValueError, match="sufficient check"):
+        # symmetry is derived from the maps; there is no claim to make
+        with pytest.raises(TypeError):
             IFS2D("claim", maps, base, dihedral_symmetry=True)
         assert not IFS2D("claim", maps, base).dihedral_symmetry
 
@@ -53,9 +58,8 @@ class TestTypes:
         # ratio 1/4 maps fixing the corners of [1, 3] x [2, 4]
         maps = tuple(Similitude2D.of("1/4", Fraction(3, 4) * x, Fraction(3, 4) * y)
                      for x in (1, 3) for y in (2, 4))
-        assert IFS2D("shifted", maps, (1, 2, 3, 4), dihedral_symmetry=True)
-        with pytest.raises(ValueError):
-            IFS2D("shifted", maps[:3], (1, 2, 3, 4), dihedral_symmetry=True)
+        assert IFS2D("shifted", maps, (1, 2, 3, 4)).dihedral_symmetry
+        assert not IFS2D("shifted", maps[:3], (1, 2, 3, 4)).dihedral_symmetry
 
     def test_ratio_sum_and_convexity_flag(self):
         assert four_corner().ratio_sum == 1
@@ -63,6 +67,52 @@ class TestTypes:
         assert sierpinski_gasket().ratio_sum == Fraction(3, 2)
         assert not sierpinski_gasket().convexity_applies
         assert sparse_corner(8).ratio_sum == Fraction(1, 2)
+
+
+fractions = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+sides = st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=16)
+ratios = st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16),
+                      max_denominator=16)
+# where an image sits along each axis, as a share of the room r*B leaves
+# in B: 0..1 keeps it inside, a little beyond lets it out
+shares = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(5, 4),
+                      max_denominator=8)
+
+
+@st.composite
+def systems(draw):
+    x0, y0 = draw(fractions), draw(fractions)
+    w, h = draw(sides), draw(sides)
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        r = draw(ratios)
+        u, v = draw(shares), draw(shares)
+        maps.append(Similitude2D(r, (x0 + u * (1 - r) * w - r * x0,
+                                     y0 + v * (1 - r) * h - r * y0)))
+    return IFS2D("random", tuple(maps), (x0, y0, x0 + w, y0 + h))
+
+
+def _projected_images_inside(ifs, d):
+    proj = project_ifs(ifs, d)
+    lo, hi = proj.base
+    return all(lo <= r * lo + t and r * hi + t <= hi for r, t in proj.maps)
+
+
+class TestNests:
+    @given(systems(), st.lists(st.tuples(
+        st.sampled_from("xy"),
+        st.fractions(min_value=-1, max_value=1, max_denominator=50)),
+        min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_against_projections(self, ifs, directions):
+        axes = [Direction("x", 0), Direction("y", 0)]
+        if ifs.nests:
+            for chart, slope in directions:
+                assert _projected_images_inside(ifs, Direction(chart, slope))
+            assert all(_projected_images_inside(ifs, d) for d in axes)
+        else:
+            assert not all(_projected_images_inside(ifs, d) for d in axes)
+        assert validate(ifs).nesting == ifs.nests
 
 
 class TestPresets:
@@ -114,8 +164,6 @@ class TestValidate:
         assert rep.ratio_sum_is_one
         assert rep.convexity_applies
         assert rep.nesting
-        assert all(ok for _, _, ok in rep.nesting_checks)
-        assert len(rep.nesting_checks) == 8
         assert rep.cylinder_counts[0] == 1
         assert rep.cylinder_counts[1] == 4
 
@@ -129,12 +177,15 @@ class TestValidate:
                 Similitude2D.of(Fraction(1, 2), Fraction(3, 4), 0))
         rep = validate(IFS2D("escape", maps, (0, 0, 1, 1)))
         assert not rep.nesting
+        assert rep.ratio_sum_is_one
+        assert not rep.convexity_applies
 
     def test_as_dict_round_trips_to_json_types(self):
         d = validate(four_corner()).as_dict()
         assert d["ratio_sum"] == "1"
         assert d["nesting"] == "pass"
-        assert d["nesting_checks"][0]["ok"] is True
+        assert d["convexity_applies"] is True
+        assert "nesting_checks" not in d
 
 
 class TestConfig:
@@ -160,26 +211,33 @@ class TestConfig:
         assert not ifs.dihedral_symmetry
 
     def test_symmetry_flag(self):
+        # four-corner with its maps shuffled and no symmetry line
         text = """
         name = sym
         base = [0, 0, 1, 1]
-        symmetry = dihedral
-        map { ratio = "1/4", translate = ["0", "0"] }
-        map { ratio = "1/4", translate = ["0", "3/4"] }
         map { ratio = "1/4", translate = ["3/4", "0"] }
+        map { ratio = "1/4", translate = ["0", "3/4"] }
         map { ratio = "1/4", translate = ["3/4", "3/4"] }
+        map { ratio = "1/4", translate = ["0", "0"] }
         """
-        assert loads_config(text).dihedral_symmetry
+        ifs = loads_config(text)
+        assert ifs.dihedral_symmetry
+        got, want = favard(ifs, 2), favard(four_corner(), 2)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        assert got.panels == want.panels
 
     @pytest.mark.parametrize("value", ["dihedrla", "none", "true"])
     def test_symmetry_value_checked(self, value):
-        text = dumps_config(four_corner()).replace("dihedral", value)
-        with pytest.raises(ConfigError, match="line 3"):
-            loads_config(text)
+        # symmetry is detected from the maps, so the key is unknown
+        lines = dumps_config(four_corner()).splitlines()
+        lines.insert(2, f"symmetry = {value}")
+        with pytest.raises(ConfigError, match="line 3: unknown key 'symmetry'"):
+            loads_config("\n".join(lines))
 
     def test_false_dihedral_claim_in_config_rejected(self):
-        with pytest.raises(ValueError, match="dihedral symmetry"):
-            loads_config(dumps_config(sierpinski_gasket()) + "symmetry = dihedral\n")
+        text = dumps_config(sierpinski_gasket()) + "symmetry = dihedral\n"
+        with pytest.raises(ConfigError, match="line 6: unknown key 'symmetry'"):
+            loads_config(text)
 
     def test_errors_carry_line_numbers(self):
         bad = "name = x\nbase = [0, 0, 1, 1]\nmap { ratio = \"2\", translate = [\"0\", \"0\"] }\nmap { ratio = \"1/2\", translate = [\"0\", \"0\"] }\n"
