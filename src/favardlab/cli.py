@@ -61,7 +61,6 @@ from .serialize import (
     ManifestTimer,
     fmt,
     generation_rows,
-    interval_rows,
     write_csv,
     write_json,
 )
@@ -234,7 +233,7 @@ def _cmd_cover(args, ifs, d) -> Result:
                            [(stats.r, stats.count, stats.min_length, p,
                              stats.holder_sums[p]) for p in exponents])}
     if args.intervals:
-        files["intervals.csv"] = (("lo", "hi"), interval_rows(stats.intervals))
+        files["intervals.csv"] = (("lo", "hi"), stats.intervals.rational_strs())
     files["cover.json"] = {
         "r": stats.r, "depth": stats.depth, "count": stats.count,
         "min_length": stats.min_length,

@@ -1,13 +1,20 @@
 """Exact 1D interval-set geometry with a rational and a float backend.
 
-Endpoints of an exact set are kept as integers over one shared positive
-denominator, so sorting and merging never touch rational arithmetic; the
-public surface speaks ``fractions.Fraction``.  A canonical set is sorted,
-pairwise disjoint with strictly positive gaps (touching intervals are
-merged, closed-interval semantics), and free of degenerate ``[a, a]``
-entries.  Point sets built with :meth:`IntervalSet.from_points` are the one
-sanctioned exception: they hold degenerate intervals so that ``expand`` can
-grow them into neighborhoods.
+Endpoints of an exact set are kept as integer numerators over one shared
+positive denominator, so sorting and merging never touch rational
+arithmetic; the public surface speaks ``fractions.Fraction``.  The
+numerators live in the same arrays the generation engine steps: int64 while
+the denominator and every numerator lie below 2^62, ``dtype=object`` arrays
+of Python ints past that, one rule (``_exact_dtype``) for both.  There is
+one exact merge, ``merge_int64_arrays``, on either dtype: the engine's
+windows and every set built from unsorted intervals or grown by ``expand``
+go through it.
+
+A canonical set is sorted, pairwise disjoint with strictly positive gaps
+(touching intervals are merged, closed-interval semantics), and free of
+degenerate ``[a, a]`` entries.  Point sets built with
+:meth:`IntervalSet.from_points` are the one sanctioned exception: they hold
+degenerate intervals so that ``expand`` can grow them into neighborhoods.
 
 The float backend (:class:`FloatIntervalSet`) mirrors the same surface with
 binary64 endpoints and an absolute gap tolerance below which intervals are
@@ -35,6 +42,18 @@ MERGE_EPSILON = 1e-12
 # Largest magnitude allowed through the int64 kernels; leaves headroom for
 # the running-max arithmetic inside the merge.
 _INT64_SAFE = 1 << 62
+
+
+def _exact_dtype(*magnitudes: int):
+    """The dtype of exact numerator arrays: int64 when every magnitude
+    (the denominator, and a bound on every endpoint) lies below 2^62,
+    ``dtype=object`` for Python ints otherwise."""
+    return np.int64 if max(magnitudes) < _INT64_SAFE else object
+
+
+def _extreme(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Largest |numerator| of sorted canonical endpoint arrays, 0 when empty."""
+    return max(abs(int(lo[0])), abs(int(hi[-1]))) if lo.size else 0
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -97,25 +116,6 @@ class Interval:
     @property
     def length(self) -> Scalar:
         return self.hi - self.lo
-
-
-def _merge_scaled(pairs: list) -> tuple[list, list]:
-    """Sort-and-sweep merge of (lo, hi) pairs of Python ints.
-
-    Touching intervals merge; degenerate leftovers are dropped by the caller
-    if required.  Returns parallel lo/hi lists.
-    """
-    pairs.sort()
-    out_lo: list = []
-    out_hi: list = []
-    for a, b in pairs:
-        if out_hi and a <= out_hi[-1]:
-            if b > out_hi[-1]:
-                out_hi[-1] = b
-        else:
-            out_lo.append(a)
-            out_hi.append(b)
-    return out_lo, out_hi
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,14 +192,17 @@ def merge_float_arrays(
 class IntervalSet:
     """Canonical union of disjoint closed intervals with rational endpoints.
 
-    Immutable.  Internally the endpoints are integers over a single shared
-    denominator, reduced so equal sets compare equal structurally.
+    Immutable.  The endpoints are integer numerators over one shared
+    denominator, reduced to lowest terms so equal sets compare equal
+    structurally.  They are held in read-only numpy arrays, the engine's
+    own: int64 when the denominator and every numerator lie below 2^62,
+    ``dtype=object`` arrays of Python ints otherwise (``_exact_dtype``).
+    Every merge goes through ``merge_int64_arrays``.
     """
 
     __slots__ = ("_den", "_lo", "_hi")
-    backend = "exact"
 
-    def __init__(self, den: int, lo: tuple, hi: tuple):
+    def __init__(self, den: int, lo: np.ndarray, hi: np.ndarray):
         # Trusted constructor; use the from_* classmethods.
         self._den = den
         self._lo = lo
@@ -227,11 +230,11 @@ class IntervalSet:
                 raise MalformedIntervalError(f"interval with lo > hi: [{a}, {b}]")
             fracs.append((a, b))
         den = math.lcm(*(x.denominator for pair in fracs for x in pair))
-        pairs = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-                 for a, b in fracs]
-        lo, hi = _merge_scaled(pairs)
-        keep = [(a, b) for a, b in zip(lo, hi) if b > a]
-        return cls._reduced(den, [a for a, _ in keep], [b for _, b in keep])
+        lo = np.array([a.numerator * (den // a.denominator) for a, _ in fracs],
+                      dtype=object)
+        hi = np.array([b.numerator * (den // b.denominator) for _, b in fracs],
+                      dtype=object)
+        return _merge_scaled(den, lo, hi)
 
     @classmethod
     def from_points(cls, points: Iterable[RationalLike]) -> "IntervalSet":
@@ -241,46 +244,41 @@ class IntervalSet:
         """
         pts = sorted({to_fraction(p) for p in points})
         den = math.lcm(*(p.denominator for p in pts))
-        scaled = [p.numerator * (den // p.denominator) for p in pts]
-        return cls._reduced(den, scaled, scaled)
+        scaled = np.array([p.numerator * (den // p.denominator) for p in pts],
+                          dtype=object)
+        return cls.from_scaled(den, scaled, scaled)
 
     @classmethod
-    def from_scaled(cls, den: int, lo: list, hi: list) -> "IntervalSet":
+    def from_scaled(cls, den: int, lo, hi) -> "IntervalSet":
         """Build from canonical integer endpoints over denominator ``den``.
 
-        The input is trusted: lists of Python ints, sorted, merged and free
-        of degenerate intervals, as the generation engine produces them.
-        Only the set is reduced to lowest terms.
+        The input is trusted: sorted, merged and free of degenerate
+        intervals, as the generation engine produces them, in int64 or
+        object arrays, which are taken as they are, or in lists of Python
+        ints.  The set is reduced to lowest terms and stored in the dtype
+        ``_exact_dtype`` picks for it.
         """
         if den <= 0:
             raise MalformedIntervalError("denominator must be positive")
-        return cls._reduced(den, lo, hi)
-
-    @classmethod
-    def _reduced(cls, den: int, lo: list, hi: list) -> "IntervalSet":
-        if not lo:
-            return cls(1, (), ())
-        g = den
-        for v in lo:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
+        if not isinstance(lo, np.ndarray):
+            lo, hi = np.array(lo, dtype=object), np.array(hi, dtype=object)
+        g = math.gcd(den, int(np.gcd.reduce(lo)))
         if g > 1:
-            for v in hi:
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
+            g = math.gcd(g, int(np.gcd.reduce(hi)))
         if g > 1:
             den //= g
-            lo = [v // g for v in lo]
-            hi = [v // g for v in hi]
-        return cls(den, tuple(lo), tuple(hi))
+            lo, hi = lo // g, hi // g
+        dtype = _exact_dtype(den, _extreme(lo, hi))
+        lo, hi = (a.astype(dtype, copy=False).view() for a in (lo, hi))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return cls(den, lo, hi)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def count(self) -> int:
-        return len(self._lo)
+        return self._lo.size
 
     @property
     def denominator(self) -> int:
@@ -288,55 +286,57 @@ class IntervalSet:
 
     @property
     def measure(self) -> Fraction:
-        """Exact total length, summed in ascending-lo order."""
-        return Fraction(sum(b - a for a, b in zip(self._lo, self._hi)), self._den)
+        """Exact total length."""
+        return Fraction(int(np.subtract(self._hi, self._lo).sum()), self._den)
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
         d = self._den
         return tuple(Interval(Fraction(a, d), Fraction(b, d))
-                     for a, b in zip(self._lo, self._hi))
+                     for a, b in zip(*self.numerators))
 
     @property
     def bounds(self):
         """(min lo, max hi) as Fractions, or None when empty."""
-        if not self._lo:
+        if not self._lo.size:
             return None
-        return Fraction(self._lo[0], self._den), Fraction(self._hi[-1], self._den)
+        return Fraction(int(self._lo[0]), self._den), Fraction(int(self._hi[-1]), self._den)
 
     @property
     def numerators(self) -> tuple[tuple, tuple]:
         """The (lo, hi) endpoint numerators over ``denominator``, as tuples
         of Python ints."""
-        return self._lo, self._hi
+        return tuple(self._lo.tolist()), tuple(self._hi.tolist())
 
     def rational_strs(self):
         """Yield every interval as a ``(lo, hi)`` pair of ``rational_str``
         text, in order.
 
         Each numerator is reduced against the shared denominator with
-        ``np.gcd``, no ``Fraction`` is built.  Blocks of ``_TEXT_BLOCK``
-        intervals go through int64 arrays while the denominator and every
-        numerator lie below 2^62, and through object arrays of Python ints
-        otherwise.
+        ``np.gcd`` on the stored arrays, a block of ``_TEXT_BLOCK``
+        intervals at a time, and no ``Fraction`` is built.
         """
-        if not self._lo:
-            return
-        den = self._den
-        big = max(den, abs(self._lo[0]), abs(self._hi[-1])) >= _INT64_SAFE
-        dtype = object if big else np.int64
-        for i in range(0, len(self._lo), _TEXT_BLOCK):
+        for i in range(0, self._lo.size, _TEXT_BLOCK):
             j = i + _TEXT_BLOCK
-            yield from zip(_reduced_strs(np.array(self._lo[i:j], dtype=dtype), den),
-                           _reduced_strs(np.array(self._hi[i:j], dtype=dtype), den))
+            yield from zip(_reduced_strs(self._lo[i:j], self._den),
+                           _reduced_strs(self._hi[i:j], self._den))
 
     def min_length(self) -> Fraction:
         """Length of the shortest stored interval; raises on empty sets."""
-        if not self._lo:
+        if not self._lo.size:
             raise ValueError("empty interval set has no minimum length")
-        return Fraction(min(b - a for a, b in zip(self._lo, self._hi)), self._den)
+        return Fraction(int(np.subtract(self._hi, self._lo).min()), self._den)
 
     # -- operations --------------------------------------------------------
+
+    def _over(self, den: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint numerators over ``den``, a multiple of the set's
+        denominator, in the dtype ``_exact_dtype`` picks for den and every
+        magnitude plus ``pad``; the bound is checked before multiplying."""
+        s = den // self._den
+        dtype = _exact_dtype(den, _extreme(self._lo, self._hi) * s + pad)
+        return (self._lo.astype(dtype, copy=False) * s,
+                self._hi.astype(dtype, copy=False) * s)
 
     def expand(self, r: RationalLike) -> "IntervalSet":
         """Closed r-neighborhood within the line: each [a, b] -> [a-r, b+r]."""
@@ -344,31 +344,23 @@ class IntervalSet:
         if r <= 0:
             raise ValueError(f"expansion radius must be positive, got {r}")
         den = math.lcm(self._den, r.denominator)
-        s = den // self._den
         rs = r.numerator * (den // r.denominator)
-        pairs = [(a * s - rs, b * s + rs) for a, b in zip(self._lo, self._hi)]
-        lo, hi = _merge_scaled(pairs)
-        return IntervalSet._reduced(den, lo, hi)
+        lo, hi = self._over(den, rs)
+        return _merge_scaled(den, lo - rs, hi + rs)
 
     def issuperset(self, other: "IntervalSet") -> bool:
         """True when every interval of ``other`` lies inside one of ``self``."""
         if other.count == 0:
             return True
-        if self.count == 0:
-            return False
         den = math.lcm(self._den, other._den)
-        sa = den // self._den
-        sb = den // other._den
-        my = [(a * sa, b * sa) for a, b in zip(self._lo, self._hi)]
-        i = 0
-        for a, b in zip(other._lo, other._hi):
-            a *= sb
-            b *= sb
-            while i < len(my) and my[i][1] < a:
-                i += 1
-            if i == len(my) or not (my[i][0] <= a and b <= my[i][1]):
-                return False
-        return True
+        lo, hi = self._over(den)
+        a, b = other._over(den)
+        # the one interval of self that can hold [a, b]: the first one
+        # ending at or after a
+        i = np.searchsorted(hi, a)
+        if i[-1] == hi.size:
+            return False
+        return bool(np.all(lo[i] <= a) and np.all(b <= hi[i]))
 
     # -- dunder ------------------------------------------------------------
 
@@ -376,28 +368,37 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self._lo)
+        return self._lo.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return (self._den, self._lo, self._hi) == (other._den, other._lo, other._hi)
+        return (self._den == other._den and np.array_equal(self._lo, other._lo)
+                and np.array_equal(self._hi, other._hi))
 
     def __hash__(self) -> int:
-        return hash((self._den, self._lo, self._hi))
+        return hash((self._den, *self.numerators))
 
     def __repr__(self) -> str:
-        if not self._lo:
+        if not self._lo.size:
             return "IntervalSet(empty)"
         parts = ", ".join(f"[{a}, {b}]" for a, b in self.rational_strs())
         return f"IntervalSet({parts})"
+
+
+def _merge_scaled(den: int, lo: np.ndarray, hi: np.ndarray) -> IntervalSet:
+    """The canonical set of integer intervals [lo, hi] over ``den``, given
+    in any order: merged by ``merge_int64_arrays``, with degenerate
+    intervals dropped."""
+    lo, hi = merge_int64_arrays(lo, hi)
+    keep = hi > lo
+    return IntervalSet.from_scaled(den, lo[keep], hi[keep])
 
 
 class FloatIntervalSet:
     """Float-backend interval set: binary64 endpoints, epsilon gap merging."""
 
     __slots__ = ("_lo", "_hi", "_eps")
-    backend = "float"
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, merge_eps: float):
         self._lo = lo

@@ -25,8 +25,11 @@ to generations: each projects the system itself and rejects n < 0.
 The exact engine tracks one shared integer denominator, so each step is
 integer work on numpy arrays: int64 while magnitudes stay below 2^62 and
 ``dtype=object`` arrays of Python ints past that, through the same code.
-A step does not re-sort.  Every ratio is positive, so each image
-``a*E_n + c`` of the canonical set is already sorted with positive gaps.
+A snapshot (``generation``, ``iter_generations``) hands these arrays to
+``IntervalSet.from_scaled`` as they are, so the set shares them unless
+reducing it to lowest terms makes new ones.  A step does not re-sort.
+Every ratio is positive, so each image ``a*E_n + c`` of the canonical set
+is already sorted with positive gaps.
 The images are stacked in order of their exact left ends, and only the
 index windows where image hulls overlap (found by binary search at each
 image boundary, touching counted as overlapping) are computed and merged by
@@ -68,7 +71,8 @@ from .errors import SizeCapExceeded
 from .ifs import IFS2D
 from .intervals import (
     IntervalSet,
-    _INT64_SAFE,
+    _exact_dtype,
+    _extreme,
     merge_float_arrays,
     merge_int64_arrays,
     rational_str,
@@ -331,18 +335,10 @@ class _ExactEngine:
             coeffs.append((p * (new_den // (q * den)), a * (new_den // b)))
         return new_den, coeffs
 
-    def _extreme(self) -> int:
-        if self.count == 0:
-            return 0
-        return max(abs(int(self.lo[0])), abs(int(self.hi[-1])))
-
     def step(self, keep: bool = True) -> None:
         new_den, coeffs = self._coefficients()
-        xmax = self._extreme()
-        fits = new_den < _INT64_SAFE and all(
-            abs(a) * xmax + abs(c) < _INT64_SAFE for a, c in coeffs
-        )
-        dtype = np.int64 if fits else object
+        xmax = _extreme(self.lo, self.hi)
+        dtype = _exact_dtype(new_den, *(abs(a) * xmax + abs(c) for a, c in coeffs))
         if self.total == 0:
             # Empty, or the degenerate base: every image has length 0.
             self.lo = self.hi = np.empty(0, dtype=dtype)
@@ -361,7 +357,7 @@ class _ExactEngine:
         return Fraction(self.total, self.den)
 
     def snapshot(self) -> IntervalSet:
-        return IntervalSet.from_scaled(self.den, self.lo.tolist(), self.hi.tolist())
+        return IntervalSet.from_scaled(self.den, self.lo, self.hi)
 
 
 @dataclass(frozen=True)

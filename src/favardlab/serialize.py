@@ -93,12 +93,6 @@ class ManifestTimer:
         write_json(Path(out_dir) / "manifest.json", payload)
 
 
-def interval_rows(interval_set):
-    """CSV rows lo,hi of text for one exact interval set, yielded one at a
-    time."""
-    return interval_set.rational_strs()
-
-
 def generation_rows(d, sets):
     """CSV rows (n, chart, slope, lo, hi) of text for the generations 0, 1,
     ... of direction d, yielded one at a time: fed by ``iter_generations``,

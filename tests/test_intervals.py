@@ -168,6 +168,78 @@ class TestExactSet:
         assert grown.bounds == (lo - r, hi + r)
 
 
+wide_rationals = st.one_of(
+    rationals, st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                         st.integers(1, 2 ** 70)))
+# small radii keep int64 sets int64; a denominator or a numerator past 2^62
+# makes the expansion of an int64 set cross into object arrays
+radii = st.one_of(
+    st.fractions(min_value="1/64", max_value=4, max_denominator=64),
+    st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(2 ** 62, 2 ** 70)),
+    st.integers(2 ** 61, 2 ** 63).map(Fraction))
+
+
+def components(s):
+    return [(iv.lo, iv.hi) for iv in s.intervals]
+
+
+def assert_dtype_rule(s):
+    lo, hi = s.numerators
+    small = max([s.denominator] + [abs(v) for v in lo + hi]) < 2 ** 62
+    assert s._lo.dtype == s._hi.dtype == (np.int64 if small else object)
+    assert not (s._lo.flags.writeable or s._hi.flags.writeable)
+    assert all(type(v) is int for v in lo + hi)
+
+
+def contains(outer, inner):
+    return all(any(a <= c and d <= b for a, b in outer) for c, d in inner)
+
+
+class TestBothDtypes:
+    @given(st.lists(st.tuples(wide_rationals, wide_rationals), max_size=10),
+           radii, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_references(self, raw, r, data):
+        items = [(min(p), max(p)) for p in raw]
+        s = IntervalSet.from_intervals(items)
+        comps = union_components(items)
+        assert components(s) == comps
+        assert s.measure == union_measure(items)
+        assert_dtype_rule(s)
+        if comps:
+            assert s.min_length() == min(b - a for a, b in comps)
+
+        grown = s.expand(r)
+        widened = [(a - r, b + r) for a, b in comps]
+        assert components(grown) == union_components(widened)
+        assert grown.measure == union_measure(widened)
+        assert_dtype_rule(grown)
+        if comps:
+            assert grown.min_length() == min(b - a for a, b in union_components(widened))
+
+        subset = data.draw(st.lists(st.sampled_from(items), max_size=4)) if items else []
+        # the endpoints of s lie in s and in grown, the right ends of grown
+        # only in grown
+        ends = [x for ab in comps for x in ab]
+        others = (s, grown, IntervalSet.from_intervals(subset),
+                  IntervalSet.from_points(ends),
+                  IntervalSet.from_points(ends + [b + r for _, b in comps]))
+        for big in (s, grown):
+            for other in others:
+                assert big.issuperset(other) == contains(components(big),
+                                                         components(other))
+        assert s.issuperset(grown) == (not comps)
+
+        again = IntervalSet.from_intervals(reversed(components(grown)))
+        assert again == grown and hash(again) == hash(grown)
+        k = 2 ** 40 + 1
+        lo, hi = s.numerators
+        scaled = IntervalSet.from_scaled(s.denominator * k, [v * k for v in lo],
+                                         [v * k for v in hi])
+        assert scaled == s and hash(scaled) == hash(s)
+        assert (grown == s) == (not comps)
+
+
 @st.composite
 def scaled_sets(draw):
     """Canonical sets over a drawn denominator, below or above 2^62."""

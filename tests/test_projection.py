@@ -308,22 +308,30 @@ class TestImageWindowMerge:
         assert paths[0] and not paths[-1]
 
     def test_snapshot_endpoints_are_python_ints(self):
-        # the int64 and the Python-int object arrays both reach the set as plain
-        # ints, and the set is the canonical one of the engine's endpoints
+        # the set keeps the engine's int64 or object arrays, int64 exactly when
+        # the reduced denominator and every numerator lie below 2^62; its
+        # numerators come out as plain ints, and it is the canonical set of
+        # the engine's endpoints
         tiny = IFS2D("tiny", (Similitude2D.of("1/1048576", "0", "0"),
                               Similitude2D.of("1/524288", "1/2", "1/3")),
                      (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+        dtypes = set()
         for ifs, t, steps in ((four_corner(), Fraction(3, 10), 6),
                               (tiny, Fraction(2, 7), 5)):
             eng = _ExactEngine(project_ifs(ifs, Direction("x", t)))
             for _ in range(steps):
                 eng.step()
                 snap = eng.snapshot()
-                assert all(type(v) is int for v in snap._lo + snap._hi)
+                lo, hi = snap.numerators
+                assert all(type(v) is int for v in lo + hi)
+                small = max([snap.denominator] + [abs(v) for v in lo + hi]) < 2 ** 62
+                assert snap._lo.dtype == snap._hi.dtype == (np.int64 if small else object)
+                dtypes.add(snap._lo.dtype)
                 assert snap == IntervalSet.from_intervals(
                     (Fraction(int(a), eng.den), Fraction(int(b), eng.den))
                     for a, b in zip(eng.lo, eng.hi))
             assert (eng.lo.dtype == object) == (ifs is tiny)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     def test_touch_through_a_gap(self):
         # A = S ends at 6 where C = S + 6 starts, and B = S + 3 has a gap
