@@ -128,14 +128,14 @@ def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     lo = lo[order]
     hi = hi[order]
     run = np.maximum.accumulate(hi)
-    keep_start = np.empty(lo.size, dtype=bool)
-    keep_start[0] = True
-    np.greater(lo[1:], run[:-1], out=keep_start[1:])
-    starts = np.flatnonzero(keep_start)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:] - 1
-    ends[-1] = lo.size - 1
-    return lo[starts], run[ends]
+    start = np.empty(lo.size, dtype=bool)
+    start[0] = True
+    np.greater(lo[1:], run[:-1], out=start[1:])
+    # a merged interval ends just before the next one starts
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[-1] = True
+    return lo[start], run[end]
 
 
 def merge_float_arrays(

@@ -41,8 +41,14 @@ the sum of the scaled ratios and subtracts the overlap loss of the windows
 (their summed image lengths minus their merged length), all in Python
 ints.  ``sheared_measures`` reads only the measure of its last
 generation, so its last step merges the windows and never builds that
-set.  Results are bit-identical to concatenating all images and merging
-them, the reference kept in ``tests/oracles.py``.
+set.  A system whose maps the reflection of the base about its midpoint
+permutes has every generation symmetric about that midpoint.  Its steps
+mirror whenever the images, sorted by left end, reverse onto their own
+mirrors: only the windows left of the centre are merged, and the right
+half of the step is the left half reflected, so the merge work halves.
+Other layouts, and systems that are not symmetric, merge every window.
+Results are bit-identical to concatenating all images and merging them,
+the reference kept in ``tests/oracles.py``, on either path.
 
 The float engine holds one row per direction of a ``DirectionBatch`` and
 steps all rows at once; each row gives the measures of a per-direction
@@ -241,7 +247,7 @@ def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
 
 
 def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
-                 keep: bool = True) -> tuple:
+                 keep: bool = True, span: int | None = None) -> tuple:
     """Merged union of the images a*[lo, hi] + c of a canonical integer set.
 
     ``lo`` and ``hi`` are int64 arrays, or ``dtype=object`` arrays of Python
@@ -256,25 +262,58 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     endpoints in new arrays of exactly ``count`` entries, with each clean
     stretch written straight into its final slot.  Without ``keep`` the
     clean stretches are never computed and lo, hi are None.
+
+    The caller passes ``span`` only for a set symmetric about its midpoint
+    S/2, S = lo[0] + hi[-1].  The step then mirrors when the sorted images
+    map onto themselves reversed under x -> span - x (image j onto image
+    k-1-j, so stacked element i onto element k*n-1-i, and each window onto
+    a window): only the windows left of the centre are merged, the window
+    across it only for its elements with 2*lo < span, and the right half
+    of the output is the left half mirrored.  Otherwise, and always
+    without ``span``, every window is merged.  Both give the same arrays.
     """
     n = lo.size
     if n == 0:
         return 0, 0, lo.copy(), hi.copy()
     lo0 = int(lo[0])
     coeffs = sorted(coeffs, key=lambda ac: ac[0] * lo0 + ac[1])
+    size = len(coeffs) * n
+    if span is not None and coeffs[::-1] != [
+            (a, span - a * (lo0 + int(hi[-1])) - c) for a, c in coeffs]:
+        span = None
+    # Windows starting at or after the cut are mirrors of merged ones.
+    cut = size if span is None else -(-size // 2)
     windows = _overlap_windows(lo, hi, coeffs)
-    count, loss, merged = len(coeffs) * n, 0, []
+    count, loss, merged = size, 0, []
     for start, stop in windows:
+        if start >= cut:
+            break
         wlo = np.empty(stop - start, dtype=lo.dtype)
         whi = np.empty_like(wlo)
         _write_images(wlo, whi, 0, lo, hi, coeffs, start, stop)
-        mlo, mhi = merge_int64_arrays(wlo, whi)
-        count -= wlo.size - mlo.size
         # Python ints: a piece's lengths, and the merged ones, are disjoint
         # and sum within int64, but a times such a sum need not.
         raw = sum(coeffs[j][0] * int(np.subtract(hi[i0:i1], lo[i0:i1]).sum())
                   for j, i0, i1 in _image_pieces(n, start, stop))
-        loss += raw - int(np.subtract(mhi, mlo).sum())
+        centre = stop > cut
+        if centre:
+            left = wlo < -(-span // 2)
+            wlo, whi = wlo[left], whi[left]
+        mlo, mhi = merge_int64_arrays(wlo, whi)
+        middle = centre and 2 * int(mhi[-1]) >= span
+        if middle:
+            # an interval reaching the centre is its own mirror
+            mhi[-1] = span - mlo[-1]
+        m, length = mlo.size, int(np.subtract(mhi, mlo).sum())
+        if centre:
+            # the centre window's union: the merged left half and its
+            # mirror, which share any middle interval
+            m = 2 * m - middle
+            length = 2 * length - middle * (span - 2 * int(mlo[-1]))
+        # a window left of the centre stands for its mirror too
+        weight = 1 if span is None or centre else 2
+        count -= weight * (stop - start - m)
+        loss += weight * (raw - length)
         merged.append((mlo, mhi))
     if not keep:
         return count, loss, None, None
@@ -287,7 +326,12 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
         out_hi[w:w + mhi.size] = mhi
         w += mlo.size
         r = stop
-    _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, len(coeffs) * n)
+    # past a centre window r > cut, and this writes nothing
+    w = _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, cut)
+    if w < count:
+        # the mirror tail: past any middle interval, the left half reflected
+        np.subtract(span, out_hi[:count - w][::-1], out=out_lo[w:])
+        np.subtract(span, out_lo[:count - w][::-1], out=out_hi[w:])
     return count, loss, out_lo, out_hi
 
 
@@ -308,7 +352,10 @@ class _ExactEngine:
     |E_n| over ``den``, and a step sets total_{n+1} = sum_j a_j * total_n -
     loss from the overlap loss of the merged windows.  A step with
     ``keep=False`` leaves the set unbuilt (lo and hi None), so it must be
-    the last one.
+    the last one.  ``symmetric`` is tested once, exactly, on the projected
+    maps: when it holds every step passes ``_merge_images`` the sum of
+    ends of the next generation, and the step mirrors when its image
+    layout allows, with bit-identical results.
     """
 
     def __init__(self, proj: ProjectedIFS1D):
@@ -325,6 +372,10 @@ class _ExactEngine:
                      for r, c in proj.maps]
         self.ratio_lcm = math.lcm(*(q for _, q, _, _ in self.maps))
         self.offset_lcm = math.lcm(*(b for _, _, _, b in self.maps))
+        # Maps that the reflection x -> lo + hi - x of the base permutes keep
+        # every generation symmetric about the base's midpoint.
+        self.symmetric = sorted(proj.maps) == sorted(
+            (r, (lo + hi) * (1 - r) - c) for r, c in proj.maps)
         self.n = 0
 
     def _coefficients(self) -> tuple[int, list[tuple[int, int]]]:
@@ -338,7 +389,12 @@ class _ExactEngine:
     def step(self, keep: bool = True) -> None:
         new_den, coeffs = self._coefficients()
         xmax = _extreme(self.lo, self.hi)
-        dtype = _exact_dtype(new_den, *(abs(a) * xmax + abs(c) for a, c in coeffs))
+        span = None
+        if self.symmetric and self.total:
+            # x -> span - x reflects E_{n+1}, as lo[0] + hi[-1] - x does E_n
+            span = (int(self.lo[0]) + int(self.hi[-1])) * (new_den // self.den)
+        dtype = _exact_dtype(new_den, abs(span or 0),
+                             *(abs(a) * xmax + abs(c) for a, c in coeffs))
         if self.total == 0:
             # Empty, or the degenerate base: every image has length 0.
             self.lo = self.hi = np.empty(0, dtype=dtype)
@@ -346,7 +402,7 @@ class _ExactEngine:
         else:
             self.count, loss, self.lo, self.hi = _merge_images(
                 self.lo.astype(dtype, copy=False),
-                self.hi.astype(dtype, copy=False), coeffs, keep)
+                self.hi.astype(dtype, copy=False), coeffs, keep, span)
             self.total = sum(a for a, _ in coeffs) * self.total - loss
         self.den = new_den
         self.n += 1

@@ -301,6 +301,10 @@ class TestMergeKernels:
         got = [(int(a), int(b)) for a, b in zip(klo, khi) if b > a]
         want = [(int(a), int(b)) for a, b in comp]
         assert got == want
+        # Python-int object arrays merge to the same endpoints
+        olo, ohi = merge_int64_arrays(lo.astype(object), hi.astype(object))
+        assert olo.dtype == ohi.dtype == object
+        assert (olo.tolist(), ohi.tolist()) == (klo.tolist(), khi.tolist())
 
     def test_float_merge_uses_epsilon(self):
         lo = np.array([0.0, 1.0 + 1e-13])

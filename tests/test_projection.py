@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favardlab import projection
@@ -385,6 +385,164 @@ class TestImageWindowMerge:
                                (Fraction(1, 2), Fraction(1, 2))),
                               (Fraction(1, 3), Fraction(1, 3)))
         assert _engine_vs_reference(proj, 2) == [True, True]
+
+
+
+def _symmetric_case(steps, gap, middle, pairs, centre_map, span0, shift, wide):
+    """A set symmetric about S/2, S = lo[0] + hi[-1], and coefficients in
+    mirrored pairs (a, c), (a, span - a*S - c), with span the new sum of
+    ends.  The set is a left half from (gap, length) steps, an optional
+    self-symmetric middle interval of length ``middle`` and the mirrored
+    half; a ``centre_map`` (a, c) is its own mirror, span = 2c + a*S.  The
+    case is made with S in {0, 1}, then moved by ``shift``, and ``wide``
+    scales it until its largest magnitude lies just below 2^62."""
+    lo, hi, x = [], [], 0
+    for g, length in steps:
+        lo.append(x + g)
+        hi.append(x + g + length)
+        x = hi[-1]
+    if middle or not steps:
+        mid = [(x + gap, x + gap + max(middle, 1))]
+        total = sum(mid[0])
+    else:
+        mid, total = [], 2 * x + gap
+    left_lo, left_hi = lo, hi
+    lo = left_lo + [a for a, _ in mid] + [total - v for v in reversed(left_hi)]
+    hi = left_hi + [b for _, b in mid] + [total - v for v in reversed(left_lo)]
+    lo = [v - total // 2 for v in lo]
+    hi = [v - total // 2 for v in hi]
+    s = lo[0] + hi[-1]
+    coeffs, span = [], span0
+    if centre_map is not None:
+        a, c = centre_map
+        coeffs, span = [(a, c)], 2 * c + a * s
+    for a, c in pairs:
+        coeffs += [(a, c), (a, span - a * s - c)]
+    # move the set, the images and the new ends by shift
+    lo, hi = [v + shift for v in lo], [v + shift for v in hi]
+    coeffs = [(a, c + shift - a * shift) for a, c in coeffs]
+    span += 2 * shift
+    if wide:
+        top = max([abs(span)] + [a * max(abs(lo[0]), abs(hi[-1])) + abs(c)
+                                 for a, c in coeffs])
+        f = ((1 << 62) - 1) // top
+        lo, hi = [v * f for v in lo], [v * f for v in hi]
+        coeffs = [(a, c * f) for a, c in coeffs]
+        span *= f
+    return lo, hi, coeffs, span
+
+
+# Five ratio-1/3 maps in an X: four corners and the centre.
+_X5 = IFS2D("x-five", tuple(Similitude2D.of("1/3", dx, dy) for dx, dy in (
+    ("0", "0"), ("2/3", "0"), ("1/3", "1/3"), ("0", "2/3"), ("2/3", "2/3"))),
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+# Centrally symmetric with unequal ratios: at slope 0 the images sorted by
+# left end do not reverse onto their mirrors, so the step cannot mirror.
+_UNEQUAL = IFS2D("unequal-symmetric", tuple(
+    Similitude2D.of(r, dx, dy) for r, dx, dy in (
+        ("1/2", "0", "0"), ("1/4", "0", "3/4"),
+        ("1/2", "1/2", "1/2"), ("1/4", "3/4", "0"))),
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+_MIRROR_SLOPES = [Fraction(v) for v in
+                  ("0", "1", "-1", "1/2", "1/3", "-2/7", "314159/1000000")]
+
+
+def _plain_merge(monkeypatch):
+    """Make the engine take the plain path: every window merged, no mirror."""
+    merge = projection._merge_images
+    monkeypatch.setattr(projection, "_merge_images",
+                        lambda lo, hi, coeffs, keep=True, span=None:
+                        merge(lo, hi, coeffs, keep))
+
+
+def _merged_elements(monkeypatch):
+    """Count the endpoints the engine's window merges take in."""
+    seen = [0]
+    merge = projection.merge_int64_arrays
+
+    def spy(lo, hi):
+        seen[0] += lo.size
+        return merge(lo, hi)
+    monkeypatch.setattr(projection, "merge_int64_arrays", spy)
+    return seen
+
+
+def _engine_run(ifs, d, n):
+    """Every generation 0..n as (den, dtype, lo, hi), then the measures."""
+    gens = [(s.denominator, s._lo.dtype, s._lo.tolist(), s._hi.tolist())
+            for s in iter_generations(ifs, d, n)]
+    return gens, sheared_measures(ifs, d, n)
+
+
+class TestMirroredStep:
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=5),
+           st.integers(1, 4), st.integers(0, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(-30, 30)),
+                    min_size=1, max_size=3),
+           st.none() | st.tuples(st.integers(1, 3), st.integers(-20, 20)),
+           st.integers(-20, 20), st.integers(-40, 40), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    @example(steps=[], gap=1, middle=1, pairs=[(1, 10)], centre_map=(1, 5),
+             span0=0, shift=0, wide=False)  # three clean images, odd stack
+    @example(steps=[(1, 2)], gap=2, middle=1, pairs=[(1, 3)], centre_map=(1, 0),
+             span0=0, shift=0, wide=True)   # centre window, |lo| near 2^62
+    @example(steps=[(1, 1)], gap=1, middle=0, pairs=[(2, 1), (1, 0)],
+             centre_map=None, span0=1, shift=40, wide=True)  # span near 2^62
+    def test_matches_resorting(self, steps, gap, middle, pairs, centre_map,
+                               span0, shift, wide):
+        lo, hi, coeffs, span = _symmetric_case(steps, gap, middle, pairs,
+                                               centre_map, span0, shift, wide)
+        _, want_lo, want_hi, _ = exact_step_reference(
+            1, lo, hi, [(Fraction(a), Fraction(c)) for a, c in coeffs])
+        want_lo, want_hi = [int(v) for v in want_lo], [int(v) for v in want_hi]
+        raw = sum(a for a, _ in coeffs) * (sum(hi) - sum(lo))
+        want = (len(want_lo), raw - (sum(want_hi) - sum(want_lo)))
+        top = max([abs(span)] + [a * max(abs(lo[0]), abs(hi[-1])) + abs(c)
+                                 for a, c in coeffs])
+        dtypes = [object] + ([np.int64] if top < 1 << 62 else [])
+        for dtype in dtypes:
+            arrays = np.array(lo, dtype=dtype), np.array(hi, dtype=dtype)
+            count, loss, mlo, mhi = _merge_images(*arrays, coeffs, True, span)
+            assert (count, loss) == want
+            assert mlo.dtype == mhi.dtype == np.dtype(dtype)
+            assert (mlo.tolist(), mhi.tolist()) == (want_lo, want_hi)
+            assert _merge_images(*arrays, coeffs, False, span) == \
+                (count, loss, None, None)
+
+    @pytest.mark.parametrize("ifs", [four_corner(), sparse_corner(8), _X5,
+                                     _UNEQUAL, sierpinski_gasket()],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_engine_matches_plain_path(self, ifs, chart, monkeypatch):
+        n = 6 if len(ifs.maps) > 4 else 7
+        runs = [_engine_run(ifs, Direction(chart, t), n) for t in _MIRROR_SLOPES]
+        _plain_merge(monkeypatch)
+        assert runs == [_engine_run(ifs, Direction(chart, t), n)
+                        for t in _MIRROR_SLOPES]
+
+    def test_mirror_halves_the_merges(self, monkeypatch):
+        seen = _merged_elements(monkeypatch)
+        d = Direction("x", Fraction(3, 10))
+        mirrored = sheared_measures(four_corner(), d, 9)
+        half = seen[0]
+        _plain_merge(monkeypatch)
+        seen[0] = 0
+        assert sheared_measures(four_corner(), d, 9) == mirrored
+        assert 0 < half <= seen[0] // 2
+
+    # the gasket's shadow is symmetric only at x:0, the unequal set's
+    # layout is not index-symmetric at x:0 and x:1/3
+    @pytest.mark.parametrize("ifs, t", [(_UNEQUAL, "0"), (_UNEQUAL, "1/3"),
+                                        (sierpinski_gasket(), "1/3")])
+    def test_falls_back_to_plain_path(self, ifs, t, monkeypatch):
+        seen = _merged_elements(monkeypatch)
+        d = Direction("x", Fraction(t))
+        sheared_measures(ifs, d, 6)
+        mirrored = seen[0]
+        _plain_merge(monkeypatch)
+        seen[0] = 0
+        sheared_measures(ifs, d, 6)
+        assert mirrored == seen[0] > 0
 
 
 def _true_alpha(ifs, d, n):
