@@ -75,7 +75,8 @@ class Result(NamedTuple):
     """A handler's summary line, the files it would write, its exit code.
 
     ``files`` maps a file name to a JSON payload, or a ``.csv`` name to
-    ``(header, rows)``; rows may be lazy, as only --out reads them.
+    ``(header, rows)``, the arguments of ``write_csv``: rows are tuples or
+    finished CSV text blocks, and may be lazy, as only --out reads them.
     """
 
     line: str
@@ -233,7 +234,7 @@ def _cmd_cover(args, ifs, d) -> Result:
                            [(stats.r, stats.count, stats.min_length, p,
                              stats.holder_sums[p]) for p in exponents])}
     if args.intervals:
-        files["intervals.csv"] = (("lo", "hi"), stats.intervals.rational_strs())
+        files["intervals.csv"] = (("lo", "hi"), stats.intervals.csv_text())
     files["cover.json"] = {
         "r": stats.r, "depth": stats.depth, "count": stats.count,
         "min_length": stats.min_length,

@@ -81,17 +81,23 @@ def rational_str(value: Union[Fraction, int]) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Intervals per block in ``IntervalSet.rational_strs``: bounds the numpy
-# temporaries, whatever the size of the set.
-_TEXT_BLOCK = 4096
+# Intervals per block in ``IntervalSet.rational_strs`` and ``csv_text``:
+# bounds the numpy temporaries and the text of a block, whatever the size of
+# the set.
+_TEXT_BLOCK = 1024
 
 
-def _reduced_strs(num: np.ndarray, den: int) -> list:
-    """``rational_str(Fraction(v, den))`` for every v of an integer array
-    (int64, or ``dtype=object`` of Python ints), with den > 0."""
+def _reduced(num: np.ndarray, den: int) -> tuple:
+    """``Fraction(v, den)`` for every v of an integer array (int64, or
+    ``dtype=object`` of Python ints), with den > 0, as rational_str parts:
+    the list of reduced numerators (Python ints) and an iterator of their
+    ``"/q"`` suffixes, ``""`` where q = 1.  The suffix text is built once
+    per distinct reduced denominator."""
     g = np.gcd(num, den)
-    return [f"{p}/{q}" if q != 1 else str(p)
-            for p, q in zip((num // g).tolist(), (den // g).tolist())]
+    qs = (den // g).tolist()
+    suffix = {q: f"/{q}" for q in set(qs)}
+    suffix[1] = ""
+    return (num // g).tolist(), map(suffix.__getitem__, qs)
 
 
 @dataclass(frozen=True)
@@ -316,10 +322,30 @@ class IntervalSet:
         ``np.gcd`` on the stored arrays, a block of ``_TEXT_BLOCK``
         intervals at a time, and no ``Fraction`` is built.
         """
+        text = "{}{}".format
+        for lo, hi in self._blocks():
+            yield from zip(map(text, *lo), map(text, *hi))
+
+    def csv_text(self, prefix: str = ""):
+        """Yield the intervals as finished CSV text, ``prefix`` + "lo,hi"
+        and CRLF per interval, one string per block of ``_TEXT_BLOCK``
+        intervals.
+
+        With ``prefix`` the fields f1, ..., fk each followed by a comma,
+        the text is that of ``csv.writer`` rows ``(f1, ..., fk, lo, hi)``
+        of ``rational_strs`` text, as long as no field needs quoting.
+        """
+        line = f"{prefix}{{}}{{}},{{}}{{}}\r\n".format
+        for lo, hi in self._blocks():
+            yield "".join(map(line, *lo, *hi))
+
+    def _blocks(self):
+        """The ``_reduced`` parts of the lo and hi numerators, a block of
+        ``_TEXT_BLOCK`` intervals at a time."""
         for i in range(0, self._lo.size, _TEXT_BLOCK):
             j = i + _TEXT_BLOCK
-            yield from zip(_reduced_strs(self._lo[i:j], self._den),
-                           _reduced_strs(self._hi[i:j], self._den))
+            yield (_reduced(self._lo[i:j], self._den),
+                   _reduced(self._hi[i:j], self._den))
 
     def min_length(self) -> Fraction:
         """Length of the shortest stored interval; raises on empty sets."""

@@ -3,15 +3,16 @@
 Exact rationals serialize as "p/q" strings (plain "p" for integers) and
 parse back to identical values; floats use repr, the shortest decimal that
 round-trips.  The interval CSVs (``generations.csv``, ``intervals.csv``)
-get their exact endpoints as reduced p/q text computed from the integer
-numerators over each set's shared denominator, a block of intervals at a
-time (``IntervalSet.rational_strs``), with no Fraction per endpoint; the
-bytes are the same as formatting each endpoint as a Fraction.
-``write_csv`` writes str values as they are.  Every CLI run directory
-carries a manifest echoing the full parameter set, the backend, the
-package version, the wall time and the exit code, with the error of a
-failed run, so an exact-backend run can be reproduced bit for bit from its
-manifest.
+are written as finished text, a block of intervals per string
+(``IntervalSet.csv_text``): the exact endpoints are reduced p/q text
+computed from the integer numerators over each set's shared denominator,
+with no Fraction, tuple or ``csv.writer`` call per interval, and the bytes
+are those of a ``csv.writer`` formatting each endpoint as a Fraction.
+``write_csv`` writes such text blocks as they are and formats tuple rows
+value by value.  Every CLI run directory carries a manifest echoing the
+full parameter set, the backend, the package version, the wall time and
+the exit code, with the error of a failed run, so an exact-backend run can
+be reproduced bit for bit from its manifest.
 """
 
 from __future__ import annotations
@@ -54,13 +55,30 @@ def jsonable(obj):
 
 
 def write_csv(path, header, rows) -> None:
+    """Write a CSV file: the header row, then the items of ``rows`` in
+    order, read one at a time.
+
+    A tuple row goes through ``csv.writer``, str values as they are and
+    others formatted by ``fmt``.  A str item is finished CSV text, CRLF
+    line ends included, such as a block of ``IntervalSet.csv_text``, and
+    is written as it is.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+
+        def cells():
+            # writerows writes each row before it asks for the next, so a
+            # text item written here keeps its place
+            for row in rows:
+                if isinstance(row, str):
+                    fh.write(row)
+                else:
+                    yield [v if isinstance(v, str) else fmt(v) for v in row]
+
+        writer.writerows(cells())
 
 
 def write_json(path, payload) -> None:
@@ -72,7 +90,9 @@ def write_json(path, payload) -> None:
 
 
 class ManifestTimer:
-    """Collects run metadata and writes manifest.json on close."""
+    """Collects run metadata from the start of a run; ``write(out_dir,
+    exit_code, error)`` writes it, with the wall time so far, to
+    manifest.json."""
 
     def __init__(self, subcommand: str, parameters: dict, backend: str):
         self.subcommand = subcommand
@@ -94,12 +114,10 @@ class ManifestTimer:
 
 
 def generation_rows(d, sets):
-    """CSV rows (n, chart, slope, lo, hi) of text for the generations 0, 1,
-    ... of direction d, yielded one at a time: fed by ``iter_generations``,
-    no generation is built before the rows of the one before it are
-    written."""
+    """CSV text of the rows (n, chart, slope, lo, hi) for the generations
+    0, 1, ... of direction d, yielded a block of intervals at a time
+    (``IntervalSet.csv_text``): fed by ``iter_generations``, no generation
+    is built before the rows of the one before it are written."""
     slope = rational_str(d.slope)
     for n, s in enumerate(sets):
-        head = (str(n), d.chart, slope)
-        for lo, hi in s.rational_strs():
-            yield (*head, lo, hi)
+        yield from s.csv_text(f"{n},{d.chart},{slope},")

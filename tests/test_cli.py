@@ -2,10 +2,11 @@ import csv
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from favardlab import projection
+from favardlab import intervals, projection, serialize
 from favardlab.cli import main
 from favardlab.dimension import cover_stats
 from favardlab.favard import check_convexity
@@ -628,4 +629,97 @@ class TestIntervalCsvBytes:
         cover = cover_stats(four_corner(), Direction("x", slope), radius).intervals
         assert (cover.denominator >= 2 ** 62) == big
         assert (out / "intervals.csv").read_bytes() == reference_interval_csv(cover)
+        capsys.readouterr()
+
+    # Blocks of 1 and 3 intervals: the last block of most generations is
+    # short, and the next generation's text starts a new block after it.
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("slope, depth, big", [
+        (Fraction(3, 10), 5, False),
+        (BIG_SLOPE, 3, True),
+    ])
+    def test_generations_small_blocks(self, tmp_path, capsys, monkeypatch,
+                                      block, slope, depth, big):
+        monkeypatch.setattr(intervals, "_TEXT_BLOCK", block)
+        out = tmp_path / "gen"
+        assert run("alpha", "--preset", "four-corner",
+                   f"--slope={rational_str(slope)}", "--depth", str(depth),
+                   "--generations", "--out", str(out)) == 0
+        sets = list(iter_generations(four_corner(), Direction("x", slope), depth))
+        assert (sets[-1].denominator >= 2 ** 62) == big
+        assert any(s.count % block for s in sets) == (block > 1)
+        assert (out / "generations.csv").read_bytes() == \
+            reference_generations_csv("x", slope, sets)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("slope, big", [(Fraction(-3117, 10000), False),
+                                            (BIG_SLOPE, True)])
+    def test_cover_intervals_small_blocks(self, tmp_path, capsys, monkeypatch,
+                                          block, slope, big):
+        monkeypatch.setattr(intervals, "_TEXT_BLOCK", block)
+        out = tmp_path / "cov"
+        assert run("cover", "--preset", "four-corner",
+                   f"--slope={rational_str(slope)}", "--radius=1/1000",
+                   "--intervals", "--out", str(out)) == 0
+        cover = cover_stats(four_corner(), Direction("x", slope),
+                            Fraction(1, 1000)).intervals
+        assert (cover.denominator >= 2 ** 62) == big
+        assert (out / "intervals.csv").read_bytes() == reference_interval_csv(cover)
+        capsys.readouterr()
+
+
+class _LineCounter:
+    """A text file that counts the line ends written through it."""
+
+    def __init__(self, fh, lines):
+        self.fh = fh
+        self.lines = lines
+
+    def write(self, text):
+        self.lines[0] += text.count("\n")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        self.lines.clear()
+
+
+class TestGenerationsStream:
+    def test_next_generation_waits_for_written_blocks(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """``alpha --generations`` steps the engine to generation n + 1 only
+        once every block of generation n is written to generations.csv, so
+        the file never holds two generations in memory."""
+        d = Direction("x", Fraction(3, 10))
+        depth = 5
+        counts = [s.count for s in iter_generations(four_corner(), d, depth)]
+        monkeypatch.setattr(intervals, "_TEXT_BLOCK", 3)
+        lines = []       # [lines written to generations.csv] while it is open
+        at_step = []     # those lines when each engine step starts
+        step = projection._ExactEngine.step
+
+        def spy_step(self, keep=True):
+            if lines:
+                at_step.append(lines[0])
+            step(self, keep)
+
+        class SpyPath(type(Path())):
+            def open(self, *args, **kwargs):
+                fh = super().open(*args, **kwargs)
+                if self.name != "generations.csv":
+                    return fh
+                lines.append(0)
+                return _LineCounter(fh, lines)
+
+        monkeypatch.setattr(projection._ExactEngine, "step", spy_step)
+        monkeypatch.setattr(serialize, "Path", SpyPath)
+        out = tmp_path / "gen"
+        assert run("alpha", "--preset", "four-corner", "--slope=3/10",
+                   "--depth", str(depth), "--generations", "--out", str(out)) == 0
+        # the header, then all of generations 0..n-1, before step n
+        assert at_step == [1 + sum(counts[:n]) for n in range(1, depth + 1)]
         capsys.readouterr()

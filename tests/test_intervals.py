@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import random
@@ -286,6 +288,27 @@ class TestRationalStrs:
         assert s.count == count
         assert (den >= 2 ** 62) == big
         assert list(s.rational_strs()) == fraction_strs(s)
+
+
+class TestCsvText:
+    @given(scaled_sets(), st.integers(1, 5),
+           st.lists(st.one_of(st.integers(0, 20).map(str), st.sampled_from("xy"),
+                              rationals.map(rational_str)), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_csv_writer(self, s, block, fields):
+        prefix = "".join(f"{v}," for v in fields)
+        with patch.object(intervals, "_TEXT_BLOCK", block):
+            blocks = list(s.csv_text(prefix))
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows((*fields, lo, hi) for lo, hi in s.rational_strs())
+        assert "".join(blocks) == buf.getvalue()
+        assert [b.count("\n") for b in blocks] == \
+            [min(block, s.count - i) for i in range(0, s.count, block)]
+
+    def test_empty_prefix_and_empty_set(self):
+        s = IntervalSet.from_intervals([(-3, Fraction(-5, 2)), (Fraction(-1, 6), 0)])
+        assert list(s.csv_text()) == ["-3,-5/2\r\n-1/6,0\r\n"]
+        assert list(IntervalSet.from_intervals([]).csv_text("0,x,0,")) == []
 
 
 class TestMergeKernels:
