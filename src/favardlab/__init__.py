@@ -23,16 +23,13 @@ from .ifs import (
     validate,
 )
 from .intervals import (
-    FloatIntervalSet,
     Interval,
     IntervalSet,
-    MERGE_EPSILON,
     rational_str,
     to_fraction,
 )
 from .projection import (
     Direction,
-    ProjectedIFS1D,
     generation,
     iter_generations,
     project_ifs,
@@ -65,7 +62,6 @@ from .dimension import (
     decay_series,
     exponent_fit,
     lattice,
-    matched_depth,
     neighborhood_sequence,
     read_points,
     section_lattice,

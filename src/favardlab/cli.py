@@ -29,6 +29,7 @@ actually used as ``direction`` ("y:2/5") and ``snapped_slope``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -371,6 +372,7 @@ def _run(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="favardlab",

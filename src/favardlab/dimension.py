@@ -7,7 +7,7 @@ diameter matches r.  If the window-integrated measure of these neighborhoods
 decays like C*r^s, the Hausdorff dimension of the set is at most 1 - s; the
 fit is reported together with its residual so power-law fidelity is visible.
 The decay series is a float estimate: its generations run on the row-batched
-float engine at unsnapped slopes, all nodes of one depth at once.
+float engine at unsnapped slopes, one pass for every depth of the series.
 
 Cover statistics expose the proof-side objects: the expanded projection is a
 finite union of disjoint intervals, each of length at least 2r, so their
@@ -152,9 +152,9 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
     (with the dihedral shortcut, [0, pi/4] scaled back by its
     multiplicity); a given window must be finite.
 
-    All quadrature nodes of one depth go through ``neighborhood_lengths``
-    at once: float generations at the slope ``tan`` of each node angle, not
-    snapped to a rational, each expanded by its own sheared radius.
+    All (depth, scale) pairs, brackets included, go through one
+    ``neighborhood_lengths`` call: one float pass per row group at the
+    unsnapped slopes ``tan`` of the node angles, to the deepest depth.
     """
     rs = [to_fraction(s) for s in scales]
     if not rs:
@@ -171,19 +171,16 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
         raise ValueError("angular window must have positive length")
     nodes, weights = _panel_nodes(lo, hi, panels, order)
     weights = factor * weights
-
-    def integrate(depth: int, rf: float) -> float:
-        return float(np.dot(weights, neighborhood_lengths(ifs, nodes, depth, rf)))
-
-    records = []
-    for r in rs:
-        depth = matched_depth(ifs, r)
-        rf = float(r)
-        total = integrate(depth, rf)
-        t_lo = integrate(depth - 1, rf) if sensitivity and depth > 0 else None
-        t_hi = integrate(depth + 1, rf) if sensitivity else None
-        records.append(DecayRecord(rf, total, depth, t_lo, t_hi))
-    return records
+    depths = [matched_depth(ifs, r) for r in rs]
+    shifts = (0, -1, 1) if sensitivity else (0,)
+    wanted = [(d + s, float(r)) for r, d in zip(rs, depths) for s in shifts
+              if d + s >= 0]
+    rows = neighborhood_lengths(ifs, nodes, wanted)
+    totals = {pair: float(np.dot(weights, row)) for pair, row in zip(wanted, rows)}
+    return [DecayRecord(float(r), totals[d, float(r)], d,
+                        *(totals.get((d + s, float(r))) if s in shifts else None
+                          for s in (-1, 1)))
+            for r, d in zip(rs, depths)]
 
 
 @dataclass(frozen=True)

@@ -51,16 +51,17 @@ Results are bit-identical to concatenating all images and merging them,
 the reference kept in ``tests/oracles.py``, on either path.
 
 The float engine holds one row per direction of a ``DirectionBatch`` and
-steps all rows at once; each row gives the measures of a per-direction
-float engine bit for bit (reference in ``tests/oracles.py``).  It gives
-measures only, since generations are exact only.  A batch takes float
-slopes, ``tan`` of the angles, and projects in float arithmetic with no
-snapping and no Fractions.  At small generations a float step costs
-per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
-and ``neighborhood_lengths`` (``decay_series``) send all their angles
-through one loop of row groups bounded by ``_GROUP_ENDPOINTS``.  Once
-k**n reaches the bound (n = 6 for four maps) a group is one row and a
-step is sort-bound.
+steps all rows at once.  Each row's merged endpoints are a per-direction
+float engine's bit for bit (reference in ``tests/oracles.py``); its measure
+is summed over the row padded to the group's width, so its last bits
+depend on that width.  It gives measures only, since generations are exact
+only.  A batch takes float slopes, ``tan`` of the angles, and projects in
+float arithmetic with no snapping and no Fractions.  At small generations
+a float step costs per-call overhead, so ``projected_lengths`` (``favard``,
+``lipschitz_scan``) and ``neighborhood_lengths`` (``decay_series``) step
+all their angles once, in row groups bounded by ``_GROUP_ENDPOINTS`` at the
+deepest generation they read.  Once k**n reaches the bound (n = 6 for four
+maps) a group is one row and a step is sort-bound.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ MAX_COUNT = 50_000_000
 DEFAULT_SLOPE_DENOMINATOR = 10 ** 6
 
 _QUARTER_PI = math.pi / 4
-# Endpoints per row group of the float engine in projected_lengths: a group
-# of g rows of a k-map system at generation n holds at most g * k**n.
+# Endpoints per row group of the float engine: a group of g rows of a
+# k-map system at generation n holds at most g * k**n.
 _GROUP_ENDPOINTS = 4096
 
 
@@ -587,21 +588,25 @@ def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
     return out
 
 
-def neighborhood_lengths(ifs: IFS2D, thetas, n: int, r: float) -> np.ndarray:
+def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     """True lengths of the r-neighborhood of projected generation n at each
-    float angle.
+    float angle, one row per pair (n, r) of ``wanted``.
 
-    Each row group of ``_row_groups`` is stepped to generation n on the
-    float engine, every row expanded by its own sheared radius r / scale,
-    and all rows merged in one ``merge_float_arrays`` call.
+    Each row group of ``_row_groups``, sized for the deepest n, is stepped
+    once on the float engine.  At each generation that ``wanted`` names,
+    every row is expanded by its own sheared radius r / scale, and all rows
+    are merged in one ``merge_float_arrays`` call.
     """
-    measures = np.empty(len(thetas))
-    for cols, group in _row_groups(ifs, thetas, n):
+    if min(wanted)[0] < 0:
+        raise ValueError("generation index must be >= 0")
+    measures = np.empty((len(wanted), len(thetas)))
+    for cols, group in _row_groups(ifs, thetas, max(wanted)[0]):
         eng = _FloatEngine(ifs, group)
-        for _ in range(n):
-            eng.step()
         scale = group.scale
-        radius = (r / scale)[:, None]
-        lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius)
-        measures[cols] = np.sum(hi - lo, axis=1) * scale
+        for i, (n, r) in sorted(enumerate(wanted), key=lambda pair: pair[1][0]):
+            while eng.n < n:
+                eng.step()
+            radius = (r / scale)[:, None]
+            lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius)
+            measures[i, cols] = np.sum(hi - lo, axis=1) * scale
     return measures

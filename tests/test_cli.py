@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from favardlab import intervals, projection, serialize
-from favardlab.cli import main
+from favardlab.cli import build_parser, main
 from favardlab.dimension import cover_stats
 from favardlab.favard import check_convexity
 from favardlab.ifs import (IFS2D, Similitude2D, dump_config, four_corner,
@@ -543,6 +544,40 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "four-corner" in out
         assert "sierpinski-gasket" in out
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("first, second", [
+        (("alpha", "--preset", "four-corner", "--slope", "1/3", "--depth",
+          "3", "--backend", "float", "--generations"),
+         ("alpha", "--preset", "four-corner", "--slope", "1/3")),
+        (("dimension", "--preset", "four-corner", "--depth-min", "2",
+          "--depth-max", "4", "--sensitivity"),
+         ("dimension", "--preset", "four-corner", "--depth-min", "2",
+          "--depth-max", "4")),
+    ], ids=["alpha", "dimension"])
+    def test_no_option_leaks_between_calls(self, first, second, tmp_path,
+                                           capsys):
+        # the second call on the shared parser writes what it writes as
+        # the first call of a fresh parser
+        def outputs(argv, name):
+            out = tmp_path / name
+            assert run(*argv, "--out", str(out)) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest.pop("wall_time_s") >= 0
+            shutil.rmtree(out)
+            return files, manifest, capsys.readouterr().out
+
+        fresh = []
+        for name, argv in (("a", first), ("b", second)):
+            build_parser.cache_clear()
+            fresh.append(outputs(argv, name))
+        parser = build_parser()
+        shared = [outputs(first, "a"), outputs(second, "b")]
+        assert build_parser() is parser
+        assert shared == fresh
+        assert fresh[0][0] != fresh[1][0]
 
 
 class TestRoundTrip:

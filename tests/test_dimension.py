@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,13 @@ from favardlab.dimension import (
 from favardlab.favard import _half_period, _panel_nodes
 from favardlab.ifs import four_corner, sierpinski_gasket, sparse_corner
 from favardlab.intervals import MERGE_EPSILON, IntervalSet
-from favardlab.projection import Direction, DirectionBatch, neighborhood_lengths
+from favardlab.projection import (
+    Direction,
+    DirectionBatch,
+    _FloatEngine,
+    _row_groups,
+    neighborhood_lengths,
+)
 
 from oracles import (
     expand_components,
@@ -229,8 +236,9 @@ class TestDecayAndFit:
         thetas, weights = _panel_nodes(lo, hi, 4, 8)
         batch = DirectionBatch.from_angles(thetas)
         maps2d = [(m.ratio, m.translation) for m in ifs.maps]
-        for rec in series:
-            measures = neighborhood_lengths(ifs, thetas, rec.depth, rec.r)
+        rows = neighborhood_lengths(ifs, thetas,
+                                    [(rec.depth, rec.r) for rec in series])
+        for rec, measures in zip(series, rows):
             assert rec.total == float(np.dot(factor * weights, measures))
             for measure, cy, s, scale in zip(
                     measures, batch.chart_y, batch.slope, batch.scale):
@@ -245,6 +253,48 @@ class TestDecayAndFit:
                                               [(1.0, 0.0)], MERGE_EPSILON)
                 assert measure == pytest.approx(float(np.sum(hi - lo)) * scale,
                                                 rel=1e-12)
+
+    def test_one_pass_per_row_group(self, monkeypatch):
+        # brackets 2..7: one engine per row group of generation 7, each
+        # stepped 7 times, where a pass per (scale, bracket) steps 54
+        sc = sparse_corner(8)
+        calls = {"engines": 0, "steps": 0}
+        init, step = _FloatEngine.__init__, _FloatEngine.step
+
+        def counted_init(self, *args):
+            calls["engines"] += 1
+            init(self, *args)
+
+        def counted_step(self, *args):
+            calls["steps"] += 1
+            step(self, *args)
+
+        monkeypatch.setattr(_FloatEngine, "__init__", counted_init)
+        monkeypatch.setattr(_FloatEngine, "step", counted_step)
+        decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
+                     sensitivity=True)
+        nodes, _ = _panel_nodes(*_half_period(sc)[:2], 8, 16)
+        groups = len(_row_groups(sc, nodes, 7))
+        assert calls == {"engines": groups, "steps": groups * 7}
+
+    @pytest.mark.parametrize("ifs", [four_corner(), sierpinski_gasket()],
+                             ids=["four-corner", "gasket"])
+    def test_each_pair_matches_its_own_call(self, ifs):
+        # shuffled pairs with repeated depths; pairing each with the
+        # deepest one keeps the row groups, so the rows agree bit for bit
+        wanted = [(3, 0.01), (1, 0.1), (3, 0.02), (0, 0.5), (5, 0.003),
+                  (1, 0.07), (3, 0.01), (2, 0.3)]
+        random.Random(5).shuffle(wanted)
+        thetas, _ = _panel_nodes(-0.5, 2.0, 4, 8)
+        rows = neighborhood_lengths(ifs, thetas, wanted)
+        assert rows.shape == (len(wanted), len(thetas))
+        for pair, row in zip(wanted, rows):
+            alone = neighborhood_lengths(ifs, thetas, [pair, (5, 0.25)])[0]
+            assert row.tobytes() == alone.tobytes()
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            neighborhood_lengths(four_corner(), [0.1], [(2, 0.1), (-1, 0.1)])
 
     def test_sparse_corner_pinned_to_snapped_values(self):
         # totals and fit before the nodes stopped being snapped to rational
