@@ -1,6 +1,6 @@
 """
-A certified lower bound for the Favard length
-=============================================
+A lower-bound certificate for the Favard length
+===============================================
 
 Favard length averages the projected length over all directions.  For the
 four-corner set it tends to 0 as n grows, but not faster than c/n: on a
@@ -35,8 +35,9 @@ for n in range(1, 9):
 
 ###############################################################################
 # The bound is far from sharp (the measured values decay like 1/n but with
-# a much larger constant), yet it is fully certified: every grid row is an
-# exact rational inequality, and the window endpoints are rational too.
+# a much larger constant).  A PASS is exact at the grid slopes: every grid
+# row is an exact rational inequality.  Between the grid slopes it rests on
+# the float Lipschitz scan until the certificate covers the whole window.
 
 cert = lower_bound_certificate(fc, 4)
 print(f"\nwindow for n=4: center {cert.window_center:.6f}, "

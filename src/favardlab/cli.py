@@ -90,7 +90,10 @@ def _direction(args) -> Direction:
         if args.chart is not None:
             raise PreconditionError("--chart goes with --slope only; "
                                     "--angle picks its own chart")
-        return Direction.from_angle(args.angle)
+        try:
+            return Direction.from_angle(args.angle)
+        except ValueError as exc:
+            raise PreconditionError(f"--angle: {exc}") from None
     return Direction.from_slope(args.slope, args.chart or "x")
 
 
@@ -202,11 +205,21 @@ def _cmd_dimension(args, ifs, d) -> Result:
     if args.scales:
         scales = _parse_rational_list(args.scales)
     else:
-        b = to_fraction(args.scale_base)
+        try:
+            b = to_fraction(args.scale_base)
+        except (ValueError, ZeroDivisionError):
+            b = None
+        if b is None or b <= 1:
+            raise PreconditionError("--scale-base must be a rational above 1, "
+                                    f"got {args.scale_base!r}")
         scales = [b ** -k for k in range(args.depth_min, args.depth_max + 1)]
     window = None
     if args.window:
-        lo, hi = (float(x) for x in args.window.split(","))
+        try:
+            lo, hi = (float(x) for x in args.window.split(","))
+        except ValueError:
+            raise PreconditionError("--window must be lo,hi in radians, "
+                                    f"got {args.window!r}") from None
         window = (lo, hi)
     series = decay_series(ifs, scales, window=window, panels=args.panels,
                           order=args.order, sensitivity=args.sensitivity)

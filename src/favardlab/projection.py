@@ -56,12 +56,14 @@ float engine's bit for bit (reference in ``tests/oracles.py``); its measure
 is summed over the row padded to the group's width, so its last bits
 depend on that width.  It gives measures only, since generations are exact
 only.  A batch takes float slopes, ``tan`` of the angles, and projects in
-float arithmetic with no snapping and no Fractions.  At small generations
-a float step costs per-call overhead, so ``projected_lengths`` (``favard``,
-``lipschitz_scan``) and ``neighborhood_lengths`` (``decay_series``) step
-all their angles once, in row groups bounded by ``_GROUP_ENDPOINTS`` at the
-deepest generation they read.  Once k**n reaches the bound (n = 6 for four
-maps) a group is one row and a step is sort-bound.
+float arithmetic with no snapping and no Fractions (``Direction.from_angle``
+snaps its row of a batch of one).  At small generations a float step costs
+per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
+and ``neighborhood_lengths`` (``decay_series``) step all their angles once,
+in row groups bounded by ``_GROUP_ENDPOINTS`` at the deepest generation
+they read.  Once k**n reaches the bound (n = 6 for four maps) a group is
+one row and a step is sort-bound.  Only the steps merge:
+``neighborhood_lengths`` measures each grown row from its gaps.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ import numpy as np
 from .errors import SizeCapExceeded
 from .ifs import IFS2D
 from .intervals import (
+    MERGE_EPSILON,
     IntervalSet,
     _exact_dtype,
     _extreme,
@@ -149,22 +152,15 @@ class Direction:
 
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
-        """Snap an angle to the nearest rational-slope direction.
-
-        The angle is reduced mod pi into [-pi/4, 3pi/4); the tangent (or
-        cotangent) is approximated by its best rational with denominator at
-        most ``DEFAULT_SLOPE_DENOMINATOR`` (continued fractions).
-        """
-        t = math.fmod(theta, math.pi)
-        if t < -_QUARTER_PI:
-            t += math.pi
-        elif t >= 3 * _QUARTER_PI:
-            t -= math.pi
-        chart = "x" if -_QUARTER_PI <= t <= _QUARTER_PI else "y"
-        if chart == "y":
-            t = math.pi / 2 - t
-        slope = Fraction(math.tan(t)).limit_denominator(DEFAULT_SLOPE_DENOMINATOR)
-        return cls(chart, min(max(slope, Fraction(-1)), Fraction(1)))
+        """Snap an angle to the nearest rational-slope direction: its row of
+        ``DirectionBatch.from_angles``, with the float slope snapped to the
+        best rational of denominator at most ``DEFAULT_SLOPE_DENOMINATOR``
+        (continued fractions).  A non-finite angle raises ValueError."""
+        if not math.isfinite(theta):
+            raise ValueError(f"angle must be finite, got {theta!r}")
+        d = DirectionBatch.from_angles([theta])
+        slope = Fraction(float(d.slope[0])).limit_denominator(DEFAULT_SLOPE_DENOMINATOR)
+        return cls("y" if d.chart_y[0] else "x", slope)
 
     def label(self) -> str:
         return f"{self.chart}:{rational_str(self.slope)}"
@@ -430,8 +426,8 @@ class DirectionBatch:
 
     @classmethod
     def from_angles(cls, thetas) -> "DirectionBatch":
-        """The chart and slope of each angle, reduced as ``Direction.from_angle``
-        reduces one, with the slope taken as the float tangent directly."""
+        """Each angle reduced mod pi into [-pi/4, 3pi/4), chart y above pi/4,
+        with its float tangent in that chart, clipped to [-1, 1], as slope."""
         t = np.fmod(np.asarray(thetas, dtype=np.float64), math.pi)
         t[t < -_QUARTER_PI] += math.pi
         t[t >= 3 * _QUARTER_PI] -= math.pi
@@ -594,8 +590,11 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
 
     Each row group of ``_row_groups``, sized for the deepest n, is stepped
     once on the float engine.  At each generation that ``wanted`` names,
-    every row is expanded by its own sheared radius r / scale, and all rows
-    are merged in one ``merge_float_arrays`` call.
+    each merged row grows by its own sheared radius p = r / scale and stays
+    sorted, so its measure is read from its gaps g = l_{j+1} - h_j with no
+    second merge: the lengths, plus 2p, plus g for each gap that
+    ``merge_float_arrays`` would glue, l_{j+1} - p <= h_j + p + MERGE_EPSILON,
+    and 2p for each other.  The pads [x, x] have g = 0.
     """
     if min(wanted)[0] < 0:
         raise ValueError("generation index must be >= 0")
@@ -607,6 +606,8 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
             while eng.n < n:
                 eng.step()
             radius = (r / scale)[:, None]
-            lo, hi = merge_float_arrays(eng.lo - radius, eng.hi + radius)
-            measures[i, cols] = np.sum(hi - lo, axis=1) * scale
+            lo, hi = eng.lo[:, 1:], eng.hi[:, :-1]
+            shut = lo - radius <= hi + radius + MERGE_EPSILON
+            gaps = np.where(shut, lo - hi, 2 * radius).sum(axis=1)
+            measures[i, cols] = (eng.measure + 2 * radius[:, 0] + gaps) * scale
     return measures

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import shutil
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +150,24 @@ class TestExitCodes:
         assert run("dimension", "--preset", "four-corner",
                    f"--window={window}") == 2
         assert "window must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--angle", "inf"),
+        ("alpha", "--angle", "nan"),
+        ("dimension", "--window", "1"),
+        ("dimension", "--window=0,1,2"),
+        ("dimension", "--scale-base", "0"),
+        ("dimension", "--scale-base", "1"),
+        ("dimension", "--scale-base", "1/0"),
+    ], ids=" ".join)
+    def test_usage_error_names_the_flag(self, argv, capsys):
+        # no numpy RuntimeWarning either: the checks run before any numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv[0], "--preset", "four-corner", *argv[1:]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {argv[1].split('=')[0]}")
 
     def test_dimension_negative_window(self, capsys):
         # "--window -0.5,0.5" would read as an option; the help says "="

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favardlab import projection
 from favardlab.errors import DegenerateFitError, PreconditionError
 from favardlab.dimension import (
     DecayRecord,
@@ -291,6 +293,34 @@ class TestDecayAndFit:
         for pair, row in zip(wanted, rows):
             alone = neighborhood_lengths(ifs, thetas, [pair, (5, 0.25)])[0]
             assert row.tobytes() == alone.tobytes()
+
+    def test_no_merge_after_the_engine(self, monkeypatch):
+        # a grown merged row is measured from its gaps: only the engine's
+        # steps call merge_float_arrays
+        callers = []
+        real = projection.merge_float_arrays
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "merge_float_arrays", spy)
+        decay_series(sparse_corner(8), [Fraction(8) ** -k for k in (3, 4, 5, 6)])
+        assert callers and set(callers) == {"step"}
+
+    @pytest.mark.parametrize("r, pieces", [
+        (0.25, 1),                  # the grown intervals touch
+        (0.25 - 2.5e-13, 1),        # a gap of 5e-13 <= MERGE_EPSILON is glued
+        (0.25 - 2.0 ** -22, 2),     # a gap of 2^-21 stays open
+    ])
+    def test_gap_glued_as_the_merge_glues_it(self, r, pieces):
+        # four-corner at angle 0, generation 1: [0, 1/4] u [3/4, 1]
+        lo, hi = np.array([0.0, 0.75]), np.array([0.25, 1.0])
+        mlo, mhi = float_step_reference(lo - r, hi + r, [(1.0, 0.0)],
+                                        MERGE_EPSILON)
+        assert mlo.size == pieces
+        got = neighborhood_lengths(four_corner(), [0.0], [(1, r)])
+        assert got[0, 0] == float(np.sum(mhi - mlo))
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

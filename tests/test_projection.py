@@ -83,6 +83,36 @@ class TestDirection:
                 want -= math.pi
             assert d.angle == pytest.approx(want, abs=2e-6)
 
+    def test_from_angle_matches_scalar_reduction(self):
+        # the scalar reduction from_angle made before it became a batch of
+        # one, on the certificate's 64-slope grids and on seeded angles
+        def reference(theta):
+            q = math.pi / 4
+            t = math.fmod(theta, math.pi)
+            if t < -q:
+                t += math.pi
+            elif t >= 3 * q:
+                t -= math.pi
+            chart = "x" if -q <= t <= q else "y"
+            if chart == "y":
+                t = math.pi / 2 - t
+            slope = Fraction(math.tan(t)).limit_denominator(
+                projection.DEFAULT_SLOPE_DENOMINATOR)
+            return Direction(chart, min(max(slope, Fraction(-1)), Fraction(1)))
+
+        centre = math.atan(0.5)
+        thetas = [float(t) for n in range(1, 9) for t in np.linspace(
+            centre - 1 / (40 * n), centre + 1 / (40 * n), 64)]
+        rng = random.Random(17)
+        thetas += [rng.uniform(-10, 10) for _ in range(2000)]
+        for theta in thetas:
+            assert Direction.from_angle(theta) == reference(theta), theta
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_from_angle_rejects_non_finite(self, theta):
+        with pytest.raises(ValueError, match=f"angle must be finite, got {theta}"):
+            Direction.from_angle(theta)
+
     @given(slopes)
     def test_from_angle_recovers_exact_slopes(self, t):
         d = Direction.from_angle(math.atan(float(t)))
