@@ -18,17 +18,26 @@ manifest, with the exit code and the error.  A flag that only adds a file
 subcommand runs on one backend, which the manifest records; only
 ``alpha`` takes --backend.
 
+Each JSON file is its report's fields (``_fields``): favard.json adds
+``tol`` and ``panel_order``; certificate.json has ``grid_count`` for the
+grid, and lipschitz.json and cover.json leave out arrays, direction and
+intervals; fit.json nests the ``DecayRecord`` fields under ``records``;
+needle.json writes ``standard_error`` as ``se``, and validate.json
+``nesting`` as "pass"/"fail".  counterexample.json lists its own keys.
+
 Slopes are given exactly as rational strings ("1/2"); angles may be given
 as decimal radians instead and are snapped to a nearby rational slope.  An
 angle fixes its own chart, so --chart goes with --slope only.  Slopes
 steeper than 1 switch to the complementary chart automatically.  The
 manifest keeps the requested options as given and records the direction
-actually used as ``direction`` ("y:2/5") and ``snapped_slope``.
+actually used as ``direction`` ("y:2/5") and ``snapped_slope``.  A
+malformed rational option exits 2 naming its flag, manifest written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -78,6 +87,8 @@ class Result(NamedTuple):
     ``files`` maps a file name to a JSON payload, or a ``.csv`` name to
     ``(header, rows)``, the arguments of ``write_csv``: rows are tuples or
     finished CSV text blocks, and may be lazy, as only --out reads them.
+    A JSON payload is its report's ``_fields``, with the changes the module
+    docstring names; a malformed rational option exits 2 naming its flag.
     """
 
     line: str
@@ -94,11 +105,23 @@ def _direction(args) -> Direction:
             return Direction.from_angle(args.angle)
         except ValueError as exc:
             raise PreconditionError(f"--angle: {exc}") from None
-    return Direction.from_slope(args.slope, args.chart or "x")
+    return Direction.from_slope(_rational("--slope", args.slope),
+                                args.chart or "x")
 
 
-def _parse_rational_list(text: str) -> list:
-    return [to_fraction(tok) for tok in text.split(",") if tok.strip()]
+def _rational(flag: str, text: str):
+    """An option's text as a Fraction, or a usage error naming the flag."""
+    try:
+        return to_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"{flag} must be rational, got {text!r}") from None
+
+
+def _fields(report, drop=(), **extra) -> dict:
+    """A report's dataclass fields by name, less ``drop``, then ``extra``."""
+    fields = {f.name: getattr(report, f.name)
+              for f in dataclasses.fields(report) if f.name not in drop}
+    return fields | extra
 
 
 def _alpha_csv(seq) -> tuple:
@@ -143,28 +166,20 @@ def _cmd_favard(args, ifs, d) -> Result:
     return Result(
         f"favard n={est.n}: {est.value:.8f} +- {est.error:.2e} "
         f"({est.status}, {est.panels} panels)",
-        {"favard.json": {
-            "n": est.n, "value": est.value, "error": est.error,
-            "status": est.status, "nodes": est.nodes, "panels": est.panels,
-            "tol": quad.tol, "panel_order": quad.panel_order,
-        }},
+        {"favard.json": _fields(est, tol=quad.tol,
+                                panel_order=quad.panel_order)},
         EXIT_OK if est.converged else EXIT_COMPUTATION)
 
 
 def _cmd_certificate(args, ifs, d) -> Result:
-    cert = lower_bound_certificate(ifs, args.n, args.grid,
-                                   special_slope=to_fraction(args.slope))
+    cert = lower_bound_certificate(
+        ifs, args.n, args.grid, special_slope=_rational("--slope", args.slope))
     files = {
         "certificate.csv": (("slope", "alpha0", "alpha1", "L", "pass"),
                             ((r.slope, r.alpha0, r.alpha1, r.lower, r.ok)
                              for r in cert.grid)),
-        "certificate.json": {
-            "n": cert.n, "special_slope": cert.special_slope,
-            "window_center": cert.window_center,
-            "window_halfwidth": cert.window_halfwidth,
-            "claimed_bound": cert.claimed_bound, "status": cert.status,
-            "witness": cert.witness, "grid_count": len(cert.grid),
-        },
+        "certificate.json": _fields(cert, drop=("grid",),
+                                    grid_count=len(cert.grid)),
     }
     if cert.passed:
         return Result(f"certificate n={cert.n}: PASS, Fav >= "
@@ -174,15 +189,12 @@ def _cmd_certificate(args, ifs, d) -> Result:
 
 
 def _cmd_special_angle(args, ifs, d) -> Result:
-    rep = special_slope_check(ifs, to_fraction(args.slope))
+    rep = special_slope_check(ifs, _rational("--slope", args.slope))
     word = "tiles" if rep.tiles else "does not tile"
     return Result(
         f"special angle t={fmt(rep.slope)}: generation 1 {word}, "
         f"defect {fmt(rep.defect)}",
-        {"special_angle.json": {
-            "slope": rep.slope, "tiles": rep.tiles, "defect": rep.defect,
-            "pieces": rep.pieces, "base_measure": rep.base_measure,
-        }})
+        {"special_angle.json": _fields(rep)})
 
 
 def _cmd_lipschitz(args, ifs, d) -> Result:
@@ -193,23 +205,16 @@ def _cmd_lipschitz(args, ifs, d) -> Result:
         f"zeros near [{zs}]",
         {"lipschitz.csv": (("theta", "g"),
                            zip(rep.thetas.tolist(), rep.g.tolist())),
-         "lipschitz.json": {
-             "nodes": rep.nodes, "spacing": rep.spacing,
-             "sup_slope": rep.sup_slope, "argmin_theta": rep.argmin_theta,
-             "min_value": rep.min_value, "zeros": list(rep.zeros),
-             "nonnegative": rep.nonnegative,
-         }})
+         "lipschitz.json": _fields(rep, drop=("thetas", "g"))})
 
 
 def _cmd_dimension(args, ifs, d) -> Result:
     if args.scales:
-        scales = _parse_rational_list(args.scales)
+        scales = [_rational("--scales", tok)
+                  for tok in args.scales.split(",") if tok.strip()]
     else:
-        try:
-            b = to_fraction(args.scale_base)
-        except (ValueError, ZeroDivisionError):
-            b = None
-        if b is None or b <= 1:
+        b = _rational("--scale-base", args.scale_base)
+        if b <= 1:
             raise PreconditionError("--scale-base must be a rational above 1, "
                                     f"got {args.scale_base!r}")
         scales = [b ** -k for k in range(args.depth_min, args.depth_max + 1)]
@@ -231,59 +236,44 @@ def _cmd_dimension(args, ifs, d) -> Result:
                        ((rec.r, rec.total,
                          exponent_fit(series[:i + 1]).s if i >= 2 else "")
                         for i, rec in enumerate(series))),
-         "fit.json": {
-             "s": fit.s, "C": fit.C, "residual": fit.residual,
-             "dim_bound": fit.dim_bound,
-             "records": [{"r": rec.r, "total": rec.total, "depth": rec.depth,
-                          "total_shallower": rec.total_shallower,
-                          "total_deeper": rec.total_deeper}
-                         for rec in series],
-         }})
+         "fit.json": _fields(fit, records=[_fields(rec) for rec in series])})
 
 
 def _cmd_cover(args, ifs, d) -> Result:
-    exponents = _parse_rational_list(args.exponents)
-    stats = cover_stats(ifs, d, to_fraction(args.radius), exponents)
+    exponents = [_rational("--exponents", tok)
+                 for tok in args.exponents.split(",") if tok.strip()]
+    stats = cover_stats(ifs, d, _rational("--radius", args.radius), exponents)
     files = {"cover.csv": (("r", "count", "min_length", "p", "holder_sum"),
                            [(stats.r, stats.count, stats.min_length, p,
                              stats.holder_sums[p]) for p in exponents])}
     if args.intervals:
         files["intervals.csv"] = (("lo", "hi"), stats.intervals.csv_text())
-    files["cover.json"] = {
-        "r": stats.r, "depth": stats.depth, "count": stats.count,
-        "min_length": stats.min_length,
-        "min_length_sheared": stats.min_length_sheared,
-        "measure": stats.measure,
-        "holder_sums": {fmt(p): v for p, v in stats.holder_sums.items()},
-        "q_values": {fmt(p): q for p, q in stats.q_values.items()},
-        "floor_ok": stats.floor_ok,
-        "count_ceiling_ok": stats.count_ceiling_ok,
-    }
+    files["cover.json"] = _fields(stats, drop=("direction", "intervals"))
     return Result(f"cover r={fmt(stats.r)}: {stats.count} pieces, min length "
                   f"{stats.min_length:.6g}, floor>=2r {stats.floor_ok}", files)
 
 
 def _cmd_counterexample(args, ifs, d) -> Result:
     overlaps = ()
+    base = _rational("--base", args.base)
     if args.seesaw:
-        stages = [tuple(to_fraction(x) for x in stage.split(","))
+        stages = [tuple(_rational("--seesaw", x) for x in stage.split(","))
                   for stage in args.seesaw.split(";")]
-        result = seesaw_builder(stages, base=to_fraction(args.base),
-                                n_max=args.n_max)
+        result = seesaw_builder(stages, base=base, n_max=args.n_max)
         seq, report, overlaps = result.sequence, result.convexity, \
             result.overlaps
         label = f"seesaw({len(stages)} stages)"
     else:
         pts = read_points(args.points_file) if args.points_file \
             else section_lattice()
-        seq = neighborhood_sequence(pts, to_fraction(args.base), args.n_max)
+        seq = neighborhood_sequence(pts, base, args.n_max)
         report = check_convexity([m for _, m in seq]) if len(seq) >= 3 else None
         label = args.points_file or "quarter-integer lattice"
     files = {"neighborhood.csv": (("n", "measure"), seq)}
     if report is not None:
         files["convexity.csv"] = (("k", "margin"), report.margins)
     files["counterexample.json"] = {
-        "source": str(label), "base": to_fraction(args.base),
+        "source": str(label), "base": base,
         "sequence": [{"n": n, "measure": m} for n, m in seq],
         "convex": None if report is None else report.convex,
         "first_violation": None if report is None
@@ -307,13 +297,8 @@ def _cmd_needle(args, ifs, d) -> Result:
     return Result(
         f"needle n={est.generation}: {est.estimate:.6f} "
         f"+- {est.standard_error:.6f} ({est.hits}/{est.trials} hits)",
-        {"needle.json": {
-            "estimate": est.estimate, "se": est.standard_error,
-            "hits": est.hits, "trials": est.trials, "tests": est.tests,
-            "seed": est.seed,
-            "generation": est.generation,
-            "strip_halfwidth": est.strip_halfwidth,
-        }})
+        {"needle.json": _fields(est, drop=("standard_error",),
+                                se=est.standard_error)})
 
 
 def _cmd_validate(args, ifs, d) -> Result:
@@ -324,7 +309,8 @@ def _cmd_validate(args, ifs, d) -> Result:
     return Result(
         f"validate {ifs.name}: ratio sum {fmt(report.ratio_sum)} ({conv}), "
         f"{nest}, branching {report.branching}",
-        {"validate.json": report.as_dict()})
+        {"validate.json": _fields(
+            report, nesting="pass" if report.nesting else "fail")})
 
 
 def _cmd_presets(args, ifs, d) -> Result:

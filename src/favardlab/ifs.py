@@ -129,16 +129,6 @@ class ValidationReport:
     branching: int
     cylinder_counts: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "ratio_sum": rational_str(self.ratio_sum),
-            "ratio_sum_is_one": self.ratio_sum_is_one,
-            "convexity_applies": self.convexity_applies,
-            "nesting": "pass" if self.nesting else "fail",
-            "branching": self.branching,
-            "cylinder_counts": list(self.cylinder_counts),
-        }
-
 
 def validate(ifs: IFS2D) -> ValidationReport:
     """Report-only hypothesis check: ratio sum, nesting, sizes.

@@ -49,8 +49,6 @@ def jsonable(obj):
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "_asdict"):
-        return jsonable(obj._asdict())
     return str(obj)
 
 

@@ -169,6 +169,40 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"error: {argv[1].split('=')[0]}")
 
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--preset", "four-corner", "--slope", "x"),
+        ("special-angle", "--preset", "four-corner", "--slope", "x"),
+        ("certificate", "--preset", "four-corner", "--n", "1",
+         "--slope", "1/0"),
+        ("cover", "--preset", "four-corner", "--slope", "0",
+         "--radius", "1/0"),
+        ("cover", "--preset", "four-corner", "--slope", "0",
+         "--radius", "1/64", "--exponents", "x"),
+        ("dimension", "--preset", "four-corner", "--scales", "1/0"),
+        ("dimension", "--preset", "four-corner", "--scale-base", "x"),
+        ("counterexample", "--base", "x"),
+        ("counterexample", "--seesaw", "0,x,5"),
+    ], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+    def test_usage_malformed_rational_names_the_flag(self, argv, tmp_path,
+                                                     capsys):
+        # these used to fail with the bare Fraction message, such as
+        # "Fraction(1, 0)", which names no flag
+        flag, value = argv[-2:]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flag} must be rational")
+        assert captured.out == ""
+        # the manifest keeps the option as given, next to the error
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == err[0].removeprefix("error: ")
+        assert manifest["parameters"][flag[2:].replace("-", "_")] == value
+
     def test_dimension_negative_window(self, capsys):
         # "--window -0.5,0.5" would read as an option; the help says "="
         assert run("dimension", "--preset", "four-corner",
@@ -309,6 +343,45 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         capsys.readouterr()
+
+
+# Each JSON file is its report's fields, some left out or renamed, plus a
+# few extras; a report field added later changes these only on purpose.
+JSON_KEYS = {
+    "favard.json": (
+        ("favard", "--preset", "four-corner", "--n", "0"),
+        {"n", "value", "error", "status", "nodes", "panels",
+         "tol", "panel_order"}),
+    "certificate.json": (
+        ("certificate", "--preset", "four-corner", "--n", "1", "--grid", "8"),
+        {"n", "special_slope", "window_center", "window_halfwidth",
+         "claimed_bound", "status", "witness", "grid_count"}),
+    "special_angle.json": (
+        ("special-angle", "--preset", "four-corner", "--slope", "1/2"),
+        {"slope", "tiles", "defect", "pieces", "base_measure"}),
+    "lipschitz.json": (
+        ("lipschitz", "--preset", "four-corner", "--nodes", "11"),
+        {"nodes", "spacing", "sup_slope", "argmin_theta", "min_value",
+         "zeros", "nonnegative"}),
+    "fit.json": (
+        ("dimension", "--preset", "four-corner", "--depth-max", "5",
+         "--panels", "2", "--order", "8"),
+        {"s", "C", "residual", "dim_bound", "records"}),
+    "cover.json": (
+        ("cover", "--preset", "four-corner", "--slope", "0",
+         "--radius", "1/64"),
+        {"r", "depth", "count", "min_length", "min_length_sheared",
+         "measure", "holder_sums", "q_values", "floor_ok",
+         "count_ceiling_ok"}),
+    "needle.json": (
+        ("needle", "--preset", "four-corner", "--n", "1", "--trials", "10"),
+        {"estimate", "se", "hits", "trials", "tests", "seed", "generation",
+         "strip_halfwidth"}),
+    "validate.json": (
+        ("validate", "--preset", "four-corner"),
+        {"ratio_sum", "ratio_sum_is_one", "convexity_applies", "nesting",
+         "branching", "cylinder_counts"}),
+}
 
 
 class TestOutputs:
@@ -477,6 +550,9 @@ class TestOutputs:
         assert len(rows) == 3
         assert rows[0][2] == "" and rows[2][2] != ""
         payload = json.loads((out / "fit.json").read_text())
+        assert len(payload["records"]) == 3
+        assert all(rec.keys() == {"r", "total", "depth", "total_shallower",
+                                  "total_deeper"} for rec in payload["records"])
         assert payload["dim_bound"] == pytest.approx(1 - payload["s"])
         assert 0 < payload["s"] < 1
         capsys.readouterr()
@@ -556,6 +632,15 @@ class TestOutputs:
         payload = json.loads((out / "validate.json").read_text())
         assert payload["ratio_sum"] == "1"
         assert payload["nesting"] == "pass"
+        assert payload["convexity_applies"] is True
+        assert "nesting_checks" not in payload
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", JSON_KEYS)
+    def test_json_key_sets(self, name, tmp_path, capsys):
+        argv, keys = JSON_KEYS[name]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / name).read_text()).keys() == keys
         capsys.readouterr()
 
     def test_presets_listing(self, capsys):

@@ -180,13 +180,6 @@ class TestValidate:
         assert rep.ratio_sum_is_one
         assert not rep.convexity_applies
 
-    def test_as_dict_round_trips_to_json_types(self):
-        d = validate(four_corner()).as_dict()
-        assert d["ratio_sum"] == "1"
-        assert d["nesting"] == "pass"
-        assert d["convexity_applies"] is True
-        assert "nesting_checks" not in d
-
 
 class TestConfig:
     def test_round_trip_presets(self):
