@@ -117,6 +117,17 @@ def _rational(flag: str, text: str):
         raise PreconditionError(f"{flag} must be rational, got {text!r}") from None
 
 
+def _rationals(flag: str, text: str, length: int | None = None,
+               form: str = "one or more values a,b,...") -> list:
+    """A comma-separated option as Fractions, blank items skipped, or a
+    usage error naming the flag and ``form``: when an item is not rational,
+    or when the list is empty or, given ``length``, not that long."""
+    values = [_rational(flag, tok) for tok in text.split(",") if tok.strip()]
+    if not values or length not in (None, len(values)):
+        raise PreconditionError(f"{flag} must be rational: {form}, got {text!r}")
+    return values
+
+
 def _fields(report, drop=(), **extra) -> dict:
     """A report's dataclass fields by name, less ``drop``, then ``extra``."""
     fields = {f.name: getattr(report, f.name)
@@ -210,8 +221,7 @@ def _cmd_lipschitz(args, ifs, d) -> Result:
 
 def _cmd_dimension(args, ifs, d) -> Result:
     if args.scales:
-        scales = [_rational("--scales", tok)
-                  for tok in args.scales.split(",") if tok.strip()]
+        scales = _rationals("--scales", args.scales)
     else:
         b = _rational("--scale-base", args.scale_base)
         if b <= 1:
@@ -240,8 +250,7 @@ def _cmd_dimension(args, ifs, d) -> Result:
 
 
 def _cmd_cover(args, ifs, d) -> Result:
-    exponents = [_rational("--exponents", tok)
-                 for tok in args.exponents.split(",") if tok.strip()]
+    exponents = _rationals("--exponents", args.exponents)
     stats = cover_stats(ifs, d, _rational("--radius", args.radius), exponents)
     files = {"cover.csv": (("r", "count", "min_length", "p", "holder_sum"),
                            [(stats.r, stats.count, stats.min_length, p,
@@ -257,7 +266,8 @@ def _cmd_counterexample(args, ifs, d) -> Result:
     overlaps = ()
     base = _rational("--base", args.base)
     if args.seesaw:
-        stages = [tuple(_rational("--seesaw", x) for x in stage.split(","))
+        stages = [_rationals("--seesaw", stage, 3,
+                             "center,spacing,extent per stage")
                   for stage in args.seesaw.split(";")]
         result = seesaw_builder(stages, base=base, n_max=args.n_max)
         seq, report, overlaps = result.sequence, result.convexity, \

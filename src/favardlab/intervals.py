@@ -1,25 +1,23 @@
 """Exact 1D interval-set geometry with a rational and a float backend.
 
-Endpoints of an exact set are kept as integer numerators over one shared
-positive denominator, so sorting and merging never touch rational
-arithmetic; the public surface speaks ``fractions.Fraction``.  The
-numerators live in the same arrays the generation engine steps: int64 while
-the denominator and every numerator lie below 2^62, ``dtype=object`` arrays
-of Python ints past that, one rule (``_exact_dtype``) for both.  There is
-one exact merge, ``merge_int64_arrays``, on either dtype: the engine's
-windows and every set built from unsorted intervals or grown by ``expand``
-go through it.
+Endpoints of an exact set are integer numerators over one shared positive
+denominator, so sorting and merging never touch rational arithmetic; the
+public surface speaks ``fractions.Fraction``.  The numerators live in the
+arrays the generation engine steps: int64 while the denominator and every
+numerator lie below 2^62, ``dtype=object`` arrays of Python ints past that
+(``_exact_dtype``).  A canonical set is sorted, disjoint with positive gaps
+(touching closed intervals merge) and free of degenerate ``[a, a]``
+entries, except point sets from :meth:`IntervalSet.from_points`, which
+``expand`` grows into neighborhoods.
 
-A canonical set is sorted, pairwise disjoint with strictly positive gaps
-(touching intervals are merged, closed-interval semantics), and free of
-degenerate ``[a, a]`` entries.  Point sets built with
-:meth:`IntervalSet.from_points` are the one sanctioned exception: they hold
-degenerate intervals so that ``expand`` can grow them into neighborhoods.
-
-The float backend (:class:`FloatIntervalSet`) mirrors the same surface with
-binary64 endpoints and an absolute gap tolerance below which intervals are
-glued together.  Summation order is fixed (ascending lo) so repeated runs
-are bit-identical.
+Every merge is one sort and sweep (``_sweep``) under one rule (``_apart``):
+a merged interval starts where a left end lies past the largest right end
+before it.  ``merge_int64_arrays`` sweeps integers of either dtype with no
+tolerance: the engine's windows, and every exact set built from unsorted
+intervals or grown by ``expand``.  ``merge_float_arrays`` sweeps binary64
+rows (:class:`FloatIntervalSet`, the float engine) and glues gaps up to an
+absolute tolerance.  Summation order is fixed (ascending lo), so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -124,45 +122,18 @@ class Interval:
         return self.hi - self.lo
 
 
-def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized merge of integer endpoint arrays (closed-interval
-    semantics): int64, or ``dtype=object`` arrays of Python ints, which
-    keep their dtype."""
-    if lo.size == 0:
-        return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    run = np.maximum.accumulate(hi)
-    start = np.empty(lo.size, dtype=bool)
-    start[0] = True
-    np.greater(lo[1:], run[:-1], out=start[1:])
-    # a merged interval ends just before the next one starts
-    end = np.empty_like(start)
-    end[:-1] = start[1:]
-    end[-1] = True
-    return lo[start], run[end]
+def _apart(lo: np.ndarray, run: np.ndarray, eps=None, out=None) -> np.ndarray:
+    """The merge rule: True where a left end lo lies past run, the largest
+    right end before it, by more than eps (None for integers: no add)."""
+    return np.greater(lo, run if eps is None else run + eps, out=out)
 
 
-def merge_float_arrays(
-    lo: np.ndarray, hi: np.ndarray, merge_eps: float = MERGE_EPSILON
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized merge of float64 endpoints, one interval set per row.
-
-    Each row is sorted by a stable argsort of lo and swept with a running
-    maximum of hi; gaps of at most merge_eps are glued and degenerate
-    merged intervals dropped.  1D arrays are one row and give 1D results.
-    2D results are padded to the longest row with degenerate copies
-    [x, x] of the row's last right end x: they lie in the row's last
-    interval, add nothing to its measure and merge away again.  A row left
-    empty is padded with zeros.
-    """
-    if lo.ndim == 1:
-        mlo, mhi = merge_float_arrays(lo[None], hi[None], merge_eps)
-        return mlo[0], mhi[0]
+def _sweep(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
+    """Merge each row of 2D endpoint arrays: a stable argsort of lo, a
+    running maximum of hi, and a new interval wherever ``_apart`` holds.
+    Returns the merged lo and hi of all rows, in row order, as 1D arrays,
+    and the (rows, m) mask of the starts."""
     rows, m = lo.shape
-    if m == 0:
-        return lo, hi
     order = np.argsort(lo, axis=1, kind="stable")
     if rows > 1:
         order += np.arange(0, rows * m, m)[:, None]
@@ -171,11 +142,41 @@ def merge_float_arrays(
     run = np.maximum.accumulate(hi, axis=1)
     starts = np.empty((rows, m), dtype=bool)
     starts[:, 0] = True
-    np.greater(lo[:, 1:], run[:, :-1] + merge_eps, out=starts[:, 1:])
+    _apart(lo[:, 1:], run[:, :-1], eps, out=starts[:, 1:])
+    # a merged interval ends just before the next one starts
     ends = np.empty_like(starts)
     ends[:, :-1] = starts[:, 1:]
     ends[:, -1] = True
-    mlo, mhi = lo[starts], run[ends]
+    return lo[starts], run[ends], starts
+
+
+def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge int64 or ``dtype=object`` endpoint arrays, which keep their
+    dtype, by a one-row ``_sweep`` with no tolerance: touching ones merge."""
+    if lo.size == 0:
+        return lo, hi
+    return _sweep(lo[None], hi[None])[:2]
+
+
+def merge_float_arrays(
+    lo: np.ndarray, hi: np.ndarray, merge_eps: float = MERGE_EPSILON
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge float64 endpoints by ``_sweep``, one interval set per row.
+
+    Gaps of at most merge_eps are glued and degenerate merged intervals
+    dropped.  1D arrays are one row and give 1D results.  2D results are
+    padded to the longest row with degenerate copies [x, x] of the row's
+    last right end x: they lie in the row's last interval, add nothing to
+    its measure and merge away again.  A row left empty is padded with
+    zeros.
+    """
+    if lo.ndim == 1:
+        mlo, mhi = merge_float_arrays(lo[None], hi[None], merge_eps)
+        return mlo[0], mhi[0]
+    rows, m = lo.shape
+    if m == 0:
+        return lo, hi
+    mlo, mhi, starts = _sweep(lo, hi, merge_eps)
     keep = mhi > mlo
     mlo, mhi = mlo[keep], mhi[keep]
     if rows == 1:
@@ -203,7 +204,7 @@ class IntervalSet:
     structurally.  They are held in read-only numpy arrays, the engine's
     own: int64 when the denominator and every numerator lie below 2^62,
     ``dtype=object`` arrays of Python ints otherwise (``_exact_dtype``).
-    Every merge goes through ``merge_int64_arrays``.
+    Every merge is the integer ``_sweep`` of ``merge_int64_arrays``.
     """
 
     __slots__ = ("_den", "_lo", "_hi")
@@ -427,15 +428,12 @@ class FloatIntervalSet:
     __slots__ = ("_lo", "_hi", "_eps")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, merge_eps: float):
+        # Trusted: merged arrays, made read-only here.
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         self._lo = lo
         self._hi = hi
         self._eps = merge_eps
-
-    @classmethod
-    def _trusted(cls, lo: np.ndarray, hi: np.ndarray, merge_eps: float) -> "FloatIntervalSet":
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return cls(lo, hi, merge_eps)
 
     @classmethod
     def from_intervals(cls, items: Iterable, merge_eps: float = MERGE_EPSILON) -> "FloatIntervalSet":
@@ -454,7 +452,7 @@ class FloatIntervalSet:
             his.append(b)
         lo, hi = merge_float_arrays(np.asarray(los, dtype=np.float64),
                                     np.asarray(his, dtype=np.float64), merge_eps)
-        return cls._trusted(lo, hi, merge_eps)
+        return cls(lo, hi, merge_eps)
 
     @property
     def count(self) -> int:
@@ -491,7 +489,7 @@ class FloatIntervalSet:
         if r <= 0:
             raise ValueError(f"expansion radius must be positive, got {r}")
         lo, hi = merge_float_arrays(self._lo - r, self._hi + r, self._eps)
-        return FloatIntervalSet._trusted(lo, hi, self._eps)
+        return FloatIntervalSet(lo, hi, self._eps)
 
     def issuperset(self, other: "FloatIntervalSet", slack: float = 0.0) -> bool:
         i = 0

@@ -62,8 +62,8 @@ per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
 and ``neighborhood_lengths`` (``decay_series``) step all their angles once,
 in row groups bounded by ``_GROUP_ENDPOINTS`` at the deepest generation
 they read.  Once k**n reaches the bound (n = 6 for four maps) a group is
-one row and a step is sort-bound.  Only the steps merge:
-``neighborhood_lengths`` measures each grown row from its gaps.
+one row and a step is sort-bound.  Only the steps merge: each grown row of
+``neighborhood_lengths`` is measured from its gaps under ``_apart``.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .ifs import IFS2D
 from .intervals import (
     MERGE_EPSILON,
     IntervalSet,
+    _apart,
     _exact_dtype,
     _extreme,
     merge_float_arrays,
@@ -592,9 +593,9 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     once on the float engine.  At each generation that ``wanted`` names,
     each merged row grows by its own sheared radius p = r / scale and stays
     sorted, so its measure is read from its gaps g = l_{j+1} - h_j with no
-    second merge: the lengths, plus 2p, plus g for each gap that
-    ``merge_float_arrays`` would glue, l_{j+1} - p <= h_j + p + MERGE_EPSILON,
-    and 2p for each other.  The pads [x, x] have g = 0.
+    second merge: the lengths, plus 2p, plus 2p for each gap the merge
+    rule ``_apart`` keeps open between grown intervals [l - p, h + p] at
+    MERGE_EPSILON, and g for each other.  The pads [x, x] have g = 0.
     """
     if min(wanted)[0] < 0:
         raise ValueError("generation index must be >= 0")
@@ -607,7 +608,7 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
                 eng.step()
             radius = (r / scale)[:, None]
             lo, hi = eng.lo[:, 1:], eng.hi[:, :-1]
-            shut = lo - radius <= hi + radius + MERGE_EPSILON
-            gaps = np.where(shut, lo - hi, 2 * radius).sum(axis=1)
+            apart = _apart(lo - radius, hi + radius, MERGE_EPSILON)
+            gaps = np.where(apart, 2 * radius, lo - hi).sum(axis=1)
             measures[i, cols] = (eng.measure + 2 * radius[:, 0] + gaps) * scale
     return measures

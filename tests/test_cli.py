@@ -178,15 +178,20 @@ class TestExitCodes:
          "--radius", "1/0"),
         ("cover", "--preset", "four-corner", "--slope", "0",
          "--radius", "1/64", "--exponents", "x"),
+        ("cover", "--preset", "four-corner", "--slope", "0",
+         "--radius", "1/64", "--exponents", ","),
         ("dimension", "--preset", "four-corner", "--scales", "1/0"),
+        ("dimension", "--preset", "four-corner", "--scales", ","),
         ("dimension", "--preset", "four-corner", "--scale-base", "x"),
         ("counterexample", "--base", "x"),
         ("counterexample", "--seesaw", "0,x,5"),
+        ("counterexample", "--seesaw", "0,1/4"),
     ], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
     def test_usage_malformed_rational_names_the_flag(self, argv, tmp_path,
                                                      capsys):
         # these used to fail with the bare Fraction message, such as
-        # "Fraction(1, 0)", which names no flag
+        # "Fraction(1, 0)", which names no flag; an empty list or a seesaw
+        # stage of two values names the flag and the form
         flag, value = argv[-2:]
         assert run(*argv) == 2
         captured = capsys.readouterr()

@@ -42,6 +42,23 @@ def interval_lists(draw, max_size=12):
     return out
 
 
+@st.composite
+def integer_rows(draw):
+    """Equal-length rows of unsorted integer intervals [a, a + w] near a
+    base below 2^40 in magnitude: the narrow range of a gives touching and
+    nested intervals, and w = 0 degenerate ones."""
+    rows = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    lo, hi = [], []
+    for _ in range(rows):
+        base = draw(st.integers(-2**40, 2**40 - 64))
+        pairs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)),
+                              min_size=m, max_size=m))
+        lo.append([base + a for a, _ in pairs])
+        hi.append([base + a + w for a, w in pairs])
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
 class TestScalars:
     def test_to_fraction_forms(self):
         assert to_fraction("3/4") == Fraction(3, 4)
@@ -328,6 +345,21 @@ class TestMergeKernels:
         olo, ohi = merge_int64_arrays(lo.astype(object), hi.astype(object))
         assert olo.dtype == ohi.dtype == object
         assert (olo.tolist(), ohi.tolist()) == (klo.tolist(), khi.tolist())
+
+    @given(integer_rows())
+    def test_float_rows_follow_the_int64_rule(self, rows):
+        # integers below 2^40 are exact in binary64, so with no tolerance
+        # both kernels apply the one merge rule: every float row is the
+        # int64 merge of its integers once degenerate merged intervals
+        # (which the float kernel drops) and the pads are left out
+        lo, hi = rows
+        mlo, mhi = merge_float_arrays(lo.astype(float), hi.astype(float), 0.0)
+        for row in range(len(lo)):
+            klo, khi = merge_int64_arrays(lo[row], hi[row])
+            kept = khi > klo
+            real = mhi[row] > mlo[row]
+            assert mlo[row][real].tolist() == klo[kept].tolist()
+            assert mhi[row][real].tolist() == khi[kept].tolist()
 
     def test_float_merge_uses_epsilon(self):
         lo = np.array([0.0, 1.0 + 1e-13])
