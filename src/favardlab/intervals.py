@@ -12,10 +12,14 @@ entries, except point sets from :meth:`IntervalSet.from_points`, which
 
 Every merge is one sort and sweep (``_sweep``) under one rule (``_apart``):
 a merged interval starts where a left end lies past the largest right end
-before it.  ``merge_int64_arrays`` sweeps integers of either dtype with no
-tolerance: the engine's windows, and every exact set built from unsorted
-intervals or grown by ``expand``.  ``merge_float_arrays`` sweeps binary64
-rows (:class:`FloatIntervalSet`, the float engine) and glues gaps up to an
+before it.  The left ends and the right ends are sorted apart: where the
+(i+1)-th smallest left end starts an interval, the i intervals before it
+are also the i with the smallest right ends, so the largest right end
+before it is the i-th smallest: no gather and no running maximum.
+``merge_int64_arrays`` sweeps integers of either dtype with no tolerance:
+the engine's windows, and every exact set built from unsorted intervals or
+grown by ``expand``.  ``merge_float_arrays`` sweeps binary64 rows
+(:class:`FloatIntervalSet`, the float engine) and glues gaps up to an
 absolute tolerance.  Summation order is fixed (ascending lo), so repeated
 runs are bit-identical.
 """
@@ -37,8 +41,8 @@ RationalLike = Union[Fraction, int, str, float]
 #: Absolute gap below which the float backend merges neighboring intervals.
 MERGE_EPSILON = 1e-12
 
-# Largest magnitude allowed through the int64 kernels; leaves headroom for
-# the running-max arithmetic inside the merge.
+# Largest magnitude allowed in int64 numerator arrays: half the int64 range,
+# so the sum or difference of two numerators cannot overflow.
 _INT64_SAFE = 1 << 62
 
 
@@ -129,33 +133,34 @@ def _apart(lo: np.ndarray, run: np.ndarray, eps=None, out=None) -> np.ndarray:
 
 
 def _sweep(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
-    """Merge each row of 2D endpoint arrays: a stable argsort of lo, a
-    running maximum of hi, and a new interval wherever ``_apart`` holds.
-    Returns the merged lo and hi of all rows, in row order, as 1D arrays,
-    and the (rows, m) mask of the starts."""
-    rows, m = lo.shape
-    order = np.argsort(lo, axis=1, kind="stable")
-    if rows > 1:
-        order += np.arange(0, rows * m, m)[:, None]
-    lo = lo.ravel()[order]
-    hi = hi.ravel()[order]
-    run = np.maximum.accumulate(hi, axis=1)
-    starts = np.empty((rows, m), dtype=bool)
-    starts[:, 0] = True
-    _apart(lo[:, 1:], run[:, :-1], eps, out=starts[:, 1:])
+    """Merge each row (the last axis) of 1D or 2D endpoint arrays.
+
+    The left ends L and the right ends H are sorted apart, each by a stable
+    sort, and a merged interval starts at index i wherever
+    ``_apart(L[i], H[i-1], eps)`` holds and ends at H[i-1].  That is the
+    running-maximum rule: where either start test holds (eps >= 0), the i
+    intervals with the smallest left ends are the i with the smallest
+    right ends, so H[i-1] is the largest right end before L[i].  Returns
+    the merged lo and hi of all rows, in row order, as 1D arrays, and the
+    mask of the starts, shaped like lo."""
+    lo = np.sort(lo, kind="stable")
+    hi = np.sort(hi, kind="stable")
+    starts = np.empty(lo.shape, dtype=bool)
+    starts[..., 0] = True
+    _apart(lo[..., 1:], hi[..., :-1], eps, out=starts[..., 1:])
     # a merged interval ends just before the next one starts
     ends = np.empty_like(starts)
-    ends[:, :-1] = starts[:, 1:]
-    ends[:, -1] = True
-    return lo[starts], run[ends], starts
+    ends[..., :-1] = starts[..., 1:]
+    ends[..., -1] = True
+    return lo[starts], hi[ends], starts
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge int64 or ``dtype=object`` endpoint arrays, which keep their
-    dtype, by a one-row ``_sweep`` with no tolerance: touching ones merge."""
+    dtype, by ``_sweep`` with no tolerance: touching ones merge."""
     if lo.size == 0:
         return lo, hi
-    return _sweep(lo[None], hi[None])[:2]
+    return _sweep(lo, hi)[:2]
 
 
 def merge_float_arrays(
@@ -163,22 +168,23 @@ def merge_float_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge float64 endpoints by ``_sweep``, one interval set per row.
 
-    Gaps of at most merge_eps are glued and degenerate merged intervals
-    dropped.  1D arrays are one row and give 1D results.  2D results are
-    padded to the longest row with degenerate copies [x, x] of the row's
-    last right end x: they lie in the row's last interval, add nothing to
-    its measure and merge away again.  A row left empty is padded with
-    zeros.
+    Gaps of at most merge_eps, which must be finite and >= 0, are glued
+    and degenerate merged intervals dropped.  1D arrays are one row and
+    give 1D results.  2D results are padded to the longest row with
+    degenerate copies [x, x] of the row's last right end x: they lie in
+    the row's last interval, add nothing to its measure and merge away
+    again.  A row left empty is padded with zeros.
     """
-    if lo.ndim == 1:
-        mlo, mhi = merge_float_arrays(lo[None], hi[None], merge_eps)
-        return mlo[0], mhi[0]
-    rows, m = lo.shape
-    if m == 0:
+    if not (math.isfinite(merge_eps) and merge_eps >= 0):
+        raise ValueError(f"merge_eps must be finite and >= 0, got {merge_eps!r}")
+    if lo.shape[-1] == 0:
         return lo, hi
     mlo, mhi, starts = _sweep(lo, hi, merge_eps)
     keep = mhi > mlo
     mlo, mhi = mlo[keep], mhi[keep]
+    if lo.ndim == 1:
+        return mlo, mhi
+    rows = lo.shape[0]
     if rows == 1:
         return mlo[None], mhi[None]
     row = np.nonzero(starts)[0][keep]

@@ -462,9 +462,10 @@ class _FloatEngine:
     step maps every row through all maps and merges all rows at once with
     ``merge_float_arrays``.  Rows shorter than the longest are padded with
     degenerate copies [x, x] of their right end x.  Under a map the image
-    of a pad is the right end of the image of the row's last interval and
-    comes after it in the stable sort, so a pad never starts a merged
-    interval nor raises a running maximum: every row merges as it would
+    of a pad is the right end of the image of the row's last interval, so
+    it lies in that image and changes neither the union nor a gap: the
+    sweep sorts left and right ends apart, so its result depends only on
+    the intervals, not their order, and every row merges as it would
     alone.
     """
 

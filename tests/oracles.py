@@ -5,8 +5,9 @@ arithmetic, quadratic algorithms, no imports from the package under test.
 The package must agree with these on small instances.  The CSV reference
 reads interval sets through their ``intervals`` property only.  The needle
 oracle uses numpy only to replay the same Philox line stream, the
-exact-step reference only for its int64 re-sort, and the float-step
-reference because float results depend on the order of float operations.
+merge reference (``reference_sweep``) for its stable argsort and running
+maximum, and the float-step reference because float results depend on the
+order of float operations.
 """
 
 from __future__ import annotations
@@ -158,6 +159,24 @@ def needle_hits_bruteforce(maps2d, base2d, n, seed, trials, halfwidth,
 _INT64_LIMIT = 1 << 62
 
 
+def reference_sweep(lo, hi, eps=None):
+    """Merge one row of endpoint arrays by a stable argsort of lo and a
+    running maximum of hi.
+
+    A merged interval starts wherever a sorted left end lies past the
+    running maximum before it, by more than eps (by any amount when eps is
+    None).  Returns the merged lo and hi, degenerate ones included, and the
+    mask of the starts in sorted order.
+    """
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    run = np.maximum.accumulate(hi)
+    gap = run[:-1] if eps is None else run[:-1] + eps
+    starts = np.concatenate(([True], lo[1:] > gap))
+    ends = np.append(starts[1:], True)
+    return lo[starts], run[ends], starts
+
+
 def exact_step_reference(den, lo, hi, maps):
     """One step E -> union of r*E + c of the exact engine, by re-sorting.
 
@@ -165,9 +184,9 @@ def exact_step_reference(den, lo, hi, maps):
     maps are (ratio, offset) Fractions.  The new denominator is
     lcm(den * lcm of ratio denominators, lcm of offset denominators), as in
     the engine.  When every image endpoint fits below 2^62 all 2k image
-    arrays are concatenated and merged by a stable argsort and a running
-    maximum in int64, otherwise by sorting Python-int pairs.  Degenerate
-    merged intervals are dropped.  Returns (new_den, lo, hi, used_int64).
+    arrays are concatenated and merged by ``reference_sweep`` in int64,
+    otherwise by sorting Python-int pairs.  Degenerate merged intervals
+    are dropped.  Returns (new_den, lo, hi, used_int64).
     """
     ratio_lcm = offset_lcm = 1
     for r, c in maps:
@@ -188,12 +207,7 @@ def exact_step_reference(den, lo, hi, maps):
         cat_hi = np.concatenate([a * hi_a + c for a, c in coeffs])
         if cat_lo.size == 0:
             return new_den, cat_lo, cat_hi, True
-        order = np.argsort(cat_lo, kind="stable")
-        cat_lo, cat_hi = cat_lo[order], cat_hi[order]
-        run = np.maximum.accumulate(cat_hi)
-        starts = np.flatnonzero(np.concatenate(([True], cat_lo[1:] > run[:-1])))
-        ends = np.append(starts[1:] - 1, cat_lo.size - 1)
-        mlo, mhi = cat_lo[starts], run[ends]
+        mlo, mhi, _ = reference_sweep(cat_lo, cat_hi)
         keep = mhi > mlo
         return new_den, mlo[keep], mhi[keep], True
     pairs = sorted((a * x + c, a * y + c) for a, c in coeffs
@@ -212,20 +226,15 @@ def float_step_reference(lo, hi, maps, eps):
     """One step E -> union of r*E + c of the float engine for one direction.
 
     The per-direction step the row-batched engine replaced: the k images
-    are concatenated map by map, sorted by a stable argsort of lo, merged
-    with a running maximum of hi where gaps are at most eps, and degenerate
-    merged intervals are dropped.  maps are float (ratio, offset) pairs.
+    are concatenated map by map and merged by ``reference_sweep``, which
+    glues gaps of at most eps, and degenerate merged intervals are
+    dropped.  maps are float (ratio, offset) pairs.
     """
     cat_lo = np.concatenate([r * lo + c for r, c in maps])
     cat_hi = np.concatenate([r * hi + c for r, c in maps])
     if cat_lo.size == 0:
         return cat_lo, cat_hi
-    order = np.argsort(cat_lo, kind="stable")
-    cat_lo, cat_hi = cat_lo[order], cat_hi[order]
-    run = np.maximum.accumulate(cat_hi)
-    starts = np.flatnonzero(np.concatenate(([True], cat_lo[1:] > run[:-1] + eps)))
-    ends = np.append(starts[1:] - 1, cat_lo.size - 1)
-    mlo, mhi = cat_lo[starts], run[ends]
+    mlo, mhi, _ = reference_sweep(cat_lo, cat_hi, eps)
     keep = mhi > mlo
     return mlo[keep], mhi[keep]
 

@@ -24,7 +24,7 @@ from favardlab.intervals import (
     to_fraction,
 )
 
-from oracles import union_components, union_measure
+from oracles import reference_sweep, union_components, union_measure
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -57,6 +57,21 @@ def integer_rows(draw):
         lo.append([base + a for a, _ in pairs])
         hi.append([base + a + w for a, w in pairs])
     return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+@st.composite
+def grid_rows(draw):
+    """Unsorted intervals on a grid, one row (1D) or 1-4 rows (2D) of up to
+    12: as integers (a, w, s, t), the interval [a, a + w] with jitters s
+    and t of the float ends.  The narrow range of a gives nested, tied and
+    touching intervals, and w = 0 degenerate ones."""
+    rows = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    shape = (m,) if rows == 1 and draw(st.booleans()) else (rows, m)
+    cells = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 6),
+                                    st.integers(0, 3), st.integers(0, 3)),
+                          min_size=rows * m, max_size=rows * m))
+    return [np.array(v, dtype=np.int64).reshape(shape) for v in zip(*cells)]
 
 
 class TestScalars:
@@ -361,6 +376,32 @@ class TestMergeKernels:
             assert mlo[row][real].tolist() == klo[kept].tolist()
             assert mhi[row][real].tolist() == khi[kept].tolist()
 
+    @pytest.mark.parametrize("kind, eps", [
+        ("int64", None), ("object", None), ("float", 0.0),
+        ("float", MERGE_EPSILON), ("float", 0.25)])
+    @given(grid=grid_rows(), base=st.integers(-2**40, 2**40))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_running_maximum(self, kind, eps, grid, base):
+        # sorting the ends apart gives the starts and endpoints of a stable
+        # argsort and a running maximum, bit for bit
+        a, w, s, t = grid
+        if kind == "float":
+            # an eighth-unit grid puts gaps on 0.25, jitters near 1e-12
+            lo = a * 0.125 + s * 5e-13
+            hi = lo + (w * 0.125 + t * 5e-13)
+        else:
+            lo = base + a if kind == "int64" else a.astype(object) + base * 2**30
+            hi = lo + w
+        mlo, mhi, starts = intervals._sweep(lo, hi, eps)
+        want = [reference_sweep(r_lo, r_hi, eps)
+                for r_lo, r_hi in zip(np.atleast_2d(lo), np.atleast_2d(hi))]
+        assert np.array_equal(starts.reshape(len(want), -1),
+                              [mask for _, _, mask in want])
+        for got, part in ((mlo, 0), (mhi, 1)):
+            ref = np.concatenate([row[part] for row in want])
+            assert got.dtype == ref.dtype == lo.dtype
+            assert got.tolist() == ref.tolist()
+
     def test_float_merge_uses_epsilon(self):
         lo = np.array([0.0, 1.0 + 1e-13])
         hi = np.array([1.0, 2.0])
@@ -427,6 +468,21 @@ class TestFloatSet:
         assert big.issuperset(small, slack=1e-12)
         assert not big.issuperset(FloatIntervalSet.from_intervals([(2.0, 3.0)]),
                                   slack=1e-12)
+
+    @pytest.mark.parametrize("eps", [-1.5, -1e-300, math.nan, math.inf, 0.0])
+    def test_merge_eps_must_be_finite_and_not_negative(self, eps):
+        # a negative tolerance kept overlapping [0, 2] and [1, 3] apart
+        # (measure 4.0 for a union of 3.0), and NaN glued [0, 1] to [2, 3]
+        overlap, gap = [(0, 2), (1, 3)], [(0, 1), (2, 3)]
+        if eps == 0.0:
+            assert FloatIntervalSet.from_intervals(overlap, eps).measure == 3.0
+            assert FloatIntervalSet.from_intervals(gap, eps).count == 2
+            return
+        for items in (overlap, gap, []):
+            with pytest.raises(ValueError, match="merge_eps"):
+                FloatIntervalSet.from_intervals(items, merge_eps=eps)
+        with pytest.raises(ValueError, match="merge_eps"):
+            merge_float_arrays(np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]]), eps)
 
     @given(interval_lists())
     @settings(max_examples=200, deadline=None)
