@@ -15,8 +15,8 @@ and then the manifest under --out, and prints the line.  It maps
 exceptions to exit codes, and under --out a failed run still writes its
 manifest, with the exit code and the error.  A flag that only adds a file
 (--generations, --intervals) is a usage error without --out.  Each
-subcommand runs on one backend, which the manifest records; only
-``alpha`` takes --backend.
+subcommand runs on one backend, which the manifest records; ``alpha``
+takes --backend, whose one value is ``exact``.
 
 Each JSON file is its report's fields (``_fields``): favard.json adds
 ``tol`` and ``panel_order``; certificate.json has ``grid_count`` for the
@@ -143,7 +143,7 @@ def _alpha_csv(seq) -> tuple:
 
 
 def _cmd_alpha(args, ifs, d) -> Result:
-    seq = alpha_sequence(ifs, d, args.depth, backend=args.backend)
+    seq = alpha_sequence(ifs, d, args.depth)
     files = {"alpha.csv": _alpha_csv(seq)}
     if args.generations:
         files["generations.csv"] = (
@@ -341,8 +341,7 @@ def _run(args) -> int:
     handler, backend, source, slope = args.spec
     out = getattr(args, "out", None)
     params = {k: v for k, v in vars(args).items() if k != "spec"}
-    manifest = ManifestTimer(args.command, params,
-                             params.get("backend", backend))
+    manifest = ManifestTimer(args.command, params, backend)
     error = None
     try:
         # flags that only add a file are usage errors without --out
@@ -394,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Declare a subcommand; returns its parser for its own options.
 
         ``backend`` is the backend the handler runs on, which the manifest
-        records, or a tuple of choices for a --backend flag, the first the
-        default.  Only a subcommand with a backend writes files, so only it
+        records.  Only a subcommand with a backend writes files, so only it
         takes --out.  ``source`` adds --preset/--config, and ``slope`` adds
         --slope/--angle/--chart for the direction handed to the handler.
         """
@@ -406,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--config", help="path to an IFS config file")
         if backend:
             p.add_argument("--out", help="directory for CSV/JSON outputs")
-        if isinstance(backend, tuple):
-            p.add_argument("--backend", choices=backend, default=backend[0])
         if slope:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--slope", help="rational slope like 1/2")
@@ -419,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sub("alpha", _cmd_alpha, "projected lengths of generations",
-            ("exact", "float"), slope=True)
+            "exact", slope=True)
+    p.add_argument("--backend", choices=("exact",), default="exact")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--generations", action="store_true",
-                   help="also write the exact generation intervals CSV, "
-                        "whatever the backend")
+                   help="also write the exact generation intervals CSV")
 
     p = sub("convexity", _cmd_convexity, "second-difference report",
             "exact", slope=True)

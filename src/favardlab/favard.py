@@ -31,7 +31,6 @@ from .ifs import IFS2D
 from .intervals import to_fraction
 from .projection import (
     Direction,
-    DirectionBatch,
     _QUARTER_PI,
     iter_generations,
     projected_lengths,
@@ -43,11 +42,11 @@ SPECIAL_SLOPE = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class AlphaSequence:
-    """Sheared projected lengths of generations 0..N in one direction.
+    """Exact sheared projected lengths of generations 0..N in one direction.
 
     True lengths are ``value * scale``; convexity and monotonicity are
-    unaffected by the positive factor, so they are tested on the sheared
-    values directly (exactly, when the backend is exact).
+    unaffected by the positive factor, so they are tested on the exact
+    sheared values directly.
     """
 
     direction: Direction
@@ -60,19 +59,11 @@ class AlphaSequence:
 
 def alpha_sequence(ifs: IFS2D, d: Direction, n_max: int,
                    backend: str = "exact") -> AlphaSequence:
-    """Compute alpha_0 .. alpha_{n_max}, reusing the merged set per step.
-
-    The ``"exact"`` backend gives Fractions; ``"float"`` runs d as a
-    one-row ``DirectionBatch`` at the float slope and gives floats.
-    """
-    if backend == "float":
-        batch = DirectionBatch(np.array([d.chart == "y"]), np.array([float(d.slope)]))
-        values = sheared_measures(ifs, batch, n_max)[:, 0].tolist()
-    elif backend == "exact":
-        values = sheared_measures(ifs, d, n_max)
-    else:
+    """Compute alpha_0 .. alpha_{n_max} as exact Fractions, reusing the
+    merged set per step.  ``"exact"`` is the one backend."""
+    if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    return AlphaSequence(d, tuple(values), d.scale)
+    return AlphaSequence(d, tuple(sheared_measures(ifs, d, n_max)), d.scale)
 
 
 @dataclass(frozen=True)

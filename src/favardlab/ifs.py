@@ -154,28 +154,24 @@ def validate(ifs: IFS2D) -> ValidationReport:
 _UNIT_BASE = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
 
 
+def _corner(name: str, k: int) -> IFS2D:
+    """Four ratio-1/k maps at the corners of the unit square."""
+    r = Fraction(1, k)
+    ends = (Fraction(0), 1 - r)
+    maps = tuple(Similitude2D(r, (dx, dy)) for dx in ends for dy in ends)
+    return IFS2D(name, maps, _UNIT_BASE)
+
+
 def four_corner() -> IFS2D:
     """Four ratio-1/4 maps at the corners of the unit square."""
-    q = Fraction(1, 4)
-    t = Fraction(3, 4)
-    maps = tuple(
-        Similitude2D(q, (dx, dy))
-        for dx, dy in ((Fraction(0), Fraction(0)), (Fraction(0), t), (t, Fraction(0)), (t, t))
-    )
-    return IFS2D("four-corner", maps, _UNIT_BASE)
+    return _corner("four-corner", 4)
 
 
 def sparse_corner(k: int) -> IFS2D:
     """Corner system with ratio 1/k, k > 4; similarity dimension log 4 / log k."""
     if k <= 4:
         raise ValueError(f"sparse-corner requires k > 4, got {k}")
-    r = Fraction(1, k)
-    t = 1 - r
-    maps = tuple(
-        Similitude2D(r, (dx, dy))
-        for dx, dy in ((Fraction(0), Fraction(0)), (Fraction(0), t), (t, Fraction(0)), (t, t))
-    )
-    return IFS2D(f"sparse-corner({k})", maps, _UNIT_BASE)
+    return _corner(f"sparse-corner({k})", k)
 
 
 def sierpinski_gasket() -> IFS2D:

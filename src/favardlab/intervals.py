@@ -53,6 +53,15 @@ def _exact_dtype(*magnitudes: int):
     return np.int64 if max(magnitudes) < _INT64_SAFE else object
 
 
+def _over_lcd(values: list) -> tuple[int, np.ndarray]:
+    """The least common denominator of Fractions and their numerators over
+    it, in the dtype ``_exact_dtype`` picks for them."""
+    den = math.lcm(*(x.denominator for x in values))
+    num = [x.numerator * (den // x.denominator) for x in values]
+    dtype = _exact_dtype(den, max(map(abs, num), default=0))
+    return den, np.array(num, dtype=dtype)
+
+
 def _extreme(lo: np.ndarray, hi: np.ndarray) -> int:
     """Largest |numerator| of sorted canonical endpoint arrays, 0 when empty."""
     return max(abs(int(lo[0])), abs(int(hi[-1]))) if lo.size else 0
@@ -231,7 +240,7 @@ class IntervalSet:
         Idempotent; degenerate intervals that stay degenerate after merging
         are dropped.
         """
-        fracs = []
+        ends = []
         for item in items:
             if isinstance(item, Interval):
                 a, b = item.lo, item.hi
@@ -241,13 +250,9 @@ class IntervalSet:
             b = to_fraction(b)
             if a > b:
                 raise MalformedIntervalError(f"interval with lo > hi: [{a}, {b}]")
-            fracs.append((a, b))
-        den = math.lcm(*(x.denominator for pair in fracs for x in pair))
-        lo = np.array([a.numerator * (den // a.denominator) for a, _ in fracs],
-                      dtype=object)
-        hi = np.array([b.numerator * (den // b.denominator) for _, b in fracs],
-                      dtype=object)
-        return _merge_scaled(den, lo, hi)
+            ends += (a, b)
+        den, num = _over_lcd(ends)
+        return _merge_scaled(den, num[0::2], num[1::2])
 
     @classmethod
     def from_points(cls, points: Iterable[RationalLike]) -> "IntervalSet":
@@ -255,11 +260,8 @@ class IntervalSet:
 
         Measure is zero; the intended use is ``expand`` into a neighborhood.
         """
-        pts = sorted({to_fraction(p) for p in points})
-        den = math.lcm(*(p.denominator for p in pts))
-        scaled = np.array([p.numerator * (den // p.denominator) for p in pts],
-                          dtype=object)
-        return cls.from_scaled(den, scaled, scaled)
+        den, num = _over_lcd(sorted({to_fraction(p) for p in points}))
+        return cls.from_scaled(den, num, num)
 
     @classmethod
     def from_scaled(cls, den: int, lo, hi) -> "IntervalSet":

@@ -79,6 +79,18 @@ class TestExitCodes:
         assert run("validate", "--config", "/nonexistent/x.cfg") == 2
         capsys.readouterr()
 
+    def test_usage_malformed_config_writes_manifest(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("name = x\nbase = [0, 0, 1]\n")
+        out = tmp_path / "out"
+        assert run("validate", "--config", str(path), "--out", str(out)) == 2
+        assert "line 2: base needs" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == "line 2: base needs [x0, y0, x1, y1]"
+        assert manifest["parameters"]["config"] == str(path)
+
     @pytest.mark.parametrize("maps", [
         (Similitude2D.of(Fraction(1, 4), 0, 0),
          Similitude2D.of(Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))),
@@ -119,6 +131,13 @@ class TestExitCodes:
         assert run("needle", "--preset", "four-corner", "--n", "1",
                    "--strip-halfwidth", "nan") == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_usage_alpha_float_backend(self, capsys):
+        # a Direction is answered exactly; float angles are favard's,
+        # lipschitz's and dimension's
+        assert run("alpha", "--preset", "four-corner", "--slope", "1/3",
+                   "--backend", "float") == 2
+        assert "invalid choice: 'float'" in capsys.readouterr().err
 
     def test_usage_needle_has_no_backend(self, capsys):
         # the needle is float geometry only; --backend used to be ignored
@@ -423,18 +442,6 @@ class TestOutputs:
         assert manifest["wall_time_s"] >= 0
         capsys.readouterr()
 
-    def test_generations_are_exact_on_either_backend(self, tmp_path, capsys):
-        written = []
-        for backend in ("exact", "float"):
-            out = tmp_path / backend
-            assert run("alpha", "--preset", "four-corner", "--slope", "3/10",
-                       "--depth", "5", "--generations", "--backend", backend,
-                       "--out", str(out)) == 0
-            written.append((out / "generations.csv").read_bytes())
-        assert written[0] == written[1]
-        assert b"3/10" in written[0]
-        capsys.readouterr()
-
     def test_angle_is_snapped_to_rational(self, tmp_path, capsys):
         out = tmp_path / "snap"
         theta = math.atan(0.5)
@@ -461,7 +468,7 @@ class TestOutputs:
 
     @pytest.mark.parametrize("argv", [
         ("alpha", "--preset", "four-corner", "--slope", "1/3", "--depth", "3",
-         "--backend", "float"),
+         "--backend", "exact"),
         ("convexity", "--preset", "four-corner", "--angle", "0.3",
          "--depth", "4"),
         ("favard", "--preset", "four-corner", "--n", "1"),
@@ -589,6 +596,16 @@ class TestOutputs:
         assert payload["first_violation"] == 1
         assert "NOT convex" in capsys.readouterr().out
 
+    def test_counterexample_too_short_for_a_verdict(self, tmp_path, capsys):
+        out = tmp_path / "short"
+        assert run("counterexample", "--n-max", "1", "--out", str(out)) == 0
+        assert "sequence too short for a verdict" in capsys.readouterr().out
+        assert not (out / "convexity.csv").exists()
+        payload = json.loads((out / "counterexample.json").read_text())
+        assert payload["convex"] is None
+        assert payload["first_violation"] is None
+        assert len(payload["sequence"]) == 2
+
     def test_counterexample_seesaw(self, tmp_path, capsys):
         out = tmp_path / "ss"
         assert run("counterexample", "--seesaw", "0,1/4,5;20,1/64,3",
@@ -658,7 +675,7 @@ class TestOutputs:
 class TestParserReuse:
     @pytest.mark.parametrize("first, second", [
         (("alpha", "--preset", "four-corner", "--slope", "1/3", "--depth",
-          "3", "--backend", "float", "--generations"),
+          "3", "--backend", "exact", "--generations"),
          ("alpha", "--preset", "four-corner", "--slope", "1/3")),
         (("dimension", "--preset", "four-corner", "--depth-min", "2",
           "--depth-max", "4", "--sensitivity"),

@@ -63,6 +63,11 @@ class TestMatchedDepth:
         with pytest.raises(ValueError):
             matched_depth(four_corner(), 0)
 
+    def test_depth_capped(self):
+        # ratio 1/2 keeps the scale's text short enough to print
+        with pytest.raises(ValueError, match="too small to match a depth"):
+            matched_depth(sierpinski_gasket(), Fraction(1, 2 ** 10_001))
+
 
 class TestShearedRadius:
     def test_axis_slope_exact(self):
@@ -344,6 +349,15 @@ class TestDecayAndFit:
         with pytest.raises(PreconditionError):
             decay_series(four_corner(), [Fraction(1, 16)], window=window)
 
+    def test_needs_a_scale(self):
+        with pytest.raises(ValueError, match="at least one scale"):
+            decay_series(four_corner(), [])
+
+    @pytest.mark.parametrize("window", [(0.5, 0.5), (0.5, 0.25)], ids=str)
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(ValueError, match="positive length"):
+            decay_series(four_corner(), [Fraction(1, 16)], window=window)
+
     def test_sanity_ceiling(self):
         # window length times the largest possible projected length
         series = decay_series(four_corner(), [Fraction(1, 16)])
@@ -426,6 +440,8 @@ class TestSeesaw:
         assert pts == (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)
         with pytest.raises(ValueError):
             lattice(0, 0, 1)
+        with pytest.raises(ValueError, match="extent must be nonnegative"):
+            lattice(0, 1, -1)
 
 
 class TestReadPoints:

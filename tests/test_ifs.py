@@ -118,14 +118,18 @@ class TestNests:
 class TestPresets:
     def test_four_corner_shape(self):
         fc = four_corner()
+        assert fc.name == "four-corner"
+        assert fc.base == (0, 0, 1, 1)
         assert fc.branching == 4
         assert all(m.ratio == Fraction(1, 4) for m in fc.maps)
-        assert {m.translation for m in fc.maps} == {
+        assert [m.translation for m in fc.maps] == [
             (Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(3, 4)),
             (Fraction(3, 4), Fraction(0)),
             (Fraction(3, 4), Fraction(3, 4)),
-        }
+        ]
+        assert all(type(v) is Fraction for m in fc.maps
+                   for v in (m.ratio, *m.translation))
         assert fc.dihedral_symmetry
 
     def test_sparse_corner_shape(self):
@@ -231,6 +235,28 @@ class TestConfig:
         text = dumps_config(sierpinski_gasket()) + "symmetry = dihedral\n"
         with pytest.raises(ConfigError, match="line 6: unknown key 'symmetry'"):
             loads_config(text)
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (2, "base = [0, 0, one, 1]", "cannot parse rational value 'one'"),
+        (2, "base = 0, 0, 1, 1", "expected a [ ... ] list, got '0, 0, 1, 1'"),
+        (2, "base = [0, 0, 1]", "base needs [x0, y0, x1, y1]"),
+        (3, 'map { ratio = "1/2" }', "map block needs ratio and translate"),
+        (3, 'map { ratio = "1/2", translate = ["0"] }',
+         "translate needs exactly two entries"),
+        (4, 'map { ratio = "1/2", translate = ["1/2", "0"]',
+         "map block must be map { ... } on one line"),
+        (1, "name x", "cannot parse line 'name x'"),
+    ], ids=["value", "list", "base-length", "map-fields", "translate-length",
+            "map-braces", "line"])
+    def test_error_branches(self, lineno, line, message):
+        lines = ["name = x", "base = [0, 0, 1, 1]",
+                 'map { ratio = "1/2", translate = ["0", "0"] }',
+                 'map { ratio = "1/2", translate = ["1/2", "0"] }']
+        loads_config("\n".join(lines))
+        lines[lineno - 1] = line
+        with pytest.raises(ConfigError) as exc:
+            loads_config("\n".join(lines))
+        assert str(exc.value).startswith(f"line {lineno}: {message}")
 
     def test_errors_carry_line_numbers(self):
         bad = "name = x\nbase = [0, 0, 1, 1]\nmap { ratio = \"2\", translate = [\"0\", \"0\"] }\nmap { ratio = \"1/2\", translate = [\"0\", \"0\"] }\n"

@@ -274,6 +274,51 @@ class TestBothDtypes:
         assert (grown == s) == (not comps)
 
 
+def object_numerators(values):
+    """Numerators over the least common denominator as an object array, as
+    the exact constructors scaled them before picking the engine's dtype."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, np.array([x.numerator * (den // x.denominator) for x in values],
+                         dtype=object)
+
+
+class TestConstructorDtype:
+    @pytest.mark.parametrize("values, den, num, dtype", [
+        ([Fraction(1, 3), Fraction(-5, 4)], 12, [4, -15], np.int64),
+        ([Fraction(2 ** 62 - 1)], 1, [2 ** 62 - 1], np.int64),
+        ([Fraction(-2 ** 62), Fraction(1, 2)], 2, [-2 ** 63, 1], object),
+        ([Fraction(1, 2 ** 62)], 2 ** 62, [1], object),
+        ([], 1, [], np.int64),
+    ])
+    def test_dtype_follows_magnitude(self, values, den, num, dtype):
+        got_den, got = intervals._over_lcd(values)
+        assert (got_den, got.tolist(), got.dtype) == (den, num, dtype)
+
+    def test_small_intervals_merge_as_int64(self):
+        seen = []
+
+        def spy(lo, hi):
+            seen.append((lo.dtype, hi.dtype))
+            return merge_int64_arrays(lo, hi)
+
+        items = [(Fraction(k, 7), Fraction(k + 3, 5)) for k in range(40, 0, -1)]
+        with patch.object(intervals, "merge_int64_arrays", spy):
+            IntervalSet.from_intervals(items)
+            IntervalSet.from_intervals([(0, Fraction(1, 2 ** 62))])
+        assert seen == [(np.int64, np.int64), (object, object)]
+
+    @given(st.lists(st.tuples(wide_rationals, wide_rationals), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_sets_match_object_construction(self, raw):
+        items = [(min(p), max(p)) for p in raw]
+        den, num = object_numerators([x for ab in items for x in ab])
+        want = intervals._merge_scaled(den, num[0::2], num[1::2])
+        assert IntervalSet.from_intervals(items) == want
+        pts = sorted({x for ab in items for x in ab})
+        den, num = object_numerators(pts)
+        assert IntervalSet.from_points(pts) == IntervalSet.from_scaled(den, num, num)
+
+
 @st.composite
 def scaled_sets(draw):
     """Canonical sets over a drawn denominator, below or above 2^62."""

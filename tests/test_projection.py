@@ -193,11 +193,12 @@ class TestGenerationEngine:
             assert a.issuperset(b)
 
     def test_float_tracks_exact(self):
+        # a one-row batch at the float slope follows the exact engine
         ifs = four_corner()
         for t in (Fraction(0), Fraction(1, 3), Fraction(4, 5), Fraction(-1, 2)):
-            d = Direction("x", t)
-            ex = alpha_sequence(ifs, d, 7, backend="exact").values
-            fl = alpha_sequence(ifs, d, 7, backend="float").values
+            ex = sheared_measures(ifs, Direction("x", t), 7)
+            batch = DirectionBatch(np.array([False]), np.array([float(t)]))
+            fl = sheared_measures(ifs, batch, 7)[:, 0]
             for e, f in zip(ex, fl):
                 assert f == pytest.approx(float(e), abs=1e-9)
 
@@ -218,13 +219,18 @@ class TestGenerationEngine:
         with pytest.raises(ValueError):
             sheared_measures(ifs, d, -1)
         with pytest.raises(ValueError):
-            alpha_sequence(ifs, d, -1, backend="float")
+            sheared_measures(ifs, DirectionBatch(np.array([False]),
+                                                 np.array([0.0])), -1)
 
     def test_unknown_backend(self):
         ifs = four_corner()
         d = Direction("x", Fraction(0))
         with pytest.raises(ValueError):
             alpha_sequence(ifs, d, 1, backend="decimal")
+        # a Direction is answered exactly: float angles go through
+        # projected_lengths, not alpha_sequence
+        with pytest.raises(ValueError, match="unknown backend 'float'"):
+            alpha_sequence(ifs, d, 1, backend="float")
 
     def test_bigint_fallback_matches_oracle(self):
         # a slope with a large denominator forces denominators past the
