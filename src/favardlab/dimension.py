@@ -38,6 +38,10 @@ from .projection import Direction, generation, neighborhood_lengths
 RADIUS_SNAP_DENOMINATOR = 10 ** 12
 
 
+# Deepest generation that matched_depth tries.
+_MAX_MATCHED_DEPTH = 10_000
+
+
 def matched_depth(ifs: IFS2D, r) -> int:
     """Smallest generation whose cylinder contraction is at most r.
 
@@ -54,8 +58,12 @@ def matched_depth(ifs: IFS2D, r) -> int:
     while power > r:
         power *= rho
         n += 1
-        if n > 10_000:
-            raise ValueError(f"scale {r} is too small to match a depth")
+        if n > _MAX_MATCHED_DEPTH:
+            # the scale's digits can pass Python's int-to-str limit
+            raise ValueError(
+                f"scale is too small to match a depth: it lies below "
+                f"{rho}**{_MAX_MATCHED_DEPTH}, the largest ratio to the power "
+                f"of the {_MAX_MATCHED_DEPTH}-step cap")
     return n
 
 

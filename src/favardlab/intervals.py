@@ -17,8 +17,12 @@ before it.  The left ends and the right ends are sorted apart: where the
 are also the i with the smallest right ends, so the largest right end
 before it is the i-th smallest: no gather and no running maximum.
 ``merge_int64_arrays`` sweeps integers of either dtype with no tolerance:
-the engine's windows, and every exact set built from unsorted intervals or
-grown by ``expand``.  ``merge_float_arrays`` sweeps binary64 rows
+every exact set built from unsorted intervals or grown by ``expand``.
+``_sweep_in_place`` is the same sweep for the generation engine's
+windows, in its scratch arrays: it sorts the ends in place, marks the
+starts, and gives the merged count and the overlap loss, the sum of
+max(0, H[i-1] - L[i]), with no gather and no copy.
+``merge_float_arrays`` sweeps binary64 rows
 (:class:`FloatIntervalSet`, the float engine) and glues gaps up to an
 absolute tolerance.  Summation order is fixed (ascending lo), so repeated
 runs are bit-identical.
@@ -162,6 +166,38 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
     ends[..., :-1] = starts[..., 1:]
     ends[..., -1] = True
     return lo[starts], hi[ends], starts
+
+
+def _sweep_in_place(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
+                    gaps: np.ndarray | None = None) -> tuple[int, int]:
+    """The merged count and the overlap loss of the non-empty integer
+    intervals [lo, hi], with no tolerance, sorting lo and hi in place.
+
+    This is ``_sweep`` for one row of int64 or ``dtype=object`` ends, with
+    no gather and no copy.  ``starts``, a bool array like lo, receives the
+    starts, so the merged ends are ``lo[starts]`` and ``hi[:-1][starts[1:]]``
+    followed by ``hi[-1]``.  The count is 1 plus the number of
+    ``_apart(L[i], H[i-1])``.  The loss, the summed lengths minus the length
+    of the union, is the sum of max(0, H[i-1] - L[i]) over i >= 1: within a
+    merged interval each later left end L[i] lies at or before H[i-1], and
+    the lengths there overlap by H[i-1] - L[i], while a start adds 0.
+    ``gaps`` is int64 scratch of lo.size - 1 entries; object ends pass None
+    and sum in Python ints.  An int64 term lies in [0, hull], hull =
+    H[-1] - L[0] < 2^63, so chunks of (2^63 - 1) // hull terms sum without
+    wrapping, and the chunk sums add in Python ints.
+    """
+    lo.sort(kind="stable")
+    hi.sort(kind="stable")
+    starts[0] = True
+    _apart(lo[1:], hi[:-1], out=starts[1:])
+    count = 1 + int(np.count_nonzero(starts[1:]))
+    gaps = np.subtract(hi[:-1], lo[1:], out=gaps)
+    np.maximum(gaps, 0, out=gaps)
+    if gaps.dtype == object:
+        return count, int(gaps.sum())
+    chunk = ((1 << 63) - 1) // max(int(hi[-1]) - int(lo[0]), 1)
+    return count, sum(int(gaps[i:i + chunk].sum())
+                      for i in range(0, gaps.size, chunk))
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,23 +32,36 @@ Every ratio is positive, so each image ``a*E_n + c`` of the canonical set
 is already sorted with positive gaps.
 The images are stacked in order of their exact left ends, and only the
 index windows where image hulls overlap (found by binary search at each
-image boundary, touching counted as overlapping) are computed and merged by
-``merge_int64_arrays``.  The clean stretches between them are already
-merged; each is written once, straight into its slot of output arrays of
-the exact merged size.  The measure is carried, not recounted: the engine
-keeps the exact integer numerator of |E_n|, and a step multiplies it by
-the sum of the scaled ratios and subtracts the overlap loss of the windows
-(their summed image lengths minus their merged length), all in Python
-ints.  ``sheared_measures`` reads only the measure of its last
-generation, so its last step merges the windows and never builds that
-set.  A system whose maps the reflection of the base about its midpoint
-permutes has every generation symmetric about that midpoint.  Its steps
-mirror whenever the images, sorted by left end, reverse onto their own
-mirrors: only the windows left of the centre are merged, and the right
-half of the step is the left half reflected, so the merge work halves.
-Other layouts, and systems that are not symmetric, merge every window.
-Results are bit-identical to concatenating all images and merging them,
-the reference kept in ``tests/oracles.py``, on either path.
+image boundary, touching counted as overlapping) are computed, into
+scratch arrays, and swept there in place by ``_sweep_in_place``.  The
+clean stretches between them are already merged; each is written once,
+straight into its slot of output arrays of the exact merged size.  The
+measure is carried, not recounted: the engine keeps the exact integer
+numerator of |E_n|, and a step multiplies it by the sum of the scaled
+ratios and subtracts the overlap loss of the windows, read off their
+sorted ends as the sum of max(0, H[i-1] - L[i]), in Python ints.  A
+system whose maps the reflection of the base about its midpoint permutes
+has every generation symmetric about that midpoint.  Its steps mirror
+whenever the images, sorted by left end, reverse onto their own mirrors:
+only the windows left of the centre are merged, and of the window across
+it only its left half, and the right half of the step is the left half
+reflected, so the merge work halves.  Other layouts, and systems that are
+not symmetric, merge every window.  Results are bit-identical to
+concatenating all images and merging them, the reference kept in
+``tests/oracles.py``, on either path.
+
+``sheared_measures`` reads only the measure of its last generation n, so
+it writes only what it reads.  The last step merges the windows and
+never builds E_n.  The step before it writes only the first h and the
+last t intervals of E_{n-1}, the ones that the last step's windows can
+reach, bounded before E_{n-1} exists from the last step's maps and the
+ends of E_{n-1}; the last step then runs on those and adds k times the
+number left out to its count (``_ExactEngine.measure_at``).  The window
+scratch and, for ``sheared_measures``, the int64 generations live in a
+per-thread ``_Workspace`` that outlives the call, so repeated calls touch
+no fresh pages; it holds about 36 MB after the 33 depth-12 four-corner
+directions of the ``exact-deep`` benchmark.  Snapshots never share it:
+``generation`` and ``iter_generations`` build new arrays.
 
 The float engine holds one row per direction of a ``DirectionBatch`` and
 steps all rows at once.  Each row's merged endpoints are a per-direction
@@ -69,6 +82,7 @@ one row and a step is sort-bound.  Only the steps merge: each grown row of
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -84,8 +98,8 @@ from .intervals import (
     _apart,
     _exact_dtype,
     _extreme,
+    _sweep_in_place,
     merge_float_arrays,
-    merge_int64_arrays,
     rational_str,
     to_fraction,
 )
@@ -184,6 +198,27 @@ def project_ifs(ifs: IFS2D, d: Direction) -> ProjectedIFS1D:
     return ProjectedIFS1D(maps, (min(corners), max(corners)))
 
 
+def _window_bounds(lo0: int, hi1: int, coeffs: list) -> tuple:
+    """The bounds behind ``_overlap_windows`` for the images a*E + c of a
+    set E with ends lo0 and hi1, sorted by their left ends f_j = a*lo0 + c.
+
+    With T_j the largest right end among images 0..j, returns (below,
+    above, clear): below[j-1] = (T_{j-1} - c_j) // a_j for j >= 1, so that
+    an element of image j chains into earlier images iff its lo <= below;
+    above[j] = ceil((f_{j+1} - c_j) / a_j) for j <= k-2, so that it chains
+    into later ones iff its hi >= above; clear[j] is False for an inner
+    image j with T_{j-1} >= f_{j+1}, which has no clean cut.  They depend
+    on E only through lo0 and hi1.
+    """
+    firsts = [a * lo0 + c for a, c in coeffs]
+    tops = list(accumulate((a * hi1 + c for a, c in coeffs), max))
+    below = [(t - c) // a for t, (a, c) in zip(tops, coeffs[1:])]
+    above = [-((c - f) // a) for f, (a, c) in zip(firsts[1:], coeffs)]
+    k = len(coeffs)
+    clear = [j in (0, k - 1) or tops[j - 1] < firsts[j + 1] for j in range(k)]
+    return below, above, clear
+
+
 def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
     """Index ranges of the stacked images that may merge across images.
 
@@ -197,22 +232,18 @@ def _overlap_windows(lo: np.ndarray, hi: np.ndarray, coeffs: list) -> list:
     elements at or below T_{j-1} and e_j those strictly below f_{j+1}: the
     elements before s_j chain into earlier images, those from e_j on into
     later ones.  Touching endpoints count as overlapping (closed
-    intervals).  Both counts come from searches in the source arrays, since
-    a*x + c <= t iff x <= (t - c) // a for a > 0.  Returns (start, stop)
-    pairs into the stacked arrays.
+    intervals).  Both counts are searches in the source arrays for the
+    bounds of ``_window_bounds``, since a*x + c <= t iff x <= (t - c) // a
+    for a > 0.  Returns (start, stop) pairs into the stacked arrays.
     """
     n, k = lo.size, len(coeffs)
-    lo0, hi1 = int(lo[0]), int(hi[-1])
-    firsts = [a * lo0 + c for a, c in coeffs]
-    tops = list(accumulate((a * hi1 + c for a, c in coeffs), max))
-    s = [0] + np.searchsorted(
-        lo, [(t - c) // a for t, (a, c) in zip(tops, coeffs[1:])], "right").tolist()
-    e = np.searchsorted(
-        hi, [-((c - f) // a) for f, (a, c) in zip(firsts[1:], coeffs)], "left").tolist() + [n]
+    below, above, clear = _window_bounds(int(lo[0]), int(hi[-1]), coeffs)
+    s = [0] + np.searchsorted(lo, below, "right").tolist()
+    e = np.searchsorted(hi, above, "left").tolist() + [n]
     windows = []
     start = None
     for j in range(k):
-        if s[j] <= e[j] and (j in (0, k - 1) or tops[j - 1] < firsts[j + 1]):
+        if s[j] <= e[j] and clear[j]:
             if s[j] > 0:
                 windows.append((start, j * n + s[j]))
             start = j * n + e[j] if e[j] < n else None
@@ -229,11 +260,10 @@ def _image_pieces(n: int, start: int, stop: int):
 
 
 def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
-                  lo: np.ndarray, hi: np.ndarray, coeffs: list,
-                  start: int, stop: int) -> int:
-    """Write the stacked images [start, stop) into dst from index w on;
+                  lo: np.ndarray, hi: np.ndarray, coeffs: list, pieces) -> int:
+    """Write the image pieces (j, i0, i1) into dst from index w on;
     returns the index after the last one written."""
-    for j, i0, i1 in _image_pieces(lo.size, start, stop):
+    for j, i0, i1 in pieces:
         a, c = coeffs[j]
         end = w + i1 - i0
         for src, dst in ((lo, dst_lo), (hi, dst_hi)):
@@ -244,31 +274,82 @@ def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
     return w
 
 
+class _Workspace(threading.local):
+    """One thread's scratch arrays, kept between calls so that a repeated
+    step touches no fresh pages: the window ends, starts and gaps of every
+    exact step, and the two generations that ``sheared_measures`` steps
+    between.  Each array is made on its first use and grown, never shrunk.
+    Object arrays are never pooled."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def take(self, key, size: int, dtype=np.int64) -> np.ndarray:
+        """The first ``size`` entries of the array ``key`` of this dtype."""
+        if dtype == object:
+            return np.empty(size, dtype=object)
+        buf = self.arrays.get(key)
+        if buf is None or buf.size < size:
+            buf = self.arrays[key] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+
+_WORKSPACE = _Workspace()
+
+
+def _sweep_window(lo: np.ndarray, hi: np.ndarray, coeffs: list, pieces: list,
+                  slot: int) -> tuple:
+    """Write the image pieces (j, i0, i1) of one window into the thread's
+    scratch window ``slot`` and sweep them there by ``_sweep_in_place``.
+    Returns the merged count, the loss and the sorted (lo, hi, starts)."""
+    size = sum(i1 - i0 for _, i0, i1 in pieces)
+    wlo = _WORKSPACE.take(("lo", slot), size, lo.dtype)
+    whi = _WORKSPACE.take(("hi", slot), size, lo.dtype)
+    starts = _WORKSPACE.take(("starts", slot), size, bool)
+    gaps = None if lo.dtype == object else _WORKSPACE.take("gaps", size - 1)
+    _write_images(wlo, whi, 0, lo, hi, coeffs, pieces)
+    count, loss = _sweep_in_place(wlo, whi, starts, gaps)
+    return count, loss, (wlo, whi, starts)
+
+
 def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
-                 keep: bool = True, span: int | None = None) -> tuple:
+                  keep: bool = True, span: int | None = None,
+                  ends: tuple | None = None, out=None) -> tuple:
     """Merged union of the images a*[lo, hi] + c of a canonical integer set.
 
     ``lo`` and ``hi`` are int64 arrays, or ``dtype=object`` arrays of Python
     ints, and the merged arrays keep their dtype.  Under a positive ratio
     each image of a set sorted with positive gaps is sorted with positive
     gaps, so the images are stacked in order of their left ends and only
-    the windows where image hulls overlap are computed and merged, each by
-    ``merge_int64_arrays``; everything between them is already merged.
-    Returns ``(count, loss, lo, hi)``: the merged interval count; the
-    overlap loss, the summed lengths of the images minus the length of
-    their union, as an exact int; and, when ``keep`` is set, the merged
-    endpoints in new arrays of exactly ``count`` entries, with each clean
-    stretch written straight into its final slot.  Without ``keep`` the
-    clean stretches are never computed and lo, hi are None.
+    the windows where image hulls overlap are written, into the thread's
+    scratch, and swept there in place (``_sweep_window``); everything
+    between them is already merged.  Returns ``(count, loss, lo, hi)``:
+    the merged interval count; the overlap loss, the summed lengths of the
+    images minus the length of their union, as an exact int read off the
+    sorted window ends; and, when ``keep`` is set, the merged endpoints,
+    with each clean stretch written straight into its final slot of new
+    arrays, or of the scratch arrays keyed ``out``.  Without ``keep`` the
+    clean stretches are never computed and lo, hi are None.  With ``ends``
+    = (h, t) only the first h and the last t merged intervals are written,
+    when h + t < count, and all ``count`` otherwise; a merged window is
+    written whole or not at all, so h and t may grow.
 
     The caller passes ``span`` only for a set symmetric about its midpoint
-    S/2, S = lo[0] + hi[-1].  The step then mirrors when the sorted images
-    map onto themselves reversed under x -> span - x (image j onto image
-    k-1-j, so stacked element i onto element k*n-1-i, and each window onto
-    a window): only the windows left of the centre are merged, the window
-    across it only for its elements with 2*lo < span, and the right half
-    of the output is the left half mirrored.  Otherwise, and always
-    without ``span``, every window is merged.  Both give the same arrays.
+    S/2, S = lo[0] + hi[-1]: the merged set is then symmetric about
+    span/2, its last t intervals are its first t mirrored, and t = h.  The
+    step mirrors when the sorted images map onto themselves reversed under
+    x -> span - x (image j onto image k-1-j, so stacked element i onto
+    element k*n-1-i, and each window onto a window): only the windows left
+    of the centre are merged, and the right half of the output is the
+    left half mirrored.  The window across the centre is merged only for
+    its elements A with 2*lo < span, a prefix of each of its sorted
+    pieces.  The window is A and the mirror of A, so its union is that of
+    A and its mirror, which share a middle interval exactly when the
+    largest right end H of A has 2*H >= span; its loss is twice that of A,
+    plus, with a middle interval, 2*H - span less the lengths of the
+    elements of A that cross span/2 (at most the last of each piece).
+    Otherwise, and always without ``span``, every window is merged.  Both
+    give the same arrays.
     """
     n = lo.size
     if n == 0:
@@ -276,60 +357,97 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     lo0 = int(lo[0])
     coeffs = sorted(coeffs, key=lambda ac: ac[0] * lo0 + ac[1])
     size = len(coeffs) * n
-    if span is not None and coeffs[::-1] != [
-            (a, span - a * (lo0 + int(hi[-1])) - c) for a, c in coeffs]:
-        span = None
+    mirror = span is not None and coeffs[::-1] == [
+        (a, span - a * (lo0 + int(hi[-1])) - c) for a, c in coeffs]
     # Windows starting at or after the cut are mirrors of merged ones.
-    cut = size if span is None else -(-size // 2)
-    windows = _overlap_windows(lo, hi, coeffs)
-    count, loss, merged = size, 0, []
-    for start, stop in windows:
+    cut = -(-size // 2) if mirror else size
+    # parts, in output order: (first output, end of output, the stacked
+    # start of a clean stretch or None, None or a window's sorted arrays)
+    count, loss, parts = size, 0, []
+    o = r = 0
+    for i, (start, stop) in enumerate(_overlap_windows(lo, hi, coeffs)):
         if start >= cut:
             break
-        wlo = np.empty(stop - start, dtype=lo.dtype)
-        whi = np.empty_like(wlo)
-        _write_images(wlo, whi, 0, lo, hi, coeffs, start, stop)
-        # Python ints: a piece's lengths, and the merged ones, are disjoint
-        # and sum within int64, but a times such a sum need not.
-        raw = sum(coeffs[j][0] * int(np.subtract(hi[i0:i1], lo[i0:i1]).sum())
-                  for j, i0, i1 in _image_pieces(n, start, stop))
+        if start > r:
+            parts.append((o, o + start - r, r, None))
+            o += start - r
+        pieces = list(_image_pieces(n, start, stop))
         centre = stop > cut
         if centre:
-            left = wlo < -(-span // 2)
-            wlo, whi = wlo[left], whi[left]
-        mlo, mhi = merge_int64_arrays(wlo, whi)
-        middle = centre and 2 * int(mhi[-1]) >= span
-        if middle:
-            # an interval reaching the centre is its own mirror
-            mhi[-1] = span - mlo[-1]
-        m, length = mlo.size, int(np.subtract(mhi, mlo).sum())
+            last = -(-span // 2) - 1            # the largest x with 2*x < span
+            pieces = [(j, i0, b) for j, i0, i1 in pieces if i0 < (b := min(
+                i1, int(np.searchsorted(lo, (last - coeffs[j][1]) // coeffs[j][0],
+                                        "right"))))]
+        m, lost, win = _sweep_window(lo, hi, coeffs, pieces, i if keep else 0)
+        middle = False
         if centre:
-            # the centre window's union: the merged left half and its
-            # mirror, which share any middle interval
-            m = 2 * m - middle
-            length = 2 * length - middle * (span - 2 * int(mlo[-1]))
-        # a window left of the centre stands for its mirror too
-        weight = 1 if span is None or centre else 2
-        count -= weight * (stop - start - m)
-        loss += weight * (raw - length)
-        merged.append((mlo, mhi))
+            top = int(win[1][-1])
+            middle = 2 * top >= span
+            lost *= 2
+            if middle:
+                # an interval reaching the centre is its own mirror
+                lost += 2 * top - span
+                for j, i0, b in pieces:
+                    a, c = coeffs[j]
+                    if 2 * (a * int(hi[b - 1]) + c) > span:
+                        lost -= a * (int(hi[b - 1]) - int(lo[b - 1]))
+            count -= stop - start - (2 * m - middle)
+            loss += lost
+        else:
+            # a window left of the centre stands for its mirror too
+            weight = 2 if mirror else 1
+            count -= weight * (stop - start - m)
+            loss += weight * lost
+        parts.append((o, o + m, None, win + (middle,)))
+        o += m
+        r = stop
+    if r < cut:
+        parts.append((o, o + cut - r, r, None))
+        o += cut - r
     if not keep:
         return count, loss, None, None
-    out_lo = np.empty(count, dtype=lo.dtype)
-    out_hi = np.empty_like(out_lo)
-    w = r = 0
-    for (start, stop), (mlo, mhi) in zip(windows, merged):
-        w = _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, start)
-        out_lo[w:w + mlo.size] = mlo
-        out_hi[w:w + mhi.size] = mhi
-        w += mlo.size
-        r = stop
-    # past a centre window r > cut, and this writes nothing
-    w = _write_images(out_lo, out_hi, w, lo, hi, coeffs, r, cut)
-    if w < count:
-        # the mirror tail: past any middle interval, the left half reflected
-        np.subtract(span, out_hi[:count - w][::-1], out=out_lo[w:])
-        np.subtract(span, out_lo[:count - w][::-1], out=out_hi[w:])
+    # The parts give the first o outputs; when mirrored, the rest, past
+    # any middle interval, is the left half reflected.
+    head, tail = o, count - o
+    if ends is not None:
+        h, t = ends
+        if span is not None:
+            h = t = max(h, t)
+        for o0, o1, _, win in parts:
+            if win is not None:
+                h = o1 if o0 < h < o1 else h
+                t = count - o0 if o0 < count - t < o1 else t
+        if span is not None:
+            t = h
+        if h + t < count:
+            head, tail = h, t
+
+    def write(dst_lo, dst_hi, d, first, end):
+        """Write outputs first..end-1 of the parts into dst from index d."""
+        for o0, o1, r, win in parts:
+            u, v = max(o0, first), min(o1, end)
+            if u >= v:
+                continue
+            x = d + u - first
+            if win is None:
+                _write_images(dst_lo, dst_hi, x, lo, hi, coeffs,
+                              _image_pieces(n, r + u - o0, r + v - o0))
+                continue
+            wlo, whi, starts, middle = win      # a window is written whole
+            y = x + o1 - o0
+            np.compress(starts, wlo, out=dst_lo[x:y])
+            np.compress(starts[1:], whi[:-1], out=dst_hi[x:y - 1])
+            dst_hi[y - 1] = span - dst_lo[y - 1] if middle else whi[-1]
+
+    out_lo, out_hi = (np.empty(head + tail, dtype=lo.dtype) if out is None else
+                      _WORKSPACE.take((out, side), head + tail, lo.dtype)
+                      for side in ("lo", "hi"))
+    write(out_lo, out_hi, 0, 0, head)
+    if span is None:
+        write(out_lo, out_hi, head, count - tail, count)
+    elif tail:
+        np.subtract(span, out_hi[:tail][::-1], out=out_lo[head:])
+        np.subtract(span, out_lo[:tail][::-1], out=out_hi[head:])
     return count, loss, out_lo, out_hi
 
 
@@ -354,9 +472,29 @@ class _ExactEngine:
     maps: when it holds every step passes ``_merge_images`` the sum of
     ends of the next generation, and the step mirrors when its image
     layout allows, with bit-identical results.
+
+    ``measure_at`` names the generation whose measure alone the caller
+    reads, stepping to it with ``keep=False`` (``sheared_measures``).  The
+    int64 generations then live in two scratch arrays of the thread's
+    ``_Workspace``, written in turn, and the step before the last writes
+    only what the last one reads: the first h and the last t intervals.
+    From the last step's maps and the ends of the new set, which the step
+    knows before it merges, ``_window_bounds`` gives the last step's
+    bounds; h counts the image elements of this step whose left ends lie
+    at or below the largest ``below``, and t those whose right ends lie at
+    or above the least ``above``.  Each merged interval starts at and ends
+    at an image element, so the intervals past the first h have lo past
+    every ``below`` and those before the last t have hi short of every
+    ``above``; h and t are at least 1, for the ends.  The last step's
+    windows therefore hold the same elements, its s_j are unchanged and
+    its e_j shift by the number ``omitted``, and it adds k * omitted to
+    its count.  When the last step reads all of an inner image j, with
+    T_{j-1} >= f_{j+1}, the copy of each interval in image j lies at or
+    below T_{j-1} or past it, so past f_{j+1}: then h + t >= count and
+    nothing is trimmed.
     """
 
-    def __init__(self, proj: ProjectedIFS1D):
+    def __init__(self, proj: ProjectedIFS1D, measure_at: int | None = None):
         if any(r <= 0 for r, _ in proj.maps):
             raise ValueError("the exact engine needs positive map ratios")
         lo, hi = proj.base
@@ -375,17 +513,36 @@ class _ExactEngine:
         self.symmetric = sorted(proj.maps) == sorted(
             (r, (lo + hi) * (1 - r) - c) for r, c in proj.maps)
         self.n = 0
+        self.measure_at = measure_at
+        self.omitted = 0
 
-    def _coefficients(self) -> tuple[int, list[tuple[int, int]]]:
-        den = self.den
+    def _coefficients(self, den: int) -> tuple[int, list[tuple[int, int]]]:
+        """The next denominator and the maps a*x + c over it, for a set
+        over ``den``."""
         new_den = math.lcm(den * self.ratio_lcm, self.offset_lcm)
         coeffs = []
         for p, q, a, b in self.maps:
             coeffs.append((p * (new_den // (q * den)), a * (new_den // b)))
         return new_den, coeffs
 
+    def _last_reads(self, new_den: int, coeffs: list) -> tuple:
+        """(h, t) of the trim, for the step by ``coeffs`` to ``new_den``
+        when the step after it is the last."""
+        _, nxt = self._coefficients(new_den)
+        lo0 = min(a * int(self.lo[0]) + c for a, c in coeffs)
+        hi1 = max(a * int(self.hi[-1]) + c for a, c in coeffs)
+        nxt.sort(key=lambda ac: ac[0] * lo0 + ac[1])
+        below, above, _ = _window_bounds(lo0, hi1, nxt)
+        h = t = 0
+        if below:
+            h = int(np.searchsorted(self.lo, [(max(below) - c) // a for a, c in coeffs],
+                                    "right").sum())
+            t = len(coeffs) * self.lo.size - int(np.searchsorted(
+                self.hi, [-((c - min(above)) // a) for a, c in coeffs], "left").sum())
+        return max(h, 1), max(t, 1)
+
     def step(self, keep: bool = True) -> None:
-        new_den, coeffs = self._coefficients()
+        new_den, coeffs = self._coefficients(self.den)
         xmax = _extreme(self.lo, self.hi)
         span = None
         if self.symmetric and self.total:
@@ -398,9 +555,16 @@ class _ExactEngine:
             self.lo = self.hi = np.empty(0, dtype=dtype)
             self.count = 0
         else:
-            self.count, loss, self.lo, self.hi = _merge_images(
+            ends = out = None
+            if self.measure_at is not None:
+                out = ("generation", self.n % 2)
+                if keep and self.n + 2 == self.measure_at:
+                    ends = self._last_reads(new_den, coeffs)
+            count, loss, self.lo, self.hi = _merge_images(
                 self.lo.astype(dtype, copy=False),
-                self.hi.astype(dtype, copy=False), coeffs, keep, span)
+                self.hi.astype(dtype, copy=False), coeffs, keep, span, ends, out)
+            self.count = count + len(coeffs) * self.omitted
+            self.omitted = self.count - self.lo.size if keep else 0
             self.total = sum(a for a, _ in coeffs) * self.total - loss
         self.den = new_den
         self.n += 1
@@ -507,14 +671,16 @@ class _FloatEngine:
         return np.sum(self.hi - self.lo, axis=1)
 
 
-def _engine(ifs: IFS2D, d: Union[Direction, DirectionBatch], n: int):
+def _engine(ifs: IFS2D, d: Union[Direction, DirectionBatch], n: int,
+            measure_only: bool = False):
     """Start the engine for generation n of the system projected through d:
-    the exact engine for a Direction, the float engine for a DirectionBatch."""
+    the exact engine for a Direction, the float engine for a DirectionBatch.
+    With ``measure_only`` the exact engine's ``measure_at`` is n."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
     if isinstance(d, DirectionBatch):
         return _FloatEngine(ifs, d)
-    return _ExactEngine(project_ifs(ifs, d))
+    return _ExactEngine(project_ifs(ifs, d), n if measure_only else None)
 
 
 def generation(ifs: IFS2D, d: Direction, n: int) -> IntervalSet:
@@ -543,13 +709,16 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
 
     The sets are not materialized.  For a Direction the result is a list
     of exact Fractions, carried from step to step rather than summed from
-    the endpoints, and the last step only merges the overlap windows: the
-    intervals of generation n_max are never built.  The true projected
+    the endpoints.  The last step only merges the overlap windows, so the
+    intervals of generation n_max are never built, and of generation
+    n_max - 1 only those that the last step reads are; the generations
+    live in scratch arrays of the thread, reused by the next call
+    (``_ExactEngine.measure_at``).  The true projected
     length of generation n is ``values[n] * d.scale``.  A DirectionBatch
     runs on the float engine and gives an array of shape
     (n_max + 1, len(d)), one column per direction.
     """
-    eng = _engine(ifs, d, n_max)
+    eng = _engine(ifs, d, n_max, measure_only=True)
     values = [eng.measure]
     for k in range(1, n_max + 1):
         eng.step(keep=k < n_max)

@@ -64,9 +64,17 @@ class TestMatchedDepth:
             matched_depth(four_corner(), 0)
 
     def test_depth_capped(self):
-        # ratio 1/2 keeps the scale's text short enough to print
         with pytest.raises(ValueError, match="too small to match a depth"):
             matched_depth(sierpinski_gasket(), Fraction(1, 2 ** 10_001))
+
+    def test_depth_capped_message_names_cap_and_ratio(self):
+        # 1/4**10001 has more than the 4300 digits Python prints of an int
+        # by default: the message names the cap and the ratio instead
+        with pytest.raises(ValueError) as err:
+            matched_depth(four_corner(), Fraction(1, 4 ** 10_001))
+        assert str(err.value) == (
+            "scale is too small to match a depth: it lies below 1/4**10000, "
+            "the largest ratio to the power of the 10000-step cap")
 
 
 class TestShearedRadius:

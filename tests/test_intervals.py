@@ -18,6 +18,7 @@ from favardlab.intervals import (
     Interval,
     IntervalSet,
     MERGE_EPSILON,
+    _sweep_in_place,
     merge_float_arrays,
     merge_int64_arrays,
     rational_str,
@@ -486,6 +487,37 @@ class TestMergeKernels:
         assert len(mlo) == 0
         flo, fhi = merge_float_arrays(np.array([]), np.array([]))
         assert len(flo) == 0
+
+
+class TestSweepInPlace:
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 20)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_merge(self, items):
+        # count and loss from the sorted ends, against the merged set
+        lo = np.array([a for a, _ in items], dtype=np.int64)
+        hi = np.array([a + length for a, length in items], dtype=np.int64)
+        mlo, mhi = merge_int64_arrays(lo, hi)
+        loss = int(np.sum(hi - lo)) - int(np.sum(mhi - mlo))
+        for dtype in (np.int64, object):
+            wlo, whi = lo.astype(dtype), hi.astype(dtype)
+            starts = np.empty(lo.size, dtype=bool)
+            gaps = None if dtype is object else np.empty(lo.size - 1, dtype=np.int64)
+            assert _sweep_in_place(wlo, whi, starts, gaps) == (mlo.size, loss)
+            assert wlo.tolist() == sorted(lo.tolist())
+            assert wlo[starts].tolist() == mlo.tolist()
+            assert whi[:-1][starts[1:]].tolist() + [whi[-1]] == mhi.tolist()
+
+    @pytest.mark.parametrize("copies, top", [(5, (1 << 62) - 1), (10, 1 << 60)])
+    def test_loss_past_int64(self, copies, top):
+        # copies of one interval [-top, top]: each term 2*top is below 2^63,
+        # and their sum (copies - 1) * 2*top is not
+        lo = np.full(copies, -top, dtype=np.int64)
+        hi = np.full(copies, top, dtype=np.int64)
+        got = _sweep_in_place(lo, hi, np.empty(copies, dtype=bool),
+                              np.empty(copies - 1, dtype=np.int64))
+        assert got == (1, (copies - 1) * 2 * top)
+        assert got[1] >= 1 << 63
 
 
 class TestFloatSet:

@@ -1,6 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -487,19 +493,19 @@ def _plain_merge(monkeypatch):
     """Make the engine take the plain path: every window merged, no mirror."""
     merge = projection._merge_images
     monkeypatch.setattr(projection, "_merge_images",
-                        lambda lo, hi, coeffs, keep=True, span=None:
-                        merge(lo, hi, coeffs, keep))
+                        lambda lo, hi, coeffs, keep=True, span=None, *rest:
+                        merge(lo, hi, coeffs, keep, None, *rest))
 
 
 def _merged_elements(monkeypatch):
-    """Count the endpoints the engine's window merges take in."""
+    """Count the endpoints the engine's window sweeps take in."""
     seen = [0]
-    merge = projection.merge_int64_arrays
+    sweep = projection._sweep_in_place
 
-    def spy(lo, hi):
+    def spy(lo, hi, *rest):
         seen[0] += lo.size
-        return merge(lo, hi)
-    monkeypatch.setattr(projection, "merge_int64_arrays", spy)
+        return sweep(lo, hi, *rest)
+    monkeypatch.setattr(projection, "_sweep_in_place", spy)
     return seen
 
 
@@ -544,6 +550,37 @@ class TestMirroredStep:
             assert (mlo.tolist(), mhi.tolist()) == (want_lo, want_hi)
             assert _merge_images(*arrays, coeffs, False, span) == \
                 (count, loss, None, None)
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=5),
+           st.integers(1, 4), st.integers(0, 3),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(-30, 30)),
+                    min_size=1, max_size=3),
+           st.none() | st.tuples(st.integers(1, 3), st.integers(-20, 20)),
+           st.integers(-20, 20), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_ends_keep_a_head_and_a_tail(self, steps, gap, middle, pairs,
+                                         centre_map, span0, h, t):
+        # with ends (h, t), a head of at least h and a tail of at least t,
+        # or all; for a symmetric set (span given) the two are mirrors
+        lo, hi, coeffs, span = _symmetric_case(steps, gap, middle, pairs,
+                                               centre_map, span0, 0, False)
+        lo, hi = np.array(lo), np.array(hi)
+        count, loss, want_lo, want_hi = _merge_images(lo, hi, coeffs)
+        for s in (span, None):
+            got = _merge_images(lo, hi, coeffs, True, s, (h, t))
+            assert got[:2] == (count, loss)
+            got_lo, got_hi = got[2].tolist(), got[3].tolist()
+            size = len(got_lo)
+            if size == count:
+                assert (got_lo, got_hi) == (want_lo.tolist(), want_hi.tolist())
+                continue
+            assert h + t <= size == len(got_hi)
+            head = [k for k in range(h, size - t + 1)
+                    if got_lo == want_lo[:k].tolist() + want_lo[count - size + k:].tolist()
+                    and got_hi == want_hi[:k].tolist() + want_hi[count - size + k:].tolist()]
+            assert len(head) == 1
+            if s is not None:
+                assert 2 * head[0] == size
 
     @pytest.mark.parametrize("ifs", [four_corner(), sparse_corner(8), _X5,
                                      _UNEQUAL, sierpinski_gasket()],
@@ -695,6 +732,138 @@ class TestExactMeasure:
         for ifs, d in cases:
             for n in range(8):
                 assert sheared_measures(ifs, d, n)[n] == generation(ifs, d, n).measure
+
+
+# Three ratio-1/4 corners: not symmetric, and at most slopes generation n
+# keeps gaps, so a trimmed generation keeps a head and a tail apart.
+_THREE = IFS2D("three-corner", tuple(Similitude2D.of("1/4", dx, dy) for dx, dy in (
+    ("0", "0"), ("3/4", "0"), ("0", "3/4"))),
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))
+# (system, deepest n): the five systems of the mirrored step, and _THREE,
+# whose generations take the trimmed path without a mirror; the depth is
+# lower where k**n would pass about 10^5
+_TRIM_CASES = [(four_corner(), 8), (sierpinski_gasket(), 8), (sparse_corner(8), 5),
+               (_X5, 6), (_UNEQUAL, 8), (_THREE, 8)]
+_BIG_DENOMINATOR = Fraction(618033988749894848, 10 ** 18 + 9)
+# Any slope, or one within 1/40 of a slope whose images nearly tile, where
+# the last step reads little of generation n - 1.
+_TRIM_SLOPES = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6) | st.builds(
+    Fraction.__add__, st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]),
+    st.fractions(min_value=Fraction(-1, 40), max_value=Fraction(1, 40),
+                 max_denominator=10 ** 6))
+
+
+def _measure_only_counts(ifs, d, n):
+    """The counts of a measure-only engine (``measure_at`` = n) at
+    generations 1..n, and the set of the intervals it held at generation
+    n - 1."""
+    eng = _ExactEngine(project_ifs(ifs, d), n)
+    counts, held = [], None
+    for k in range(1, n + 1):
+        if k == n:
+            held = IntervalSet.from_scaled(eng.den, eng.lo, eng.hi)
+        eng.step(keep=k < n)
+        counts.append(eng.count)
+    return counts, held
+
+
+class TestTrimmedGeneration:
+    # n counts down from the deepest, where trims are most common
+    @given(st.sampled_from(_TRIM_CASES).flatmap(lambda case: st.tuples(
+               st.just(case[0]), st.integers(0, case[1]).map(lambda k: case[1] - k))),
+           st.sampled_from(["x", "y"]), _TRIM_SLOPES)
+    @settings(max_examples=100, deadline=None)
+    @example(case=(four_corner(), 8), chart="x", t=Fraction(241, 480))
+    @example(case=(_THREE, 8), chart="y", t=Fraction(1, 3))
+    def test_matches_untrimmed(self, case, chart, t):
+        # measures, counts and the size cap of the trimmed path against
+        # the generations of iter_generations, which are built whole
+        ifs, n = case
+        d = Direction(chart, t)
+        gens = list(iter_generations(ifs, d, n))
+        counts = [g.count for g in gens]
+        assert sheared_measures(ifs, d, n) == [g.measure for g in gens]
+        assert _measure_only_counts(ifs, d, n)[0] == counts[1:]
+        if n:
+            # a cap just below the last count: the last step must count
+            # the intervals left out of generation n - 1
+            cap = counts[n] - 1
+            first = next(k for k in range(1, n + 1) if counts[k] > cap)
+            with patch.object(projection, "MAX_COUNT", cap):
+                with pytest.raises(SizeCapExceeded, match=(
+                        f"count {counts[first]} exceeds cap {cap} "
+                        f"at generation {first}$")):
+                    sheared_measures(ifs, d, n)
+
+    @pytest.mark.parametrize("ifs, d, n, dtype", [
+        (four_corner(), Direction("x", Fraction(241, 480)), 8, np.int64),
+        (_THREE, Direction("y", Fraction(1, 3)), 8, np.int64),
+        # past 2^62 from the second step on
+        (four_corner(), Direction("x", _BIG_DENOMINATOR), 6, object),
+        (_THREE, Direction("y", _BIG_DENOMINATOR), 6, object),
+    ], ids=["mirrored", "plain", "object-mirrored", "object-plain"])
+    def test_trims_and_stays_exact(self, ifs, d, n, dtype):
+        gens = list(iter_generations(ifs, d, n))
+        counts, held = _measure_only_counts(ifs, d, n)
+        assert counts == [g.count for g in gens[1:]]
+        assert held._lo.dtype == dtype
+        # generation n - 1 was trimmed to a head and a tail of at least one
+        # interval each
+        full, size = gens[n - 1].intervals, held.count
+        assert 2 <= size < len(full)
+        assert any(held.intervals == full[:h] + full[len(full) - size + h:]
+                   for h in range(1, size))
+        assert sheared_measures(ifs, d, n) == [g.measure for g in gens]
+
+
+class TestWorkspace:
+    def test_snapshots_survive_later_measures(self):
+        ifs, d = four_corner(), Direction("x", Fraction(3, 10))
+        kept = list(iter_generations(ifs, d, 7)) + [generation(ifs, d, 7)]
+        want = [g.numerators for g in kept]
+        for t in _window_slopes():
+            sheared_measures(ifs, Direction("x", t), 8)
+        assert [g.numerators for g in kept] == want
+        assert kept[-1] == kept[-2]
+
+    def test_threads_match_serial(self):
+        # more threads than cores, switching often: each steps in its own
+        # scratch arrays, so each gets the serial values
+        ifs = four_corner()
+        ds = [Direction(c, t) for c in "xy" for t in _window_slopes()[7:13]]
+        serial = [alpha_sequence(ifs, d, 10).values for d in ds]
+        orders = (1, -1, 1, -1)
+        start = threading.Barrier(len(orders))
+        got = {}
+
+        def run(i, order):
+            start.wait(timeout=60)
+            got[i] = [alpha_sequence(ifs, d, 10).values for d in ds[::order]]
+
+        threads = [threading.Thread(target=run, args=pair)
+                   for pair in enumerate(orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {i: serial[::order] for i, order in enumerate(orders)}
+
+    def test_import_allocates_no_workspace(self):
+        code = ("import favardlab\n"
+                "from favardlab import projection\n"
+                "print(len(projection._WORKSPACE.arrays))\n")
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 _BATCH_SYSTEMS = [four_corner(), sierpinski_gasket(), sparse_corner(8)]
