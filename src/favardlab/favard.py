@@ -112,9 +112,8 @@ class QuadratureConfig:
     max_refinements: int = 6
 
     def __post_init__(self):
-        # nan fails every comparison, so `not tol > 0` rejects it too
-        if not self.tol > 0:
-            raise PreconditionError(f"quadrature tol must be > 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise PreconditionError(f"quadrature tol must be finite and > 0, got {self.tol}")
         if self.max_refinements < 0:
             raise PreconditionError(
                 f"max_refinements must be >= 0, got {self.max_refinements}")

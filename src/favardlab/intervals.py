@@ -16,16 +16,15 @@ before it.  The left ends and the right ends are sorted apart: where the
 (i+1)-th smallest left end starts an interval, the i intervals before it
 are also the i with the smallest right ends, so the largest right end
 before it is the i-th smallest: no gather and no running maximum.
-``merge_int64_arrays`` sweeps integers of either dtype with no tolerance:
-every exact set built from unsorted intervals or grown by ``expand``.
-``_sweep_in_place`` is the same sweep for the generation engine's
-windows, in its scratch arrays: it sorts the ends in place, marks the
-starts, and gives the merged count and the overlap loss, the sum of
-max(0, H[i-1] - L[i]), with no gather and no copy.
-``merge_float_arrays`` sweeps binary64 rows
-(:class:`FloatIntervalSet`, the float engine) and glues gaps up to an
-absolute tolerance.  Summation order is fixed (ascending lo), so repeated
-runs are bit-identical.
+The sweep sorts the ends in place and marks the starts.
+``merge_int64_arrays`` (integers of either dtype, no tolerance: every
+exact set built from unsorted intervals or grown by ``expand``) and
+``merge_float_arrays`` (binary64 rows of :class:`FloatIntervalSet` and the
+float engine, gaps glued up to an absolute tolerance) sweep copies and
+gather the merged ends.  The generation engine sweeps its windows in its
+own scratch arrays and reads their overlap loss, the sum of
+max(0, H[i-1] - L[i]), off the sorted ends (``_overlap_loss``).
+Summation order is fixed (ascending lo), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -145,22 +144,29 @@ def _apart(lo: np.ndarray, run: np.ndarray, eps=None, out=None) -> np.ndarray:
     return np.greater(lo, run if eps is None else run + eps, out=out)
 
 
-def _sweep(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
-    """Merge each row (the last axis) of 1D or 2D endpoint arrays.
+def _sweep(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray, eps=None) -> None:
+    """Sort each row (the last axis) of 1D or 2D endpoint arrays in place
+    and mark the starts of its merged intervals in ``starts``, a bool
+    array shaped like lo.
 
     The left ends L and the right ends H are sorted apart, each by a stable
     sort, and a merged interval starts at index i wherever
     ``_apart(L[i], H[i-1], eps)`` holds and ends at H[i-1].  That is the
     running-maximum rule: where either start test holds (eps >= 0), the i
     intervals with the smallest left ends are the i with the smallest
-    right ends, so H[i-1] is the largest right end before L[i].  Returns
-    the merged lo and hi of all rows, in row order, as 1D arrays, and the
-    mask of the starts, shaped like lo."""
-    lo = np.sort(lo, kind="stable")
-    hi = np.sort(hi, kind="stable")
-    starts = np.empty(lo.shape, dtype=bool)
+    right ends, so H[i-1] is the largest right end before L[i]."""
+    lo.sort(kind="stable")
+    hi.sort(kind="stable")
     starts[..., 0] = True
     _apart(lo[..., 1:], hi[..., :-1], eps, out=starts[..., 1:])
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
+    """``_sweep`` on copies of non-empty lo and hi: the merged lo and hi of
+    all rows, in row order, as 1D arrays, and the mask of the starts."""
+    lo, hi = lo.copy(), hi.copy()
+    starts = np.empty(lo.shape, dtype=bool)
+    _sweep(lo, hi, starts, eps)
     # a merged interval ends just before the next one starts
     ends = np.empty_like(starts)
     ends[..., :-1] = starts[..., 1:]
@@ -168,36 +174,24 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
     return lo[starts], hi[ends], starts
 
 
-def _sweep_in_place(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
-                    gaps: np.ndarray | None = None) -> tuple[int, int]:
-    """The merged count and the overlap loss of the non-empty integer
-    intervals [lo, hi], with no tolerance, sorting lo and hi in place.
+def _overlap_loss(lo: np.ndarray, hi: np.ndarray, gaps: np.ndarray) -> int:
+    """The summed lengths minus the length of the union of the integer
+    intervals whose ends ``_sweep`` sorted into lo and hi.
 
-    This is ``_sweep`` for one row of int64 or ``dtype=object`` ends, with
-    no gather and no copy.  ``starts``, a bool array like lo, receives the
-    starts, so the merged ends are ``lo[starts]`` and ``hi[:-1][starts[1:]]``
-    followed by ``hi[-1]``.  The count is 1 plus the number of
-    ``_apart(L[i], H[i-1])``.  The loss, the summed lengths minus the length
-    of the union, is the sum of max(0, H[i-1] - L[i]) over i >= 1: within a
-    merged interval each later left end L[i] lies at or before H[i-1], and
-    the lengths there overlap by H[i-1] - L[i], while a start adds 0.
-    ``gaps`` is int64 scratch of lo.size - 1 entries; object ends pass None
-    and sum in Python ints.  An int64 term lies in [0, hull], hull =
+    That is the sum of max(0, H[i-1] - L[i]) over i >= 1: within a merged
+    interval each later left end L[i] lies at or before H[i-1], and the
+    lengths there overlap by H[i-1] - L[i], while a start adds 0.
+    ``gaps`` is scratch of lo.size - 1 entries in the dtype of lo; object
+    ends sum in Python ints.  An int64 term lies in [0, hull], hull =
     H[-1] - L[0] < 2^63, so chunks of (2^63 - 1) // hull terms sum without
     wrapping, and the chunk sums add in Python ints.
     """
-    lo.sort(kind="stable")
-    hi.sort(kind="stable")
-    starts[0] = True
-    _apart(lo[1:], hi[:-1], out=starts[1:])
-    count = 1 + int(np.count_nonzero(starts[1:]))
     gaps = np.subtract(hi[:-1], lo[1:], out=gaps)
     np.maximum(gaps, 0, out=gaps)
     if gaps.dtype == object:
-        return count, int(gaps.sum())
+        return int(gaps.sum())
     chunk = ((1 << 63) - 1) // max(int(hi[-1]) - int(lo[0]), 1)
-    return count, sum(int(gaps[i:i + chunk].sum())
-                      for i in range(0, gaps.size, chunk))
+    return sum(int(gaps[i:i + chunk].sum()) for i in range(0, gaps.size, chunk))
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +199,7 @@ def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     dtype, by ``_sweep`` with no tolerance: touching ones merge."""
     if lo.size == 0:
         return lo, hi
-    return _sweep(lo, hi)[:2]
+    return _merged(lo, hi)[:2]
 
 
 def merge_float_arrays(
@@ -224,7 +218,7 @@ def merge_float_arrays(
         raise ValueError(f"merge_eps must be finite and >= 0, got {merge_eps!r}")
     if lo.shape[-1] == 0:
         return lo, hi
-    mlo, mhi, starts = _sweep(lo, hi, merge_eps)
+    mlo, mhi, starts = _merged(lo, hi, merge_eps)
     keep = mhi > mlo
     mlo, mhi = mlo[keep], mhi[keep]
     if lo.ndim == 1:
@@ -296,8 +290,8 @@ class IntervalSet:
 
         Measure is zero; the intended use is ``expand`` into a neighborhood.
         """
-        den, num = _over_lcd(sorted({to_fraction(p) for p in points}))
-        return cls.from_scaled(den, num, num)
+        den, num = _over_lcd([to_fraction(p) for p in points])
+        return cls.from_scaled(den, *merge_int64_arrays(num, num))
 
     @classmethod
     def from_scaled(cls, den: int, lo, hi) -> "IntervalSet":

@@ -33,7 +33,7 @@ is already sorted with positive gaps.
 The images are stacked in order of their exact left ends, and only the
 index windows where image hulls overlap (found by binary search at each
 image boundary, touching counted as overlapping) are computed, into
-scratch arrays, and swept there in place by ``_sweep_in_place``.  The
+scratch arrays, and swept there in place by ``_sweep``.  The
 clean stretches between them are already merged; each is written once,
 straight into its slot of output arrays of the exact merged size.  The
 measure is carried, not recounted: the engine keeps the exact integer
@@ -98,7 +98,8 @@ from .intervals import (
     _apart,
     _exact_dtype,
     _extreme,
-    _sweep_in_place,
+    _overlap_loss,
+    _sweep,
     merge_float_arrays,
     rational_str,
     to_fraction,
@@ -300,22 +301,22 @@ _WORKSPACE = _Workspace()
 def _sweep_window(lo: np.ndarray, hi: np.ndarray, coeffs: list, pieces: list,
                   slot: int) -> tuple:
     """Write the image pieces (j, i0, i1) of one window into the thread's
-    scratch window ``slot`` and sweep them there by ``_sweep_in_place``.
-    Returns the merged count, the loss and the sorted (lo, hi, starts)."""
+    scratch window ``slot`` and ``_sweep`` them there.  Returns the merged
+    count, the ``_overlap_loss`` and the sorted (lo, hi, starts)."""
     size = sum(i1 - i0 for _, i0, i1 in pieces)
     wlo = _WORKSPACE.take(("lo", slot), size, lo.dtype)
     whi = _WORKSPACE.take(("hi", slot), size, lo.dtype)
     starts = _WORKSPACE.take(("starts", slot), size, bool)
-    gaps = None if lo.dtype == object else _WORKSPACE.take("gaps", size - 1)
+    gaps = _WORKSPACE.take("gaps", size - 1, lo.dtype)
     _write_images(wlo, whi, 0, lo, hi, coeffs, pieces)
-    count, loss = _sweep_in_place(wlo, whi, starts, gaps)
-    return count, loss, (wlo, whi, starts)
+    _sweep(wlo, whi, starts)
+    return int(np.count_nonzero(starts)), _overlap_loss(wlo, whi, gaps), (wlo, whi, starts)
 
 
 def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
                   keep: bool = True, span: int | None = None,
-                  ends: tuple | None = None, out=None) -> tuple:
-    """Merged union of the images a*[lo, hi] + c of a canonical integer set.
+                  ends: tuple | None = None, out=None, cap: float = math.inf) -> tuple:
+    """Merged union of the images a*[lo, hi] + c of a non-empty canonical set.
 
     ``lo`` and ``hi`` are int64 arrays, or ``dtype=object`` arrays of Python
     ints, and the merged arrays keep their dtype.  Under a positive ratio
@@ -329,7 +330,8 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     sorted window ends; and, when ``keep`` is set, the merged endpoints,
     with each clean stretch written straight into its final slot of new
     arrays, or of the scratch arrays keyed ``out``.  Without ``keep`` the
-    clean stretches are never computed and lo, hi are None.  With ``ends``
+    clean stretches are never computed and lo, hi are None; so too when
+    the count passes ``cap``, before anything is allocated.  With ``ends``
     = (h, t) only the first h and the last t merged intervals are written,
     when h + t < count, and all ``count`` otherwise; a merged window is
     written whole or not at all, so h and t may grow.
@@ -352,8 +354,6 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     give the same arrays.
     """
     n = lo.size
-    if n == 0:
-        return 0, 0, lo.copy(), hi.copy()
     lo0 = int(lo[0])
     coeffs = sorted(coeffs, key=lambda ac: ac[0] * lo0 + ac[1])
     size = len(coeffs) * n
@@ -404,7 +404,7 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     if r < cut:
         parts.append((o, o + cut - r, r, None))
         o += cut - r
-    if not keep:
+    if not keep or count > cap:
         return count, loss, None, None
     # The parts give the first o outputs; when mirrored, the rest, past
     # any middle interval, is the left half reflected.
@@ -466,18 +466,19 @@ class _ExactEngine:
     same window merge, ``_merge_images``, on either dtype.  The measure is
     carried, not recounted: ``total`` is the exact integer numerator of
     |E_n| over ``den``, and a step sets total_{n+1} = sum_j a_j * total_n -
-    loss from the overlap loss of the merged windows.  A step with
-    ``keep=False`` leaves the set unbuilt (lo and hi None), so it must be
-    the last one.  ``symmetric`` is tested once, exactly, on the projected
+    loss from the overlap loss of the merged windows.  A step whose count
+    passes ``MAX_COUNT`` raises ``SizeCapExceeded`` before it writes the
+    new set.  ``symmetric`` is tested once, exactly, on the projected
     maps: when it holds every step passes ``_merge_images`` the sum of
     ends of the next generation, and the step mirrors when its image
     layout allows, with bit-identical results.
 
     ``measure_at`` names the generation whose measure alone the caller
-    reads, stepping to it with ``keep=False`` (``sheared_measures``).  The
-    int64 generations then live in two scratch arrays of the thread's
-    ``_Workspace``, written in turn, and the step before the last writes
-    only what the last one reads: the first h and the last t intervals.
+    reads (``sheared_measures``): the step to it leaves the set unbuilt
+    (lo and hi None), so it is the last one.  The int64 generations then
+    live in two scratch arrays of the thread's ``_Workspace``, written in
+    turn, and the step before the last writes only what the last one
+    reads: the first h and the last t intervals.
     From the last step's maps and the ends of the new set, which the step
     knows before it merges, ``_window_bounds`` gives the last step's
     bounds; h counts the image elements of this step whose left ends lie
@@ -541,7 +542,7 @@ class _ExactEngine:
                 self.hi, [-((c - min(above)) // a) for a, c in coeffs], "left").sum())
         return max(h, 1), max(t, 1)
 
-    def step(self, keep: bool = True) -> None:
+    def step(self) -> None:
         new_den, coeffs = self._coefficients(self.den)
         xmax = _extreme(self.lo, self.hi)
         span = None
@@ -555,20 +556,20 @@ class _ExactEngine:
             self.lo = self.hi = np.empty(0, dtype=dtype)
             self.count = 0
         else:
-            ends = out = None
-            if self.measure_at is not None:
-                out = ("generation", self.n % 2)
-                if keep and self.n + 2 == self.measure_at:
-                    ends = self._last_reads(new_den, coeffs)
+            out = None if self.measure_at is None else ("generation", self.n % 2)
+            ends = (self._last_reads(new_den, coeffs)
+                    if self.n + 2 == self.measure_at else None)
+            keep = self.n + 1 != self.measure_at
+            extra = len(coeffs) * self.omitted
             count, loss, self.lo, self.hi = _merge_images(
-                self.lo.astype(dtype, copy=False),
-                self.hi.astype(dtype, copy=False), coeffs, keep, span, ends, out)
-            self.count = count + len(coeffs) * self.omitted
+                self.lo.astype(dtype, copy=False), self.hi.astype(dtype, copy=False),
+                coeffs, keep, span, ends, out, MAX_COUNT - extra)
+            self.count = count + extra
+            _check_cap(self.count, self.n + 1)
             self.omitted = self.count - self.lo.size if keep else 0
             self.total = sum(a for a, _ in coeffs) * self.total - loss
         self.den = new_den
         self.n += 1
-        _check_cap(self.count, self.n)
 
     @property
     def measure(self) -> Fraction:
@@ -646,9 +647,8 @@ class _FloatEngine:
         self.lo, self.hi = base[:, :1], base[:, 1:]
         self.n = 0
 
-    def step(self, keep: bool = True) -> None:
-        """One generation for every row.  The rows are always kept, whatever
-        ``keep`` says: their measures are summed from them."""
+    def step(self) -> None:
+        """One generation for every row."""
         rows = self.lo.shape[0]
         if self.lo.size:
             lo = self.ratios * self.lo[:, None, :]
@@ -720,8 +720,8 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     """
     eng = _engine(ifs, d, n_max, measure_only=True)
     values = [eng.measure]
-    for k in range(1, n_max + 1):
-        eng.step(keep=k < n_max)
+    for _ in range(n_max):
+        eng.step()
         values.append(eng.measure)
     if isinstance(d, DirectionBatch):
         return np.array(values)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -39,9 +40,12 @@ def fmt(value) -> str:
 
 
 def jsonable(obj):
-    """Recursively convert to JSON-safe types; exact values become p/q."""
+    """Recursively convert to JSON-safe types; exact values become p/q and
+    non-finite floats the ``fmt`` text "inf", "-inf" or "nan"."""
     if isinstance(obj, Fraction):
         return rational_str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return fmt(float(obj))
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     if isinstance(obj, dict):
@@ -83,7 +87,7 @@ def write_json(path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -30,6 +30,22 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def strict_json(text):
+    """Parse JSON text, refusing the non-standard NaN, Infinity and
+    -Infinity that ``json.dumps`` writes unless ``allow_nan=False``."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(autouse=True)
+def json_is_strict(tmp_path):
+    """Every JSON file a test writes under its tmp_path is strict JSON."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        strict_json(path.read_text())
+
+
 @pytest.fixture
 def overlap_config(tmp_path):
     # ratio sum 1 and nesting hold, but alpha decays too fast for the
@@ -288,6 +304,22 @@ class TestExitCodes:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
         capsys.readouterr()
 
+    def test_no_refinement_error_bar_is_strict_json(self, tmp_path, capsys):
+        # with no refinement there is no error estimate: the bar is inf,
+        # written as the text "inf" the CSVs get, not as bare Infinity
+        out = tmp_path / "o"
+        assert run("favard", "--preset", "four-corner", "--n", "1",
+                   "--refinements", "0", "--out", str(out)) == 1
+        payload = strict_json((out / "favard.json").read_text())
+        assert (payload["error"], payload["status"]) == ("inf", "unconverged")
+        assert "+- inf" in capsys.readouterr().out
+
+    def test_json_writes_non_finite_floats_as_text(self, tmp_path):
+        payload = {"a": [math.inf, -math.inf], "b": math.nan, "c": 0.5}
+        serialize.write_json(tmp_path / "x.json", payload)
+        assert strict_json((tmp_path / "x.json").read_text()) == {
+            "a": ["inf", "-inf"], "b": "nan", "c": 0.5}
+
     def test_computation_size_cap(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(projection, "MAX_COUNT", 10)
         argv = ("alpha", "--preset", "four-corner", "--slope", "355/452",
@@ -354,11 +386,13 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("option", [
-        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"), ("--refinements", "-1"),
-    ], ids=["tol-negative", "tol-nan", "tol-zero", "refinements-negative"])
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
+        ("--refinements", "-1"),
+    ], ids=["tol-negative", "tol-nan", "tol-zero", "tol-inf", "refinements-negative"])
     def test_usage_bad_quadrature_settings(self, option, capsys):
         # these used to run every refinement and exit 1 "unconverged", or
-        # print "+- inf" for a negative refinement count
+        # print "+- inf" for a negative refinement count; an infinite tol
+        # passed any error bar and exited 0 "converged"
         assert run("favard", "--preset", "four-corner", "--n", "1", *option) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
@@ -863,10 +897,10 @@ class TestGenerationsStream:
         at_step = []     # those lines when each engine step starts
         step = projection._ExactEngine.step
 
-        def spy_step(self, keep=True):
+        def spy_step(self):
             if lines:
                 at_step.append(lines[0])
-            step(self, keep)
+            step(self)
 
         class SpyPath(type(Path())):
             def open(self, *args, **kwargs):

@@ -160,8 +160,9 @@ class TestFavardQuadrature:
 
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan}, {"max_refinements": -1},
-    ], ids=["tol-negative", "tol-zero", "tol-nan", "refinements-negative"])
+        {"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_refinements": -1},
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "refinements-negative"])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(PreconditionError):
             QuadratureConfig(**kwargs)

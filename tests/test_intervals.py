@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favardlab import intervals
@@ -18,7 +18,6 @@ from favardlab.intervals import (
     Interval,
     IntervalSet,
     MERGE_EPSILON,
-    _sweep_in_place,
     merge_float_arrays,
     merge_int64_arrays,
     rational_str,
@@ -275,6 +274,13 @@ class TestBothDtypes:
         assert (grown == s) == (not comps)
 
 
+def _aliases(x):
+    """The rational-like values equal to the Fraction x: itself, its p/q
+    text, and the int or float of the same value where there is one."""
+    return ([x, rational_str(x)] + [int(x)] * (x.denominator == 1)
+            + [float(x)] * (Fraction(float(x)) == x))
+
+
 def object_numerators(values):
     """Numerators over the least common denominator as an object array, as
     the exact constructors scaled them before picking the engine's dtype."""
@@ -318,6 +324,22 @@ class TestConstructorDtype:
         pts = sorted({x for ab in items for x in ab})
         den, num = object_numerators(pts)
         assert IntervalSet.from_points(pts) == IntervalSet.from_scaled(den, num, num)
+
+    @given(st.lists(wide_rationals.flatmap(lambda x: st.lists(
+        st.sampled_from(_aliases(x)), min_size=1, max_size=3)), max_size=12).map(
+            lambda groups: [p for group in groups for p in group]).flatmap(st.permutations))
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example(["1/2", 0.5, Fraction(1, 2)])
+    def test_points_sort_as_integers(self, points):
+        # the points as numerators over their lcd, merged as degenerate
+        # intervals, give the set of sorting the Fractions, whatever types
+        # equal points come as
+        den, num = intervals._over_lcd(sorted({to_fraction(p) for p in points}))
+        want = IntervalSet.from_scaled(den, num, num)
+        got = IntervalSet.from_points(points)
+        assert got == want and got.denominator == want.denominator
+        assert got._lo.dtype == want._lo.dtype and got._hi.dtype == want._hi.dtype
 
 
 @st.composite
@@ -428,8 +450,9 @@ class TestMergeKernels:
     @given(grid=grid_rows(), base=st.integers(-2**40, 2**40))
     @settings(max_examples=150, deadline=None)
     def test_sweep_matches_running_maximum(self, kind, eps, grid, base):
-        # sorting the ends apart gives the starts and endpoints of a stable
-        # argsort and a running maximum, bit for bit
+        # sorting the ends apart in place gives the starts and endpoints of
+        # a stable argsort and a running maximum, bit for bit, and for
+        # integers the overlap loss of the reference merge
         a, w, s, t = grid
         if kind == "float":
             # an eighth-unit grid puts gaps on 0.25, jitters near 1e-12
@@ -438,15 +461,28 @@ class TestMergeKernels:
         else:
             lo = base + a if kind == "int64" else a.astype(object) + base * 2**30
             hi = lo + w
-        mlo, mhi, starts = intervals._sweep(lo, hi, eps)
-        want = [reference_sweep(r_lo, r_hi, eps)
-                for r_lo, r_hi in zip(np.atleast_2d(lo), np.atleast_2d(hi))]
+        wlo, whi = lo.copy(), hi.copy()
+        starts = np.empty(lo.shape, dtype=bool)
+        assert intervals._sweep(wlo, whi, starts, eps) is None
+        assert wlo.tolist() == np.sort(lo).tolist()
+        assert whi.tolist() == np.sort(hi).tolist()
+        rows = list(zip(np.atleast_2d(lo), np.atleast_2d(hi)))
+        want = [reference_sweep(r_lo, r_hi, eps) for r_lo, r_hi in rows]
         assert np.array_equal(starts.reshape(len(want), -1),
                               [mask for _, _, mask in want])
+        mlo, mhi, mstarts = intervals._merged(lo, hi, eps)
+        assert np.array_equal(mstarts, starts)
         for got, part in ((mlo, 0), (mhi, 1)):
             ref = np.concatenate([row[part] for row in want])
             assert got.dtype == ref.dtype == lo.dtype
             assert got.tolist() == ref.tolist()
+        if kind == "float":
+            return
+        sorted_rows = zip(np.atleast_2d(wlo), np.atleast_2d(whi))
+        for (r_lo, r_hi), (s_lo, s_hi), (k_lo, k_hi, _) in zip(rows, sorted_rows, want):
+            gaps = np.empty(r_lo.size - 1, dtype=r_lo.dtype)
+            loss = int(np.sum(r_hi - r_lo)) - int(np.sum(k_hi - k_lo))
+            assert intervals._overlap_loss(s_lo, s_hi, gaps) == loss
 
     def test_float_merge_uses_epsilon(self):
         lo = np.array([0.0, 1.0 + 1e-13])
@@ -489,35 +525,16 @@ class TestMergeKernels:
         assert len(flo) == 0
 
 
-class TestSweepInPlace:
-    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 20)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_merge(self, items):
-        # count and loss from the sorted ends, against the merged set
-        lo = np.array([a for a, _ in items], dtype=np.int64)
-        hi = np.array([a + length for a, length in items], dtype=np.int64)
-        mlo, mhi = merge_int64_arrays(lo, hi)
-        loss = int(np.sum(hi - lo)) - int(np.sum(mhi - mlo))
-        for dtype in (np.int64, object):
-            wlo, whi = lo.astype(dtype), hi.astype(dtype)
-            starts = np.empty(lo.size, dtype=bool)
-            gaps = None if dtype is object else np.empty(lo.size - 1, dtype=np.int64)
-            assert _sweep_in_place(wlo, whi, starts, gaps) == (mlo.size, loss)
-            assert wlo.tolist() == sorted(lo.tolist())
-            assert wlo[starts].tolist() == mlo.tolist()
-            assert whi[:-1][starts[1:]].tolist() + [whi[-1]] == mhi.tolist()
-
+class TestOverlapLoss:
     @pytest.mark.parametrize("copies, top", [(5, (1 << 62) - 1), (10, 1 << 60)])
     def test_loss_past_int64(self, copies, top):
         # copies of one interval [-top, top]: each term 2*top is below 2^63,
         # and their sum (copies - 1) * 2*top is not
         lo = np.full(copies, -top, dtype=np.int64)
         hi = np.full(copies, top, dtype=np.int64)
-        got = _sweep_in_place(lo, hi, np.empty(copies, dtype=bool),
-                              np.empty(copies - 1, dtype=np.int64))
-        assert got == (1, (copies - 1) * 2 * top)
-        assert got[1] >= 1 << 63
+        loss = intervals._overlap_loss(lo, hi, np.empty(copies - 1, dtype=np.int64))
+        assert loss == (copies - 1) * 2 * top
+        assert loss >= 1 << 63
 
 
 class TestFloatSet:

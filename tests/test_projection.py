@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -500,12 +501,13 @@ def _plain_merge(monkeypatch):
 def _merged_elements(monkeypatch):
     """Count the endpoints the engine's window sweeps take in."""
     seen = [0]
-    sweep = projection._sweep_in_place
+    sweep = projection._sweep_window
 
-    def spy(lo, hi, *rest):
-        seen[0] += lo.size
-        return sweep(lo, hi, *rest)
-    monkeypatch.setattr(projection, "_sweep_in_place", spy)
+    def spy(*args):
+        result = sweep(*args)
+        seen[0] += result[2][0].size
+        return result
+    monkeypatch.setattr(projection, "_sweep_window", spy)
     return seen
 
 
@@ -693,28 +695,43 @@ class TestExactMeasure:
         assert sum(lo) > 1 << 63 and sum(hi) > 1 << 63
         assert eng.measure == _python_measure(eng)
         assert eng.measure == Fraction(9 * 2, 32) - Fraction(1, 16) + Fraction(den // 40, den)
-        last = _ExactEngine(proj)
-        last.step(keep=False)
+        last = _ExactEngine(proj, measure_at=1)
+        last.step()
         assert last.lo is None and last.count == 8
         assert last.measure == eng.measure
 
     def test_empty_set(self):
         # A degenerate base has measure 0 and an empty generation 1, which
-        # stays empty and of measure 0, with or without keeping the set.
+        # stays empty and of measure 0, up to the measure-only generation 4.
         proj = ProjectedIFS1D(((Fraction(1, 2), Fraction(0)),
                                (Fraction(1, 2), Fraction(1, 2))),
                               (Fraction(1, 3), Fraction(1, 3)))
-        eng = _ExactEngine(proj)
+        eng = _ExactEngine(proj, measure_at=4)
         assert eng.measure == 0
-        for _ in range(3):
+        for _ in range(4):
             eng.step()
             assert eng.count == eng.lo.size == eng.hi.size == 0
             assert eng.measure == 0
-        eng.step(keep=False)
-        assert eng.count == 0 and eng.measure == 0
-        empty = np.empty(0, dtype=np.int64)
-        count, loss, mlo, mhi = _merge_images(empty, empty, [(1, 0), (1, 1)])
-        assert (count, loss, mlo.size, mhi.size) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("slope", [Fraction(1, 3), Fraction(241, 480)])
+    def test_cap_raises_before_writing(self, monkeypatch, slope):
+        # the step past the cap raises before it allocates the new set, so
+        # the peak stays below the rejected generation's own arrays
+        d = Direction("x", slope)
+        rejected = generation(four_corner(), d, 10)
+        count = rejected.count
+        monkeypatch.setattr(projection, "MAX_COUNT", count - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded) as err:
+                generation(four_corner(), d, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (f"merged interval count {count} exceeds cap "
+                                  f"{count - 1} at generation 10")
+        assert rejected._lo.dtype == np.int64
+        assert peak < 2 * count * 8
 
     def test_last_step_measure_only(self):
         # sheared_measures never builds generation n_max, yet gives the same
@@ -762,7 +779,7 @@ def _measure_only_counts(ifs, d, n):
     for k in range(1, n + 1):
         if k == n:
             held = IntervalSet.from_scaled(eng.den, eng.lo, eng.hi)
-        eng.step(keep=k < n)
+        eng.step()
         counts.append(eng.count)
     return counts, held
 
