@@ -19,6 +19,7 @@ twice the integral over any half period.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,12 +134,23 @@ class FavardEstimate:
         return self.status == "converged"
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of an order on [-1, 1],
+    computed on first use and kept, read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _panel_nodes(lo: float, hi: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], new arrays
+    built from the kept rule of the order (``_gauss_legendre``)."""
     if panels < 1 or order < 1:
         raise PreconditionError(
             f"quadrature needs panels >= 1 and order >= 1, got {panels} and {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2

@@ -10,20 +10,24 @@ numerator lie below 2^62, ``dtype=object`` arrays of Python ints past that
 entries, except point sets from :meth:`IntervalSet.from_points`, which
 ``expand`` grows into neighborhoods.
 
-Every merge is one sort and sweep (``_sweep``) under one rule (``_apart``):
-a merged interval starts where a left end lies past the largest right end
-before it.  The left ends and the right ends are sorted apart: where the
-(i+1)-th smallest left end starts an interval, the i intervals before it
-are also the i with the smallest right ends, so the largest right end
-before it is the i-th smallest: no gather and no running maximum.
+Every merge shares one sort and sweep (``_sweep``) under one rule
+(``_apart``): a merged interval starts where a left end lies past the
+largest right end before it.  The left ends and the right ends are sorted
+apart: where the (i+1)-th smallest left end starts an interval, the i
+intervals before it are also the i with the smallest right ends, so the
+largest right end before it is the i-th smallest: no gather and no
+running maximum.
 The sweep sorts the ends in place and marks the starts.
 ``merge_int64_arrays`` (integers of either dtype, no tolerance: every
 exact set built from unsorted intervals or grown by ``expand``) and
 ``merge_float_arrays`` (binary64 rows of :class:`FloatIntervalSet` and the
-float engine, gaps glued up to an absolute tolerance) sweep copies and
-gather the merged ends.  The generation engine sweeps its windows in its
-own scratch arrays and reads their overlap loss, the sum of
-max(0, H[i-1] - L[i]), off the sorted ends (``_overlap_loss``).
+float engine, gaps glued up to an absolute tolerance) sweep copies
+(``_swept``).  One row gathers its merged ends; several rows are laid out
+padded by a second sort of each row (``_padded``), with every end that
+bounds no merged interval replaced by the row's largest right end.  The
+generation engine sweeps its windows in its own scratch arrays and reads
+their overlap loss, the sum of max(0, H[i-1] - L[i]), off the sorted ends
+(``_overlap_loss``).
 Summation order is fixed (ascending lo), so repeated runs are bit-identical.
 """
 
@@ -161,9 +165,9 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray, eps=None) -> None
     _apart(lo[..., 1:], hi[..., :-1], eps, out=starts[..., 1:])
 
 
-def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
-    """``_sweep`` on copies of non-empty lo and hi: the merged lo and hi of
-    all rows, in row order, as 1D arrays, and the mask of the starts."""
+def _swept(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
+    """``_sweep`` on copies of non-empty lo and hi: the sorted copies and
+    the masks of the starts and of the ends of their merged intervals."""
     lo, hi = lo.copy(), hi.copy()
     starts = np.empty(lo.shape, dtype=bool)
     _sweep(lo, hi, starts, eps)
@@ -171,6 +175,13 @@ def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
     ends = np.empty_like(starts)
     ends[..., :-1] = starts[..., 1:]
     ends[..., -1] = True
+    return lo, hi, starts, ends
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
+    """The merged lo and hi of all rows of ``_swept``, in row order, as 1D
+    arrays, and the mask of the starts."""
+    lo, hi, starts, ends = _swept(lo, hi, eps)
     return lo[starts], hi[ends], starts
 
 
@@ -212,33 +223,66 @@ def merge_float_arrays(
     give 1D results.  2D results are padded to the longest row with
     degenerate copies [x, x] of the row's last right end x: they lie in
     the row's last interval, add nothing to its measure and merge away
-    again.  A row left empty is padded with zeros.
+    again.  A row left empty is padded with zeros.  One row gathers its
+    merged ends; several rows are laid out by ``_padded``.  Empty input
+    gives empty rows, as many as there are rows and of width 0.
     """
     if not (math.isfinite(merge_eps) and merge_eps >= 0):
         raise ValueError(f"merge_eps must be finite and >= 0, got {merge_eps!r}")
-    if lo.shape[-1] == 0:
-        return lo, hi
-    mlo, mhi, starts = _merged(lo, hi, merge_eps)
+    if lo.size == 0:
+        return lo[..., :0], hi[..., :0]
+    if lo.ndim == 2 and lo.shape[0] > 1:
+        return _padded(*_swept(lo, hi, merge_eps))
+    mlo, mhi, _ = _merged(lo, hi, merge_eps)
     keep = mhi > mlo
     mlo, mhi = mlo[keep], mhi[keep]
-    if lo.ndim == 1:
-        return mlo, mhi
-    rows = lo.shape[0]
-    if rows == 1:
-        return mlo[None], mhi[None]
-    row = np.nonzero(starts)[0][keep]
-    counts = np.bincount(row, minlength=rows)
-    stops = np.cumsum(counts)
-    pad = np.zeros(rows)
-    filled = counts > 0
-    pad[filled] = mhi[stops[filled] - 1]
+    return (mlo, mhi) if lo.ndim == 1 else (mlo[None], mhi[None])
+
+
+def _padded(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
+            ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The merged rows of 2D lo and hi swept by ``_swept``, with the masks
+    of their starts and ends, padded as ``merge_float_arrays`` gives them.
+
+    Each row is laid out by ``_compacted`` with its largest right end x,
+    its last one, as pad.  That is exact unless a merged interval is
+    degenerate, which shows as one more column with equal ends than there
+    are pads.  Then, rarely, its start and end are unmarked and the rows
+    laid out again, each padded with its last right end kept, or with 0
+    when none is kept.
+    """
+    counts = np.count_nonzero(starts, axis=1)
+    out_lo, out_hi = _compacted(lo, hi, starts, ends, hi[:, -1:], counts)
+    if np.count_nonzero(out_lo == out_hi) == out_lo.size - counts.sum():
+        return out_lo, out_hi
+    keep = hi[ends] > lo[starts]
+    starts[starts] = keep
+    ends[ends] = keep
+    counts = np.count_nonzero(starts, axis=1)
+    pad = np.max(hi, axis=1, where=ends, initial=-np.inf, keepdims=True)
+    pad[counts == 0] = 0.0
+    return _compacted(lo, hi, starts, ends, pad, counts)
+
+
+def _compacted(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray, pad: np.ndarray, counts: np.ndarray) -> tuple:
+    """The intervals of each row of sorted 2D lo and hi that start at
+    ``starts`` and end at ``ends``, ``counts`` of them a row, in order and
+    padded with the row's ``pad``, a column no smaller than any end kept.
+
+    Every other left end and right end is replaced by the pad, and a
+    second sort of each row puts the kept ends first, when every kept
+    interval has positive length: each kept left end then lies below its
+    right end, so below the pad, and each kept right end lies below the
+    pad or is the pad itself.  The ties are copies of the pad, so the sort
+    need not be stable.  The longest row sets the width.
+    """
+    out_lo = np.where(starts, lo, pad)
+    out_hi = np.where(ends, hi, pad)
+    out_lo.sort()
+    out_hi.sort()
     width = int(counts.max())
-    out_lo = np.repeat(pad, width).reshape(rows, width)
-    out_hi = out_lo.copy()
-    col = np.arange(row.size) - np.repeat(stops - counts, counts)
-    out_lo[row, col] = mlo
-    out_hi[row, col] = mhi
-    return out_lo, out_hi
+    return out_lo[:, :width], out_hi[:, :width]
 
 
 class IntervalSet:

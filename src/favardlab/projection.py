@@ -73,10 +73,14 @@ float arithmetic with no snapping and no Fractions (``Direction.from_angle``
 snaps its row of a batch of one).  At small generations a float step costs
 per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
 and ``neighborhood_lengths`` (``decay_series``) step all their angles once,
-in row groups bounded by ``_GROUP_ENDPOINTS`` at the deepest generation
-they read.  Once k**n reaches the bound (n = 6 for four maps) a group is
-one row and a step is sort-bound.  Only the steps merge: each grown row of
-``neighborhood_lengths`` is measured from its gaps under ``_apart``.
+in row groups bounded by ``_GROUP_ENDPOINTS`` = 16384 endpoints at the
+deepest generation they read.  ``merge_float_arrays`` lays out the merged
+rows of a group, padded, by a second sort of each row, which costs about
+as much as the sweep's own sort, so a group can be large enough to spread
+the per-call overhead over many rows.  Once k**n reaches the bound (n = 7
+for four maps) a group is one row, merged by gathers.  Only the steps
+merge: each grown row of ``neighborhood_lengths`` is measured from its
+gaps under ``_apart``.
 """
 
 from __future__ import annotations
@@ -111,8 +115,11 @@ DEFAULT_SLOPE_DENOMINATOR = 10 ** 6
 
 _QUARTER_PI = math.pi / 4
 # Endpoints per row group of the float engine: a group of g rows of a
-# k-map system at generation n holds at most g * k**n.
-_GROUP_ENDPOINTS = 4096
+# k-map system at generation n holds at most g * k**n.  Against 4096, this
+# halves the quadrature pass of favard(four_corner(), 3) on a 2-core x86-64
+# VM; larger budgets ran it and decay_series no faster, with arrays up to
+# 4x as large.
+_GROUP_ENDPOINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -733,7 +740,9 @@ def _row_groups(ifs: IFS2D, thetas, n_max: int) -> list:
 
     Slopes are ``tan`` of the angles, unsnapped.  A group holds at most
     ``_GROUP_ENDPOINTS // k**n_max`` rows (at least one) for a system of k
-    maps, which bounds its endpoints at generation n_max.
+    maps, which bounds its endpoints at generation n_max by the worst case,
+    whatever the merged widths: the gasket, one interval a row, still
+    steps one row a group from n = 9.
     """
     if n_max < 0:
         raise ValueError("generation index must be >= 0")
@@ -766,10 +775,13 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     second merge: the lengths, plus 2p, plus 2p for each gap the merge
     rule ``_apart`` keeps open between grown intervals [l - p, h + p] at
     MERGE_EPSILON, and g for each other.  The pads [x, x] have g = 0.
+    No pairs give no rows.
     """
+    measures = np.empty((len(wanted), len(thetas)))
+    if not wanted:
+        return measures
     if min(wanted)[0] < 0:
         raise ValueError("generation index must be >= 0")
-    measures = np.empty((len(wanted), len(thetas)))
     for cols, group in _row_groups(ifs, thetas, max(wanted)[0]):
         eng = _FloatEngine(ifs, group)
         scale = group.scale

@@ -292,6 +292,11 @@ class TestDecayAndFit:
         groups = len(_row_groups(sc, nodes, 7))
         assert calls == {"engines": groups, "steps": groups * 7}
 
+    def test_no_pairs(self):
+        thetas, _ = _panel_nodes(-0.5, 2.0, 4, 8)
+        rows = neighborhood_lengths(four_corner(), thetas, [])
+        assert rows.shape == (0, len(thetas))
+
     @pytest.mark.parametrize("ifs", [four_corner(), sierpinski_gasket()],
                              ids=["four-corner", "gasket"])
     def test_each_pair_matches_its_own_call(self, ifs):

@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,8 @@ from favardlab.errors import PreconditionError
 from favardlab.favard import (
     AlphaSequence,
     QuadratureConfig,
+    _gauss_legendre,
+    _panel_nodes,
     alpha_sequence,
     check_convexity,
     favard,
@@ -166,6 +173,38 @@ class TestFavardQuadrature:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(PreconditionError):
             QuadratureConfig(**kwargs)
+
+    def test_rule_kept_per_order(self, monkeypatch):
+        # the rule of an order is computed once and kept read-only; the
+        # nodes and weights handed out are new arrays, so writing to them
+        # does not reach the next call
+        real = np.polynomial.legendre.leggauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda order: calls.append(order) or real(order))
+        _gauss_legendre.cache_clear()
+        for panels in (1, 3):
+            first = [a.copy() for a in _panel_nodes(0.0, 1.0, panels, 7)]
+            for a in _panel_nodes(0.0, 1.0, panels, 7):
+                a[:] = 0.0
+            again = _panel_nodes(0.0, 1.0, panels, 7)
+            assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        x, w = _panel_nodes(-1.0, 1.0, 1, 7)
+        assert [x.tobytes(), w.tobytes()] == [a.tobytes() for a in real(7)]
+        assert calls == [7]
+        assert not any(a.flags.writeable for a in _gauss_legendre(7))
+
+    def test_import_computes_no_rule(self):
+        code = ("import sys\n"
+                "import favardlab\n"
+                "rule = sys.modules['favardlab.favard']._gauss_legendre\n"
+                "print(rule.cache_info().currsize)\n")
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_zero_refinements_allowed(self):
         est = favard(four_corner(), 1, QuadratureConfig(max_refinements=0))

@@ -411,6 +411,22 @@ class TestCsvText:
         assert list(IntervalSet.from_intervals([]).csv_text("0,x,0,")) == []
 
 
+@st.composite
+def float_rows(draw):
+    """2-5 equal-length rows of unsorted float intervals off the integers:
+    [a, a + w] on a tenth-unit grid from -1.2, with jitters s and t near
+    1e-13 of the ends.  The narrow range of a gives nested, tied and
+    touching intervals, and w = 0 with t = 0 degenerate ones."""
+    rows = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 6),
+                                    st.integers(0, 3), st.integers(0, 3)),
+                          min_size=rows * m, max_size=rows * m))
+    a, w, s, t = (np.array(v, dtype=float).reshape(rows, m) for v in zip(*cells))
+    lo = a * 0.1 - 1.2 + s * 3e-13
+    return lo, lo + (w * 0.1 + t * 3e-13)
+
+
 class TestMergeKernels:
     @given(st.lists(st.tuples(st.integers(-10**6, 10**6),
                               st.integers(0, 10**5)), max_size=40))
@@ -516,6 +532,33 @@ class TestMergeKernels:
         points = np.full((2, 4), 4.0)
         empty = merge_float_arrays(points, points)
         assert empty[0].shape == empty[1].shape == (2, 0)
+
+    @given(rows=float_rows(),
+           eps=st.sampled_from([MERGE_EPSILON, 4e-13, 0.05, 0.1, 0.25]))
+    @example(rows=(np.array([[0.1, 0.7, 0.3], [0.5, 0.5, 0.5]]),
+                   np.array([[0.2, 0.7, 0.4], [0.5, 0.5, 0.5]])), eps=0.05)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_merge_as_they_would_alone(self, rows, eps):
+        # each row of a multi-row merge is its one-row merge byte for byte,
+        # padded with copies of its last right end, or with zeros when the
+        # row is left empty (the example: an isolated point in row 0, and
+        # row 1 all one point)
+        lo, hi = rows
+        mlo, mhi = merge_float_arrays(lo, hi, eps)
+        alone = [merge_float_arrays(r_lo, r_hi, eps) for r_lo, r_hi in zip(lo, hi)]
+        assert mlo.shape == mhi.shape == (len(lo), max(a.size for a, _ in alone))
+        for got_lo, got_hi, (a_lo, a_hi) in zip(mlo, mhi, alone):
+            n = a_lo.size
+            assert got_lo[:n].tobytes() == a_lo.tobytes()
+            assert got_hi[:n].tobytes() == a_hi.tobytes()
+            pad = a_hi[-1:] if n else np.zeros(1)
+            for got in (got_lo[n:], got_hi[n:]):
+                assert got.tobytes() == np.repeat(pad, got.size).tobytes()
+
+    def test_no_rows(self):
+        for width in (0, 3):
+            mlo, mhi = merge_float_arrays(np.empty((0, width)), np.empty((0, width)))
+            assert mlo.shape == mhi.shape == (0, 0)
 
     def test_empty_kernels(self):
         mlo, mhi = merge_int64_arrays(np.array([], dtype=np.int64),
