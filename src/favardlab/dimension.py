@@ -6,8 +6,8 @@ projection is computed by expanding the projected generation whose cylinder
 diameter matches r.  If the window-integrated measure of these neighborhoods
 decays like C*r^s, the Hausdorff dimension of the set is at most 1 - s; the
 fit is reported together with its residual so power-law fidelity is visible.
-The decay series is a float estimate: its generations run on the row-batched
-float engine at unsnapped slopes, one pass for every depth of the series.
+The decay series is a float estimate: its generations run on the float walk
+at unsnapped slopes, one walk of all nodes for every depth of the series.
 
 Cover statistics expose the proof-side objects: the expanded projection is a
 finite union of disjoint intervals, each of length at least 2r, so their
@@ -161,7 +161,7 @@ def decay_series(ifs: IFS2D, scales: Sequence, window=None, panels: int = 8,
     multiplicity); a given window must be finite.
 
     All (depth, scale) pairs, brackets included, go through one
-    ``neighborhood_lengths`` call: one float pass per row group at the
+    ``neighborhood_lengths`` call: one float walk of all nodes at the
     unsnapped slopes ``tan`` of the node angles, to the deepest depth.
     """
     rs = [to_fraction(s) for s in scales]

@@ -181,7 +181,7 @@ def favard(ifs: IFS2D, n: int,
     as the error bar.
 
     Each pass sends all its node angles, slopes taken as float tangents,
-    through ``projected_lengths`` in row groups of the batched float engine.
+    through one ``projected_lengths`` call, a float walk of all of them.
     """
     quad = quad or QuadratureConfig()
     lo, hi, multiplicity = _half_period(ifs)
@@ -245,11 +245,11 @@ class LipschitzReport:
 def lipschitz_scan(ifs: IFS2D, nodes: int = 10_000) -> LipschitzReport:
     """Scan g(theta) = alpha_0 - alpha_1 over a half period of directions.
 
-    All nodes go through ``projected_lengths`` on the float backend, slopes
-    taken as float tangents.  Reports the largest finite-difference slope
-    between adjacent nodes (empirical Lipschitz evidence), the grid argmin,
-    and every near-zero local minimum: a node that beats both neighbors and
-    sits within one Lipschitz step of zero.
+    All nodes go through one ``projected_lengths`` call on the float walk,
+    slopes taken as float tangents.  Reports the largest finite-difference
+    slope between adjacent nodes (empirical Lipschitz evidence), the grid
+    argmin, and every near-zero local minimum: a node that beats both
+    neighbors and sits within one Lipschitz step of zero.
     """
     if nodes < 3:
         raise ValueError("need at least 3 grid nodes")

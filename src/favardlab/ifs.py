@@ -227,6 +227,10 @@ _MAP_FIELD_RE = re.compile(r"(\w+)\s*=\s*(\[[^\]]*\]|\"[^\"]*\"|'[^']*'|[^,]+)")
 def _parse_map_block(body: str) -> Similitude2D:
     fields = {}
     for key, raw in _MAP_FIELD_RE.findall(body):
+        if key not in ("ratio", "translate", "rotation"):
+            raise ConfigError(f"unknown map field {key!r}")
+        if key in fields:
+            raise ConfigError(f"map field {key!r} given twice")
         fields[key] = raw.strip()
     if "ratio" not in fields or "translate" not in fields:
         raise ConfigError(f"map block needs ratio and translate: {body!r}")
@@ -258,6 +262,9 @@ def loads_config(text: str) -> IFS2D:
                 maps.append(_parse_map_block(body[1:-1]))
             elif "=" in line:
                 key, value = (s.strip() for s in line.split("=", 1))
+                if (key == "name" and name is not None
+                        or key == "base" and base is not None):
+                    raise ConfigError(f"{key} given twice")
                 if key == "name":
                     name = value.strip().strip('"')
                 elif key == "base":

@@ -21,7 +21,7 @@ The sweep sorts the ends in place and marks the starts.
 ``merge_int64_arrays`` (integers of either dtype, no tolerance: every
 exact set built from unsorted intervals or grown by ``expand``) and
 ``merge_float_arrays`` (binary64 rows of :class:`FloatIntervalSet` and the
-float engine, gaps glued up to an absolute tolerance) sweep copies
+float walk, gaps glued up to an absolute tolerance) sweep copies
 (``_swept``).  One row gathers its merged ends; several rows are laid out
 padded by a second sort of each row (``_padded``), with every end that
 bounds no merged interval replaced by the row's largest right end.  The

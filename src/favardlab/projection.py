@@ -18,7 +18,7 @@ rectangle.  Generation n is computed by mapping the current *merged*
 interval set through every map and renormalizing, which is exponentially
 cheaper than enumerating cylinders whenever images overlap.  The type of
 the direction picks the engine: the exact one for a ``Direction``, the
-float one for a ``DirectionBatch``.  ``sheared_measures``, ``generation``
+float walk for a ``DirectionBatch``.  ``sheared_measures``, ``generation``
 and ``iter_generations`` are the one path from a system and a direction
 to generations: each projects the system itself and rejects n < 0.
 
@@ -63,24 +63,23 @@ no fresh pages; it holds about 36 MB after the 33 depth-12 four-corner
 directions of the ``exact-deep`` benchmark.  Snapshots never share it:
 ``generation`` and ``iter_generations`` build new arrays.
 
-The float engine holds one row per direction of a ``DirectionBatch`` and
-steps all rows at once.  Each row's merged endpoints are a per-direction
-float engine's bit for bit (reference in ``tests/oracles.py``); its measure
-is summed over the row padded to the group's width, so its last bits
-depend on that width.  It gives measures only, since generations are exact
-only.  A batch takes float slopes, ``tan`` of the angles, and projects in
-float arithmetic with no snapping and no Fractions (``Direction.from_angle``
-snaps its row of a batch of one).  At small generations a float step costs
-per-call overhead, so ``projected_lengths`` (``favard``, ``lipschitz_scan``)
-and ``neighborhood_lengths`` (``decay_series``) step all their angles once,
-in row groups bounded by ``_GROUP_ENDPOINTS`` = 16384 endpoints at the
-deepest generation they read.  ``merge_float_arrays`` lays out the merged
-rows of a group, padded, by a second sort of each row, which costs about
-as much as the sweep's own sort, so a group can be large enough to spread
-the per-call overhead over many rows.  Once k**n reaches the bound (n = 7
-for four maps) a group is one row, merged by gathers.  Only the steps
-merge: each grown row of ``neighborhood_lengths`` is measured from its
-gaps under ``_apart``.
+The float walk, ``_float_walk``, holds one row per direction of a
+``DirectionBatch``.  Each row's merged endpoints are a per-direction float
+engine's bit for bit (reference in ``tests/oracles.py``); its measure is
+summed over the row padded to its group's width, so its last bits depend
+on that width.  It gives measures only, since generations are exact only.
+A batch takes float slopes, ``tan`` of the angles, and projects in float
+arithmetic with no snapping and no Fractions (``Direction.from_angle``
+snaps its row of a batch of one).  ``projected_lengths`` (``favard``,
+``lipschitz_scan``) and ``neighborhood_lengths`` (``decay_series``) walk
+all their angles once, projecting the system once.  A float step costs
+per-call overhead, so a group of rows steps at once while its images hold
+at most ``_GROUP_ENDPOINTS`` = 16384 endpoints, counted on the merged
+widths, and is halved by rows otherwise.  ``merge_float_arrays`` lays out
+the merged rows of a group, padded, by a second sort of each row, which
+costs about as much as the sweep's own sort; one row is merged by gathers.
+Only the steps merge: each grown row of ``neighborhood_lengths`` is
+measured from its gaps under ``_apart``.
 """
 
 from __future__ import annotations
@@ -114,11 +113,11 @@ MAX_COUNT = 50_000_000
 DEFAULT_SLOPE_DENOMINATOR = 10 ** 6
 
 _QUARTER_PI = math.pi / 4
-# Endpoints per row group of the float engine: a group of g rows of a
-# k-map system at generation n holds at most g * k**n.  Against 4096, this
-# halves the quadrature pass of favard(four_corner(), 3) on a 2-core x86-64
-# VM; larger budgets ran it and decay_series no faster, with arrays up to
-# 4x as large.
+# Endpoints per float step: a group of g rows of a k-map system whose
+# widest merged row holds w intervals steps while g * w * k stays within
+# this, and is halved by rows otherwise.  Budgets of 4096 and 65536 ran the
+# quadrature pass of favard(four_corner(), n) for n = 2, 3 no faster (best
+# of 7, 2-core x86-64 VM), and 65536 ran decay_series about 1.5x slower.
 _GROUP_ENDPOINTS = 16384
 
 
@@ -588,7 +587,7 @@ class _ExactEngine:
 
 @dataclass(frozen=True)
 class DirectionBatch:
-    """Float directions for the float engine, one row each.
+    """Float directions for the float walk, one row each.
 
     Row i is chart y where ``chart_y[i]`` is true and chart x otherwise, with
     float slope ``slope[i]`` in [-1, 1].  Nothing is snapped to a rational.
@@ -612,9 +611,6 @@ class DirectionBatch:
     def __len__(self) -> int:
         return len(self.slope)
 
-    def __getitem__(self, rows: slice) -> "DirectionBatch":
-        return DirectionBatch(self.chart_y[rows], self.slope[rows])
-
     @property
     def scale(self) -> np.ndarray:
         """True projected length per unit of sheared length, per row."""
@@ -627,66 +623,61 @@ class DirectionBatch:
         return np.where(chart_y, y + s * x, x + s * y)
 
 
-class _FloatEngine:
-    """Float twin of :class:`_ExactEngine`, one row per direction.
+def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple]:
+    """The float generations 0..n_max of the system projected through each
+    row of ``batch``, as (rows, n, lo, hi): generation n of the rows of the
+    slice ``rows``, padded.  Each row comes once for each n.
 
-    The rows of a DirectionBatch are projected in float arithmetic.  Each
-    step maps every row through all maps and merges all rows at once with
-    ``merge_float_arrays``.  Rows shorter than the longest are padded with
-    degenerate copies [x, x] of their right end x.  Under a map the image
-    of a pad is the right end of the image of the row's last interval, so
-    it lies in that image and changes neither the union nor a gap: the
-    sweep sorts left and right ends apart, so its result depends only on
-    the intervals, not their order, and every row merges as it would
-    alone.
+    The maps and base corners are projected once, for all rows.  A group
+    steps all its rows at once through ``merge_float_arrays``, each row
+    padded with degenerate copies [x, x] of its right end x.  The image of
+    a pad is the right end of the image of the row's last interval, so it
+    changes neither the union nor a gap, and the sweep sorts left and right
+    ends apart: every row merges as it would alone.  A group of several
+    rows whose images pass ``_GROUP_ENDPOINTS`` is halved instead, and each
+    half, cut to its widest row, goes on a depth-first stack.
     """
-
-    def __init__(self, ifs: IFS2D, d: DirectionBatch):
-        offsets = d.functional(
-            np.array([float(m.translation[0]) for m in ifs.maps]),
-            np.array([float(m.translation[1]) for m in ifs.maps]))
-        x0, y0, x1, y1 = (float(v) for v in ifs.base)
-        corners = d.functional(np.array([x0, x0, x1, x1]),
+    k = len(ifs.maps)
+    ratios = np.array([float(m.ratio) for m in ifs.maps])[:, None]
+    offsets = batch.functional(
+        np.array([float(m.translation[0]) for m in ifs.maps]),
+        np.array([float(m.translation[1]) for m in ifs.maps]))[:, :, None]
+    x0, y0, x1, y1 = (float(v) for v in ifs.base)
+    corners = batch.functional(np.array([x0, x0, x1, x1]),
                                np.array([y0, y1, y0, y1]))
-        base = np.stack([corners.min(axis=1), corners.max(axis=1)], axis=1)
-        self.ratios = np.array([float(m.ratio) for m in ifs.maps])[:, None]
-        self.offsets = offsets[:, :, None]
-        self.lo, self.hi = base[:, :1], base[:, 1:]
-        self.n = 0
-
-    def step(self) -> None:
-        """One generation for every row."""
-        rows = self.lo.shape[0]
-        if self.lo.size:
-            lo = self.ratios * self.lo[:, None, :]
-            lo += self.offsets
-            hi = self.ratios * self.hi[:, None, :]
-            hi += self.offsets
-            self.lo, self.hi = merge_float_arrays(
-                lo.reshape(rows, -1), hi.reshape(rows, -1))
-        self.n += 1
+    lo, hi = corners.min(axis=1, keepdims=True), corners.max(axis=1, keepdims=True)
+    yield slice(0, len(batch)), 0, lo, hi
+    stack = [(0, len(batch), lo, hi, 0)]
+    while stack:
+        a, b, lo, hi, n = stack.pop()
+        if n == n_max:
+            continue
+        if lo.size * k > _GROUP_ENDPOINTS and b - a > 1:
+            m = (a + b) // 2
+            for i, j in ((m, b), (a, m)):
+                part_lo, part_hi = lo[i - a:j - a], hi[i - a:j - a]
+                width = np.count_nonzero(part_hi > part_lo, axis=1).max()
+                stack.append((i, j, part_lo[:, :width], part_hi[:, :width], n))
+            continue
+        if lo.size:
+            images = []
+            for ends in (lo, hi):
+                image = ratios * ends[:, None, :]
+                image += offsets[a:b]
+                images.append(image.reshape(b - a, -1))
+            lo, hi = merge_float_arrays(*images)
         # Rows are padded to the longest, so the width is the largest count.
-        _check_cap(self.count, self.n)
-
-    @property
-    def count(self) -> int:
-        return int(self.lo.shape[1])
-
-    @property
-    def measure(self) -> np.ndarray:
-        """Sheared measure of each row."""
-        return np.sum(self.hi - self.lo, axis=1)
+        _check_cap(lo.shape[1], n + 1)
+        yield slice(a, b), n + 1, lo, hi
+        stack.append((a, b, lo, hi, n + 1))
 
 
-def _engine(ifs: IFS2D, d: Union[Direction, DirectionBatch], n: int,
-            measure_only: bool = False):
-    """Start the engine for generation n of the system projected through d:
-    the exact engine for a Direction, the float engine for a DirectionBatch.
-    With ``measure_only`` the exact engine's ``measure_at`` is n."""
+def _engine(ifs: IFS2D, d: Direction, n: int,
+            measure_only: bool = False) -> _ExactEngine:
+    """Start the exact engine for generation n of the system projected
+    through d.  With ``measure_only`` its ``measure_at`` is n."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
-    if isinstance(d, DirectionBatch):
-        return _FloatEngine(ifs, d)
     return _ExactEngine(project_ifs(ifs, d), n if measure_only else None)
 
 
@@ -722,75 +713,65 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     live in scratch arrays of the thread, reused by the next call
     (``_ExactEngine.measure_at``).  The true projected
     length of generation n is ``values[n] * d.scale``.  A DirectionBatch
-    runs on the float engine and gives an array of shape
-    (n_max + 1, len(d)), one column per direction.
+    runs on the float walk, ``_float_walk``, and gives an array of shape
+    (n_max + 1, len(d)), one column per direction, each summed over its
+    row padded to its group's width.
     """
-    eng = _engine(ifs, d, n_max, measure_only=True)
-    values = [eng.measure]
-    for _ in range(n_max):
-        eng.step()
-        values.append(eng.measure)
-    if isinstance(d, DirectionBatch):
-        return np.array(values)
-    return values
-
-
-def _row_groups(ifs: IFS2D, thetas, n_max: int) -> list:
-    """The float angles as (columns, ``DirectionBatch``) row groups.
-
-    Slopes are ``tan`` of the angles, unsnapped.  A group holds at most
-    ``_GROUP_ENDPOINTS // k**n_max`` rows (at least one) for a system of k
-    maps, which bounds its endpoints at generation n_max by the worst case,
-    whatever the merged widths: the gasket, one interval a row, still
-    steps one row a group from n = 9.
-    """
+    if not isinstance(d, DirectionBatch):
+        eng = _engine(ifs, d, n_max, measure_only=True)
+        values = [eng.measure]
+        for _ in range(n_max):
+            eng.step()
+            values.append(eng.measure)
+        return values
     if n_max < 0:
         raise ValueError("generation index must be >= 0")
-    ds = DirectionBatch.from_angles(thetas)
-    size = max(1, _GROUP_ENDPOINTS // len(ifs.maps) ** n_max)
-    return [(slice(i, i + size), ds[i:i + size])
-            for i in range(0, len(ds), size)]
+    values = np.empty((n_max + 1, len(d)))
+    for rows, n, lo, hi in _float_walk(ifs, d, n_max):
+        values[n, rows] = np.sum(hi - lo, axis=1)
+    return values
 
 
 def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
     """True projected lengths of generations 0..n_max at float angles.
 
-    Each row group of ``_row_groups`` goes through ``sheared_measures`` on
-    the float engine.  Returns an array of shape (n_max + 1, len(thetas)).
+    The angles, slopes ``tan`` of them and unsnapped, go through one
+    ``sheared_measures`` call on the float walk.  Returns an array of shape
+    (n_max + 1, len(thetas)).
     """
-    out = np.empty((n_max + 1, len(thetas)))
-    for cols, group in _row_groups(ifs, thetas, n_max):
-        out[:, cols] = sheared_measures(ifs, group, n_max) * group.scale
-    return out
+    batch = DirectionBatch.from_angles(thetas)
+    return sheared_measures(ifs, batch, n_max) * batch.scale
 
 
 def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     """True lengths of the r-neighborhood of projected generation n at each
     float angle, one row per pair (n, r) of ``wanted``.
 
-    Each row group of ``_row_groups``, sized for the deepest n, is stepped
-    once on the float engine.  At each generation that ``wanted`` names,
-    each merged row grows by its own sheared radius p = r / scale and stays
-    sorted, so its measure is read from its gaps g = l_{j+1} - h_j with no
-    second merge: the lengths, plus 2p, plus 2p for each gap the merge
-    rule ``_apart`` keeps open between grown intervals [l - p, h + p] at
-    MERGE_EPSILON, and g for each other.  The pads [x, x] have g = 0.
-    No pairs give no rows.
+    The angles take one float walk, ``_float_walk``, to the deepest n.  At
+    each generation that ``wanted`` names, each merged row grows by its own
+    sheared radius p = r / scale and stays sorted, so its measure is read
+    from its gaps g = l_{j+1} - h_j with no second merge: the lengths, plus
+    2p, plus 2p for each gap the merge rule ``_apart`` keeps open between
+    grown intervals [l - p, h + p] at MERGE_EPSILON, and g for each other.
+    The pads [x, x] have g = 0.  No pairs give no rows.
     """
     measures = np.empty((len(wanted), len(thetas)))
     if not wanted:
         return measures
     if min(wanted)[0] < 0:
         raise ValueError("generation index must be >= 0")
-    for cols, group in _row_groups(ifs, thetas, max(wanted)[0]):
-        eng = _FloatEngine(ifs, group)
-        scale = group.scale
-        for i, (n, r) in sorted(enumerate(wanted), key=lambda pair: pair[1][0]):
-            while eng.n < n:
-                eng.step()
+    at_depth = {}
+    for i, (n, r) in enumerate(wanted):
+        at_depth.setdefault(n, []).append((i, r))
+    batch = DirectionBatch.from_angles(thetas)
+    scales = batch.scale
+    for rows, n, lo, hi in _float_walk(ifs, batch, max(wanted)[0]):
+        scale = scales[rows]
+        left, right = lo[:, 1:], hi[:, :-1]
+        for i, r in at_depth.get(n, ()):
             radius = (r / scale)[:, None]
-            lo, hi = eng.lo[:, 1:], eng.hi[:, :-1]
-            apart = _apart(lo - radius, hi + radius, MERGE_EPSILON)
-            gaps = np.where(apart, 2 * radius, lo - hi).sum(axis=1)
-            measures[i, cols] = (eng.measure + 2 * radius[:, 0] + gaps) * scale
+            apart = _apart(left - radius, right + radius, MERGE_EPSILON)
+            gaps = np.where(apart, 2 * radius, left - right).sum(axis=1)
+            measures[i, rows] = (np.sum(hi - lo, axis=1) + 2 * radius[:, 0]
+                                 + gaps) * scale
     return measures

@@ -30,8 +30,6 @@ from favardlab.intervals import MERGE_EPSILON, IntervalSet
 from favardlab.projection import (
     Direction,
     DirectionBatch,
-    _FloatEngine,
-    _row_groups,
     neighborhood_lengths,
 )
 
@@ -269,28 +267,28 @@ class TestDecayAndFit:
                 assert measure == pytest.approx(float(np.sum(hi - lo)) * scale,
                                                 rel=1e-12)
 
-    def test_one_pass_per_row_group(self, monkeypatch):
-        # brackets 2..7: one engine per row group of generation 7, each
-        # stepped 7 times, where a pass per (scale, bracket) steps 54
+    def test_one_pass_per_call(self, monkeypatch):
+        # brackets 2..7: the call projects the system once and steps each
+        # node 7 times, where a pass per (scale, bracket) steps 54
         sc = sparse_corner(8)
-        calls = {"engines": 0, "steps": 0}
-        init, step = _FloatEngine.__init__, _FloatEngine.step
+        calls = {"functional": 0, "rows": 0}
+        functional, merge = DirectionBatch.functional, projection.merge_float_arrays
 
-        def counted_init(self, *args):
-            calls["engines"] += 1
-            init(self, *args)
+        def counted_functional(self, *args):
+            calls["functional"] += 1
+            return functional(self, *args)
 
-        def counted_step(self, *args):
-            calls["steps"] += 1
-            step(self, *args)
+        def counted_merge(lo, hi, *args):
+            calls["rows"] += lo.shape[0]
+            return merge(lo, hi, *args)
 
-        monkeypatch.setattr(_FloatEngine, "__init__", counted_init)
-        monkeypatch.setattr(_FloatEngine, "step", counted_step)
+        monkeypatch.setattr(DirectionBatch, "functional", counted_functional)
+        monkeypatch.setattr(projection, "merge_float_arrays", counted_merge)
         decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
                      sensitivity=True)
         nodes, _ = _panel_nodes(*_half_period(sc)[:2], 8, 16)
-        groups = len(_row_groups(sc, nodes, 7))
-        assert calls == {"engines": groups, "steps": groups * 7}
+        # the maps' offsets and the base corners
+        assert calls == {"functional": 2, "rows": len(nodes) * 7}
 
     def test_no_pairs(self):
         thetas, _ = _panel_nodes(-0.5, 2.0, 4, 8)
@@ -324,7 +322,7 @@ class TestDecayAndFit:
 
         monkeypatch.setattr(projection, "merge_float_arrays", spy)
         decay_series(sparse_corner(8), [Fraction(8) ** -k for k in (3, 4, 5, 6)])
-        assert callers and set(callers) == {"step"}
+        assert callers and set(callers) == {"_float_walk"}
 
     @pytest.mark.parametrize("r, pieces", [
         (0.25, 1),                  # the grown intervals touch

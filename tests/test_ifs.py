@@ -246,8 +246,17 @@ class TestConfig:
         (4, 'map { ratio = "1/2", translate = ["1/2", "0"]',
          "map block must be map { ... } on one line"),
         (1, "name x", "cannot parse line 'name x'"),
+        (3, 'map { ratio = "1/2", translate = ["0","0"], rotaton = 90 }',
+         "unknown map field 'rotaton'"),
+        (3, 'map { ratio = "1/2", translate = ["0","0"], ratio = "1/3" }',
+         "map field 'ratio' given twice"),
+        (4, 'map { ratio = "1/2", translate = ["0","0"], translate = ["1/2","0"] }',
+         "map field 'translate' given twice"),
+        (3, "name = y", "name given twice"),
+        (3, "base = [0, 0, 2, 2]", "base given twice"),
     ], ids=["value", "list", "base-length", "map-fields", "translate-length",
-            "map-braces", "line"])
+            "map-braces", "line", "map-unknown-field", "map-repeated-ratio",
+            "map-repeated-translate", "repeated-name", "repeated-base"])
     def test_error_branches(self, lineno, line, message):
         lines = ["name = x", "base = [0, 0, 1, 1]",
                  'map { ratio = "1/2", translate = ["0", "0"] }',

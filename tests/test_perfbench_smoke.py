@@ -35,7 +35,7 @@ def test_toy_run(workload):
     assert result["attempted"] > 0
     if workload == "quadrature":
         metrics = {k: v["value"] for k, v in result["metrics"].items()}
-        # every group of quadrature nodes is one sheared_measures call, and
+        # every quadrature pass is one sheared_measures call, and
         # the tracer's node_evals counts those calls
         assert metrics["favard.favard.node_evals"] > 0
         assert metrics["favard.favard.node_evals"] == \

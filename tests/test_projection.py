@@ -30,6 +30,7 @@ from favardlab.projection import (
     DirectionBatch,
     ProjectedIFS1D,
     _ExactEngine,
+    _float_walk,
     _merge_images,
     generation,
     iter_generations,
@@ -934,11 +935,10 @@ class TestFloatBatch:
             row = DirectionBatch(np.array([chart == "y"]), np.array([s]))
             sets, want = _row_oracle(ifs, row, 6)
             assert sheared_measures(ifs, row, 6)[:, 0].tolist() == want
-            eng = projection._engine(ifs, row, 6)
-            for k, (lo, hi) in enumerate(sets):
-                if k:
-                    eng.step()
-                assert np.array_equal(eng.lo[0], lo) and np.array_equal(eng.hi[0], hi)
+            walk = list(_float_walk(ifs, row, 6))
+            assert [n for _, n, _, _ in walk] == list(range(7))
+            for (_, _, lo, hi), (want_lo, want_hi) in zip(walk, sets):
+                assert np.array_equal(lo[0], want_lo) and np.array_equal(hi[0], want_hi)
 
     def test_from_angles_matches_from_angle(self):
         rng = random.Random(11)
@@ -958,32 +958,49 @@ class TestFloatBatch:
         ns = range(5)
         want = [projected_lengths(ifs, thetas, n) for n in ns]
         fav = favard(ifs, 2, QuadratureConfig(max_refinements=1))
-        groups = []
-        real = projection.sheared_measures
+        sizes = []
+        real = projection.merge_float_arrays
 
-        def spy(ifs, d, n_max, *args, **kwargs):
-            groups.append((len(d), len(ifs.maps) ** n_max))
-            return real(ifs, d, n_max, *args, **kwargs)
+        def spy(lo, hi, *args, **kwargs):
+            sizes.append(lo.shape)
+            return real(lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(projection, "_GROUP_ENDPOINTS", 64)
-        monkeypatch.setattr(projection, "sheared_measures", spy)
+        monkeypatch.setattr(projection, "merge_float_arrays", spy)
         for n, w in zip(ns, want):
-            groups.clear()
+            sizes.clear()
             got = projected_lengths(ifs, thetas, n)
-            rows = max(1, 64 // 4 ** n)
-            assert len(groups) == -(-len(thetas) // rows)
-            assert all(g * k <= 64 or g == 1 for g, k in groups)
+            # each shape is (rows, k * width) of the images merged
+            assert all(rows * k_width <= 64 or rows == 1 for rows, k_width in sizes)
+            assert sum(rows for rows, _ in sizes) == n * len(thetas)
             assert np.max(np.abs(got - w)) <= 1e-12
-        groups.clear()
+        sizes.clear()
         est = favard(ifs, 2, QuadratureConfig(max_refinements=1))
-        assert groups and all(g * k <= 64 for g, k in groups)
+        assert sizes and all(rows * k_width <= 64 for rows, k_width in sizes)
         assert est.value == pytest.approx(fav.value, abs=1e-12)
+
+    def test_narrow_rows_share_one_group(self, monkeypatch):
+        # every projection of the gasket's generations is one interval, so
+        # 4096 rows stay one group: one merge per step
+        calls = []
+        real = projection.merge_float_arrays
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "merge_float_arrays", spy)
+        thetas = np.linspace(-math.pi / 4, 3 * math.pi / 4, 4096)
+        got = projected_lengths(sierpinski_gasket(), thetas, 9)
+        assert calls == [(4096, 3)] * 9
+        assert np.all(got > 0)
 
     def test_size_cap_per_row(self, monkeypatch):
         # at generation 5, slope 0 keeps 32 intervals and slope 1/3 keeps 232
         batch = DirectionBatch(np.array([False, False]), np.array([0.0, 1 / 3]))
         monkeypatch.setattr(projection, "MAX_COUNT", 100)
-        assert sheared_measures(four_corner(), batch[:1], 5)[5, 0] > 0
+        row = DirectionBatch(np.array([False]), np.array([0.0]))
+        assert sheared_measures(four_corner(), row, 5)[5, 0] > 0
         with pytest.raises(SizeCapExceeded):
             sheared_measures(four_corner(), batch, 5)
         monkeypatch.setattr(projection, "MAX_COUNT", 10)
