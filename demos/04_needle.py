@@ -8,8 +8,9 @@ in a strip of halfwidth W and uniform angle) hits the set.  That gives a
 Monte Carlo oracle completely independent of the quadrature code path:
 same quantity, different mathematics, different bugs.
 
-Runs are reproducible: the stream is a counter-keyed Philox generator, so
-(seed, trials) pins every sample regardless of batch size.
+Runs are reproducible: lines are drawn in batches of a fixed size, each
+from a Philox generator keyed by (seed, batch index), so (seed, trials)
+pins every sample.
 """
 
 import math

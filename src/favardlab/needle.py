@@ -17,15 +17,38 @@ provided W covers the circumradius of the base about its center.
 
 Lines descend the cylinder tree instead of meeting every square.  Leaves
 are enumerated word by word, first map most significant, so the parent of
-node i is node i // m for m maps.  Each inner node carries the bounding box
-of the leaf squares below it (not its own cylinder image, so pruning stays
-safe when children overlap or stick out of their parent).  A line tests a
-node's children only if it meets the node's box widened by a pad that
-covers float rounding (see ``_node_boxes``).  Every leaf square lies in the
-box of each of its ancestors, so a line that passes the leaf predicate
-reaches that leaf, and the leaf predicate is the all-squares one with the
-same float operations on the same floats.  The hit count is therefore
-identical to testing every line against all m^n squares.
+node i is node i // m for m maps.  Each node has the bounding box of the
+leaf squares below it (not its own cylinder image, so pruning stays safe
+when children overlap or stick out of their parent).  The maps share one
+ratio and do not rotate, so every level-k node is a translate of node 0:
+all level-k boxes have the same half-extents (hx_k, hy_k), and child j's
+centre sits at the same offset (dx_k[j], dy_k[j]) from its parent's
+(``_node_boxes`` reads them off node 0).  Each surviving (line, node) pair
+carries the line's signed offset d = cos*X + sin*Y - c from its node's box
+centre (X, Y); a level forms d + cos*dx_k[j] + sin*dy_k[j] for all m
+children at once and keeps the children with |d| <= hx_k*|cos| +
+hy_k*|sin| + pad.  At the leaves a pair with |d| <= r - pad is a hit and
+one with |d| > r + pad a miss (r = half*(|cos| + |sin|) as carried); only
+the pairs in between take the all-squares predicate, on the same floats
+with the same operations in the same order.  The hit count is therefore
+identical to testing every line against all m^n squares:
+
+Let u = 2^-53, A = max|cx|, B = max|cy| and S = W + A + B + 2*half, which
+bounds every magnitude below (|cos|, |sin| <= 1, |c| <= W, box centres
+lie within the leaf centres' range, offsets within twice it); the pad is
+2^-44*S = 512u*S.  Each side of the all-squares predicate is at most three
+rounded operations on terms summing to at most S, so a float leaf hit is
+an exact hit, of the square at the exact centre, up to 9u*S.  The float
+box centres and half-extents are within 2u*(A + B) and 3u*S of exact, so
+an offset is within 6u*(A + B).  A level adds to d two rounded products
+and two rounded sums, at most 6u*S, and the offsets it adds carry at most
+6u*S more, so the carried d of a depth-k pair is within (8 + 12k)u*S of
+the exact offset of the exact box, and the radius is within 5u*S.  A
+float leaf hit therefore passes every depth-k node test once the pad
+exceeds (22 + 12k)u*S, and a leaf pair outside the band [r - pad, r + pad]
+gets the predicate's answer once it exceeds (17 + 12n)u*S.  Descents are
+at most 16 levels deep (MAX_SQUARES = 2^16 leaves and m >= 2), so both
+bounds stay under 214u*S, less than half the pad.
 
 Trials are split into fixed-size batches; each batch runs its own
 counter-based Philox stream keyed by (seed, batch index), so results are
@@ -130,29 +153,37 @@ def _generation_squares(ifs: IFS2D, n: int):
 
 
 def _node_boxes(cx, cy, half, m: int, n: int, w: float):
-    """Per inner level k < n: float center and half-extents of the box that
-    bounds the leaf squares under each node, plus the rounding pad.
+    """Per level k = 0..n: the offsets (dx, dy) of the level-k node centres
+    from their parent's centre, one per child, and the half-extents
+    (hx, hy) of a level-k node's box, plus the rounding pad.
 
-    Pad: let S bound every magnitude in both predicates,
-    S = W + max|cx| + max|cy| + 2*half (|cos|, |sin| <= 1, |c| <= W).  Each
-    side of the leaf predicate is at most three rounded operations on terms
-    summing to at most S, so it is within about 4u*S of its exact value
-    (u = 2^-53); a float leaf hit is an exact hit up to 8u*S.  The box center
-    (lo+hi)/2 and half-extent (hi-lo)/2 + half carry at most 2u*S of error,
-    and the node test adds about 6u*S on each side.  Every leaf square lies
-    inside its ancestors' exact boxes, so a float leaf hit passes every
-    ancestor's float node test once the pad exceeds ~25u*S; the pad is
-    2^-44*S = 512u*S."""
+    A node's box bounds the leaf squares under it.  Every level-k node is a
+    translate of node 0, which covers leaves [0, m^(n-k)), so all values
+    are read off node 0 and its children; the root's single offset is its
+    centre relative to the base centre.  At k = n the offsets are the leaf
+    centres of the first m leaves minus the parent's and the half-extents
+    are ``half``.  See the module docstring for the rounding argument."""
     pad = math.ldexp(w + np.abs(cx).max() + np.abs(cy).max()
                      + 2.0 * half, -44)
-    boxes = []
-    for k in range(n):
-        shape = (m ** k, m ** (n - k))
-        lo_x, hi_x = cx.reshape(shape).min(1), cx.reshape(shape).max(1)
-        lo_y, hi_y = cy.reshape(shape).min(1), cy.reshape(shape).max(1)
-        boxes.append(((lo_x + hi_x) / 2, (lo_y + hi_y) / 2,
-                      (hi_x - lo_x) / 2 + half, (hi_y - lo_y) / 2 + half))
-    return boxes, pad
+    levels = []
+    px = py = 0.0
+    for k in range(n + 1):
+        shape = (1 if k == 0 else m, m ** (n - k))
+        bx = cx[:math.prod(shape)].reshape(shape)
+        by = cy[:math.prod(shape)].reshape(shape)
+        lo_x, hi_x, lo_y, hi_y = bx.min(1), bx.max(1), by.min(1), by.max(1)
+        mid_x, mid_y = (lo_x + hi_x) / 2, (lo_y + hi_y) / 2
+        levels.append((mid_x - px, mid_y - py,
+                       (hi_x[0] - lo_x[0]) / 2 + half,
+                       (hi_y[0] - lo_y[0]) / 2 + half))
+        px, py = mid_x[0], mid_y[0]
+    return levels, pad
+
+
+# Half-width of the leaf band, in pads, inside which a leaf pair is decided
+# by the all-squares predicate; the tests widen it to send every leaf pair
+# there.
+_LEAF_BAND = 1.0
 
 
 def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
@@ -163,10 +194,10 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
         raise PreconditionError(
             f"strip halfwidth {w} misses lines through the base "
             f"(circumradius {rad})")
-    cx, cy, half = _generation_squares(ifs, cfg.generation)
-    m = len(ifs.maps)
-    boxes, pad = _node_boxes(cx, cy, half, m, cfg.generation, w)
-    children = np.arange(m)
+    n = cfg.generation
+    cx, cy, half = _generation_squares(ifs, n)
+    levels, pad = _node_boxes(cx, cy, half, len(ifs.maps), n, w)
+    band = pad * _LEAF_BAND
     hits = 0
     tests = 0
     done = 0
@@ -180,25 +211,48 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
         c = rng.uniform(-w, w, take)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         abs_cos, abs_sin = np.abs(cos_t), np.abs(sin_t)
-        reach = half * (abs_cos + abs_sin)
-        # active (line, node) pairs, starting from the root
+        # surviving (line, node) pairs; d is the signed offset of the line
+        # from the node's box centre
         line = np.arange(take)
         node = np.zeros(take, dtype=np.intp)
-        for bx, by, hx, hy in boxes:
-            tests += line.size
-            keep = (np.abs(cos_t[line] * bx[node] + sin_t[line] * by[node]
-                           - c[line])
-                    <= hx[node] * abs_cos[line] + hy[node] * abs_sin[line]
-                    + pad)
-            line = np.repeat(line[keep], m)
-            node = (node[keep, None] * m + children).ravel()
-        tests += line.size
-        # the all-squares predicate: same floats, same operations and order
-        inside = (np.abs(cos_t[line] * cx[node] + sin_t[line] * cy[node]
-                         - c[line])
-                  <= reach[line])
+        d = -c
+        for k, (dx, dy, hx, hy) in enumerate(levels):
+            # every child of every pair at once, shape (children, pairs), so
+            # numpy's inner loops run over the pairs, not the few children
+            dist = np.multiply.outer(dy, sin_t[line])
+            dist += d
+            d = np.multiply.outer(dx, cos_t[line])
+            d += dist
+            np.abs(d, out=dist)
+            tests += d.size
+            reach = hx * abs_cos[line]
+            reach += hy * abs_sin[line]
+            if k == n:
+                break
+            reach += pad
+            keep = np.flatnonzero(dist <= reach)
+            # free each temporary before the next level allocates: the
+            # peak memory of a deep descent is one level's worth
+            del dist
+            child, pair = np.divmod(keep, d.shape[1])
+            d = d.ravel()[keep]
+            line = line[pair]
+            node = node[pair] * len(dx) + child
+            del keep, child, pair
         hit = np.zeros(take, dtype=bool)
-        hit[line[inside]] = True
+        sure = dist <= reach - band
+        hit[line[sure.any(axis=0)]] = True
+        # pairs too near the leaf boundary for the carried offset take the
+        # all-squares predicate: same floats, same operations and order
+        near = np.less_equal(dist, reach + band)
+        near ^= sure
+        child, pair = np.divmod(np.flatnonzero(near), dist.shape[1])
+        near_line = line[pair]
+        near_node = node[pair] * dist.shape[0] + child
+        inside = (np.abs(cos_t[near_line] * cx[near_node]
+                         + sin_t[near_line] * cy[near_node] - c[near_line])
+                  <= half * (abs_cos[near_line] + abs_sin[near_line]))
+        hit[near_line[inside]] = True
         hits += int(np.count_nonzero(hit))
         done += take
         batch_index += 1

@@ -156,6 +156,59 @@ def needle_hits_bruteforce(maps2d, base2d, n, seed, trials, halfwidth,
     return hits
 
 
+
+def needle_descent_reference(maps2d, base2d, n, seed, trials, halfwidth,
+                             batch_size):
+    """(hits, tests) of the needle estimator by a descent of the cylinder
+    tree that builds every node's box.
+
+    Lines are drawn as in ``needle_hits_bruteforce``.  For each inner level
+    k < n, node i covers leaves [i*m^(n-k), (i+1)*m^(n-k)) and its box is
+    centred at the midpoint of those leaves' centres, with half-extents
+    half their spread plus ``half``.  A line tests a node's children when
+    it meets the node's box widened by the pad 2^-44*S,
+    S = halfwidth + max|cx| + max|cy| + 2*half.  Leaves take the
+    all-squares predicate.  ``tests`` counts the (line, node) pairs
+    tested, inner and leaf."""
+    cx, cy, half = needle_squares_bruteforce(maps2d, base2d, n)
+    m = len(maps2d)
+    pad = math.ldexp(halfwidth + np.abs(cx).max() + np.abs(cy).max()
+                     + 2.0 * half, -44)
+    boxes = []
+    for k in range(n):
+        shape = (m ** k, m ** (n - k))
+        lo_x, hi_x = cx.reshape(shape).min(1), cx.reshape(shape).max(1)
+        lo_y, hi_y = cy.reshape(shape).min(1), cy.reshape(shape).max(1)
+        boxes.append(((lo_x + hi_x) / 2, (lo_y + hi_y) / 2,
+                      (hi_x - lo_x) / 2 + half, (hi_y - lo_y) / 2 + half))
+    hits = tests = 0
+    for batch, start in enumerate(range(0, trials, batch_size)):
+        take = min(batch_size, trials - start)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+        theta = rng.uniform(0.0, 2.0 * math.pi, take)
+        c = rng.uniform(-halfwidth, halfwidth, take)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        abs_cos, abs_sin = np.abs(cos_t), np.abs(sin_t)
+        line = np.arange(take)
+        node = np.zeros(take, dtype=np.intp)
+        for bx, by, hx, hy in boxes:
+            tests += line.size
+            keep = (np.abs(cos_t[line] * bx[node] + sin_t[line] * by[node]
+                           - c[line])
+                    <= hx[node] * abs_cos[line] + hy[node] * abs_sin[line]
+                    + pad)
+            line = np.repeat(line[keep], m)
+            node = (node[keep, None] * m + np.arange(m)).ravel()
+        tests += line.size
+        inside = (np.abs(cos_t[line] * cx[node] + sin_t[line] * cy[node]
+                         - c[line])
+                  <= half * (abs_cos[line] + abs_sin[line]))
+        hit = np.zeros(take, dtype=bool)
+        hit[line[inside]] = True
+        hits += int(np.count_nonzero(hit))
+    return hits, tests
+
 _INT64_LIMIT = 1 << 62
 
 

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from favardlab import needle
 from favardlab.errors import PreconditionError
 from favardlab.favard import favard
 from favardlab.ifs import IFS2D, Similitude2D, four_corner, preset
@@ -15,18 +18,29 @@ from favardlab.needle import (
     estimate_favard_mc,
 )
 
-from oracles import needle_hits_bruteforce, needle_squares_bruteforce
+from oracles import (
+    needle_descent_reference,
+    needle_hits_bruteforce,
+    needle_squares_bruteforce,
+)
 
 
 def _maps(ifs):
     return [(m.ratio, m.translation) for m in ifs.maps]
 
 
-def _bruteforce(ifs, cfg):
+def _line_args(ifs, cfg):
     w = cfg.strip_halfwidth
-    return needle_hits_bruteforce(
-        _maps(ifs), ifs.base, cfg.generation, cfg.seed, cfg.trials,
-        circumradius(ifs) if w is None else w, BATCH_SIZE)
+    return (_maps(ifs), ifs.base, cfg.generation, cfg.seed, cfg.trials,
+            circumradius(ifs) if w is None else w, BATCH_SIZE)
+
+
+def _bruteforce(ifs, cfg):
+    return needle_hits_bruteforce(*_line_args(ifs, cfg))
+
+
+def _reference(ifs, cfg):
+    return needle_descent_reference(*_line_args(ifs, cfg))
 
 
 class TestConfig:
@@ -152,7 +166,8 @@ class TestEstimator:
 
 class TestTreeDescent:
     """The cylinder-tree descent counts exactly the lines that the
-    all-squares predicate counts."""
+    all-squares predicate counts, and makes exactly the (line, node) tests
+    of the descent that builds every node's box."""
 
     CASES = ([("four-corner", n) for n in range(7)]
              + [("sparse-corner(8)", n) for n in range(5)]
@@ -172,18 +187,54 @@ class TestTreeDescent:
         ifs = preset(name)
         for seed in (3, 11, 2 ** 63 + 5):
             cfg = NeedleConfig(trials=3_000, seed=seed, generation=n)
-            assert estimate_favard_mc(ifs, cfg).hits == _bruteforce(ifs, cfg)
+            est = estimate_favard_mc(ifs, cfg)
+            assert est.hits == _bruteforce(ifs, cfg)
+            assert (est.hits, est.tests) == _reference(ifs, cfg)
 
     def test_hits_match_bruteforce_across_batches(self):
         cfg = NeedleConfig(trials=BATCH_SIZE + 17, seed=5, generation=3)
         est = estimate_favard_mc(four_corner(), cfg)
         assert est.hits == _bruteforce(four_corner(), cfg)
+        assert (est.hits, est.tests) == _reference(four_corner(), cfg)
 
     def test_hits_match_bruteforce_wide_strip(self):
         cfg = NeedleConfig(trials=20_000, seed=7, generation=3,
                            strip_halfwidth=2 * circumradius(four_corner()))
         est = estimate_favard_mc(four_corner(), cfg)
         assert est.hits == _bruteforce(four_corner(), cfg)
+        assert (est.hits, est.tests) == _reference(four_corner(), cfg)
+
+    @given(st.integers(2, 5), st.sampled_from([2, 3, 4]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems_match_bruteforce(self, m, q, data):
+        # translations on the 1/12 grid in [-1/6, 1]^2, so images may
+        # overlap each other or stick out of the base
+        grid = st.integers(-2, 12).map(lambda i: Fraction(i, 12))
+        maps = tuple(Similitude2D(Fraction(1, q), (data.draw(grid),
+                                                   data.draw(grid)))
+                     for _ in range(m))
+        ifs = IFS2D("random", maps, (Fraction(0), Fraction(0),
+                                     Fraction(1), Fraction(1)))
+        cfg = NeedleConfig(trials=500,
+                           seed=data.draw(st.integers(0, 2 ** 64 - 1)),
+                           generation=data.draw(st.integers(0, 4)))
+        est = estimate_favard_mc(ifs, cfg)
+        assert est.hits == _bruteforce(ifs, cfg)
+        assert (est.hits, est.tests) == _reference(ifs, cfg)
+
+    @pytest.mark.parametrize("name,n", [("four-corner", 0), ("four-corner", 5),
+                                        ("sparse-corner(8)", 3),
+                                        ("sierpinski-gasket", 5)])
+    def test_exact_leaf_fallback(self, name, n, monkeypatch):
+        # a band wider than any offset sends every leaf pair to the
+        # all-squares predicate; nothing but the fallback then decides hits
+        ifs = preset(name)
+        cfg = NeedleConfig(trials=3_000, seed=13, generation=n)
+        carried = estimate_favard_mc(ifs, cfg)
+        monkeypatch.setattr(needle, "_LEAF_BAND", math.inf)
+        exact = estimate_favard_mc(ifs, cfg)
+        assert 0 < exact.hits == carried.hits == _bruteforce(ifs, cfg)
+        assert exact.tests == carried.tests
 
     def test_counts_predicate_evaluations(self):
         flat = estimate_favard_mc(
