@@ -33,20 +33,35 @@ from .intervals import rational_str, to_fraction
 DEFAULT_CYLINDER_DISPLAY_BOUND = 8
 
 
+def _exact(name: str, value) -> Fraction:
+    """``to_fraction`` of a field's value, naming the field on failure."""
+    try:
+        return to_fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite rational, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Similitude2D:
-    """A homothety z -> ratio*z + (dx, dy) with 0 < ratio < 1."""
+    """A homothety z -> ratio*z + (dx, dy) with 0 < ratio < 1.
+
+    ``ratio`` and ``translation`` are stored as Fractions; ints, floats
+    (exactly) and rational strings are converted at construction."""
 
     ratio: Fraction
     translation: tuple[Fraction, Fraction]
 
     def __post_init__(self):
+        dx, dy = self.translation
+        object.__setattr__(self, "ratio", _exact("ratio", self.ratio))
+        object.__setattr__(self, "translation",
+                           (_exact("translation", dx), _exact("translation", dy)))
         if not (0 < self.ratio < 1):
             raise ValueError(f"contraction ratio must lie in (0, 1), got {self.ratio}")
 
     @staticmethod
     def of(ratio, dx, dy) -> "Similitude2D":
-        return Similitude2D(to_fraction(ratio), (to_fraction(dx), to_fraction(dy)))
+        return Similitude2D(ratio, (dx, dy))
 
 
 def _dihedral_invariant(maps, base) -> bool:
@@ -69,7 +84,8 @@ def _dihedral_invariant(maps, base) -> bool:
 class IFS2D:
     """A planar homothety system together with its generation-0 rectangle.
 
-    ``base`` is (x0, y0, x1, y1) with x0 < x1 and y0 < y1.  The hypotheses
+    ``base`` is (x0, y0, x1, y1) with x0 < x1 and y0 < y1, stored as
+    Fractions like the maps' numbers.  The hypotheses
     are worked out exactly from the maps and the base, never claimed:
     ``nests`` and ``convexity_applies`` are rational comparisons, and
     ``dihedral_symmetry``, set once at construction, marks systems that
@@ -87,7 +103,8 @@ class IFS2D:
     def __post_init__(self):
         if len(self.maps) < 2:
             raise ValueError("a system needs at least 2 maps")
-        x0, y0, x1, y1 = self.base
+        x0, y0, x1, y1 = (_exact("base", v) for v in self.base)
+        object.__setattr__(self, "base", (x0, y0, x1, y1))
         if not (x0 < x1 and y0 < y1):
             raise ValueError("base rectangle must have positive width and height")
         object.__setattr__(self, "dihedral_symmetry",

@@ -17,13 +17,21 @@ provided W covers the circumradius of the base about its center.
 
 Lines descend the cylinder tree instead of meeting every square.  Leaves
 are enumerated word by word, first map most significant, so the parent of
-node i is node i // m for m maps.  Each node has the bounding box of the
-leaf squares below it (not its own cylinder image, so pruning stays safe
-when children overlap or stick out of their parent).  The maps share one
-ratio and do not rotate, so every level-k node is a translate of node 0:
-all level-k boxes have the same half-extents (hx_k, hy_k), and child j's
-centre sits at the same offset (dx_k[j], dy_k[j]) from its parent's
-(``_node_boxes`` reads them off node 0).  Each surviving (line, node) pair
+node i is node i // m for m maps.  The maps share one ratio rho and do
+not rotate, so leaf i, with base-m digits i_0 .. i_(n-1), is the square of
+half-side half = rho^n*side/2 centred at c0 + sum_k rho^k*t[i_k], c0 the
+centre of rho^n times the base (taken relative to the base centre).  Each
+node has the bounding box of the leaf squares below it (not its own
+cylinder image, so pruning stays safe when children overlap or stick out
+of their parent).  Every level-k node is a translate of node 0: all
+level-k boxes have the same half-extents (hx_k, hy_k), and child j's
+centre sits at the same offset (dx_k[j], dy_k[j]) from its parent's.
+Node 0 of level k fixes its first k digits to 0, so its box and its
+children's end at sums of each free level's least or largest term.  Each
+end, and each leaf centre the margin below needs, is an exact integer
+numerator over one denominator rounded by Python's correctly rounded
+int / int; rounding is monotone, so the float ends are the min and max of
+the rounded leaf centres.  Each surviving (line, node) pair
 carries the line's signed offset d = cos*X + sin*Y - c from its node's box
 centre (X, Y); a level forms d + cos*dx_k[j] + sin*dy_k[j] for all m
 children at once and keeps the children with |d| <= hx_k*|cos| +
@@ -110,74 +118,64 @@ class NeedleEstimate:
     tests: int          # (line, node) predicate evaluations, inner and leaf
 
 
-def _generation_squares(ifs: IFS2D, n: int):
-    """Centers (relative to the base center) and half-side of every
-    generation-n square, by direct composition of the maps.
-
-    Each center is an exact rational; all of them are built as integer
-    numerators over one common denominator and converted by Python's
-    correctly rounded int / int, which is what float(Fraction) does."""
+def _cylinder_tree(ifs: IFS2D, n: int, w: float):
+    """Per level k = 0..n the offsets (dx, dy) of the level-k node centres
+    from their parent's centre, one per child, and the half-extents
+    (hx, hy) of a level-k node's box; the rounding pad; and ``centres``,
+    which maps leaf indices to their centres (cx, cy).  The root's one
+    offset is its own centre.  See the module docstring."""
     x0, y0, x1, y1 = ifs.base
     if x1 - x0 != y1 - y0:
         raise PreconditionError("needle sampling expects a square base")
     side = x1 - x0
-    ratios = [m.ratio for m in ifs.maps]
-    if len(set(ratios)) != 1:
+    ratios = {mp.ratio for mp in ifs.maps}
+    if len(ratios) != 1:
         raise PreconditionError("needle sampling expects equal ratios")
-    rho = ratios[0]
-    count = len(ifs.maps) ** n
-    if count > MAX_SQUARES:
+    (rho,) = ratios
+    m = len(ifs.maps)
+    if m ** n > MAX_SQUARES:
         raise PreconditionError(
-            f"{count} generation squares exceed the enumeration limit "
+            f"{m ** n} generation squares exceed the enumeration limit "
             f"{MAX_SQUARES}")
-    scale = rho ** n
-    half = scale * side / 2
+    half = rho ** n * side / 2
 
-    def centers(axis):
-        # cylinder image of the base is origin + scale*[lo, lo+side]^2 with
-        # origin = sum_k rho^k * t(word_k), so its center sits at
-        # origin + scale*lo + half, taken relative to the base center
-        lo = ifs.base[axis]
-        offset = scale * lo + half - (lo + side / 2)
-        levels = [[rho ** k * mp.translation[axis] for mp in ifs.maps]
-                  for k in range(n)]
-        den = math.lcm(offset.denominator,
-                       *(f.denominator for level in levels for f in level))
-        nums = [int(offset * den)]
-        for level in levels:
-            step = [int(f * den) for f in level]
-            nums = [a + b for a in nums for b in step]
-        return np.array([a / den for a in nums])
+    def axis(a):
+        """Per level (offsets, half-extent) along axis a, the largest
+        |centre| and the leaf centres."""
+        low = ifs.base[a]
+        c0 = rho ** n * low + half - (low + side / 2)
+        terms = [[rho ** k * mp.translation[a] for mp in ifs.maps]
+                 for k in range(n)]
+        den = math.lcm(c0.denominator,
+                       *(f.denominator for row in terms for f in row))
+        c0 = int(c0 * den)
+        terms = np.array([[int(f * den) for f in row] for row in terms],
+                         dtype=object).reshape(n, m)
+        # sums of the least and of the largest terms of levels k..n-1
+        least, most = (np.append(np.cumsum(t[::-1])[::-1], 0)
+                       for t in (terms.min(1), terms.max(1)))
+        levels, head, parent = [], c0, 0.0
+        for k in range(n + 1):
+            row = terms[k - 1] if k else np.zeros(1, dtype=object)
+            lo = ((head + row + least[k]) / den).astype(float)
+            hi = ((head + row + most[k]) / den).astype(float)
+            mid = (lo + hi) / 2
+            levels.append((mid - parent, (hi[0] - lo[0]) / 2 + float(half)))
+            if k == 0:
+                extent = max(-lo[0], hi[0])
+            head, parent = head + row[0], mid[0]
 
-    return centers(0), centers(1), float(half)
+        def centres(leaf):
+            nums = np.full(len(leaf), c0, dtype=object)
+            for k in range(n):
+                nums += terms[k, leaf // m ** (n - 1 - k) % m]
+            return (nums / den).astype(float)
+        return levels, extent, centres
 
-
-def _node_boxes(cx, cy, half, m: int, n: int, w: float):
-    """Per level k = 0..n: the offsets (dx, dy) of the level-k node centres
-    from their parent's centre, one per child, and the half-extents
-    (hx, hy) of a level-k node's box, plus the rounding pad.
-
-    A node's box bounds the leaf squares under it.  Every level-k node is a
-    translate of node 0, which covers leaves [0, m^(n-k)), so all values
-    are read off node 0 and its children; the root's single offset is its
-    centre relative to the base centre.  At k = n the offsets are the leaf
-    centres of the first m leaves minus the parent's and the half-extents
-    are ``half``.  See the module docstring for the rounding argument."""
-    pad = math.ldexp(w + np.abs(cx).max() + np.abs(cy).max()
-                     + 2.0 * half, -44)
-    levels = []
-    px = py = 0.0
-    for k in range(n + 1):
-        shape = (1 if k == 0 else m, m ** (n - k))
-        bx = cx[:math.prod(shape)].reshape(shape)
-        by = cy[:math.prod(shape)].reshape(shape)
-        lo_x, hi_x, lo_y, hi_y = bx.min(1), bx.max(1), by.min(1), by.max(1)
-        mid_x, mid_y = (lo_x + hi_x) / 2, (lo_y + hi_y) / 2
-        levels.append((mid_x - px, mid_y - py,
-                       (hi_x[0] - lo_x[0]) / 2 + half,
-                       (hi_y[0] - lo_y[0]) / 2 + half))
-        px, py = mid_x[0], mid_y[0]
-    return levels, pad
+    (lx, ax, cx), (ly, ay, cy) = axis(0), axis(1)
+    pad = math.ldexp(w + ax + ay + 2.0 * float(half), -44)
+    levels = [(dx, dy, hx, hy) for (dx, hx), (dy, hy) in zip(lx, ly)]
+    return levels, pad, lambda leaf: (cx(leaf), cy(leaf))
 
 
 # Half-width of the leaf band, in pads, inside which a leaf pair is decided
@@ -195,8 +193,7 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
             f"strip halfwidth {w} misses lines through the base "
             f"(circumradius {rad})")
     n = cfg.generation
-    cx, cy, half = _generation_squares(ifs, n)
-    levels, pad = _node_boxes(cx, cy, half, len(ifs.maps), n, w)
+    levels, pad, centres = _cylinder_tree(ifs, n, w)
     band = pad * _LEAF_BAND
     hits = 0
     tests = 0
@@ -244,14 +241,15 @@ def estimate_favard_mc(ifs: IFS2D, cfg: NeedleConfig) -> NeedleEstimate:
         hit[line[sure.any(axis=0)]] = True
         # pairs too near the leaf boundary for the carried offset take the
         # all-squares predicate: same floats, same operations and order
+        # (a leaf's half-extent hx is the half-side)
         near = np.less_equal(dist, reach + band)
         near ^= sure
         child, pair = np.divmod(np.flatnonzero(near), dist.shape[1])
         near_line = line[pair]
-        near_node = node[pair] * dist.shape[0] + child
-        inside = (np.abs(cos_t[near_line] * cx[near_node]
-                         + sin_t[near_line] * cy[near_node] - c[near_line])
-                  <= half * (abs_cos[near_line] + abs_sin[near_line]))
+        cx, cy = centres(node[pair] * dist.shape[0] + child)
+        inside = (np.abs(cos_t[near_line] * cx + sin_t[near_line] * cy
+                         - c[near_line])
+                  <= hx * (abs_cos[near_line] + abs_sin[near_line]))
         hit[near_line[inside]] = True
         hits += int(np.count_nonzero(hit))
         done += take

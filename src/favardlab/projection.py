@@ -502,9 +502,10 @@ class _ExactEngine:
     """
 
     def __init__(self, proj: ProjectedIFS1D, measure_at: int | None = None):
-        if any(r <= 0 for r, _ in proj.maps):
-            raise ValueError("the exact engine needs positive map ratios")
         lo, hi = proj.base
+        if any(r <= 0 for r, _ in proj.maps) or not lo < hi:
+            raise ValueError("the exact engine needs positive map ratios "
+                             "and a base of positive length")
         den = math.lcm(lo.denominator, hi.denominator)
         self.den = den
         self.lo = np.array([lo.numerator * (den // lo.denominator)], dtype=object)
@@ -552,28 +553,23 @@ class _ExactEngine:
         new_den, coeffs = self._coefficients(self.den)
         xmax = _extreme(self.lo, self.hi)
         span = None
-        if self.symmetric and self.total:
+        if self.symmetric:
             # x -> span - x reflects E_{n+1}, as lo[0] + hi[-1] - x does E_n
             span = (int(self.lo[0]) + int(self.hi[-1])) * (new_den // self.den)
         dtype = _exact_dtype(new_den, abs(span or 0),
                              *(abs(a) * xmax + abs(c) for a, c in coeffs))
-        if self.total == 0:
-            # Empty, or the degenerate base: every image has length 0.
-            self.lo = self.hi = np.empty(0, dtype=dtype)
-            self.count = 0
-        else:
-            out = None if self.measure_at is None else ("generation", self.n % 2)
-            ends = (self._last_reads(new_den, coeffs)
-                    if self.n + 2 == self.measure_at else None)
-            keep = self.n + 1 != self.measure_at
-            extra = len(coeffs) * self.omitted
-            count, loss, self.lo, self.hi = _merge_images(
-                self.lo.astype(dtype, copy=False), self.hi.astype(dtype, copy=False),
-                coeffs, keep, span, ends, out, MAX_COUNT - extra)
-            self.count = count + extra
-            _check_cap(self.count, self.n + 1)
-            self.omitted = self.count - self.lo.size if keep else 0
-            self.total = sum(a for a, _ in coeffs) * self.total - loss
+        out = None if self.measure_at is None else ("generation", self.n % 2)
+        ends = (self._last_reads(new_den, coeffs)
+                if self.n + 2 == self.measure_at else None)
+        keep = self.n + 1 != self.measure_at
+        extra = len(coeffs) * self.omitted
+        count, loss, self.lo, self.hi = _merge_images(
+            self.lo.astype(dtype, copy=False), self.hi.astype(dtype, copy=False),
+            coeffs, keep, span, ends, out, MAX_COUNT - extra)
+        self.count = count + extra
+        _check_cap(self.count, self.n + 1)
+        self.omitted = self.count - self.lo.size if keep else 0
+        self.total = sum(a for a, _ in coeffs) * self.total - loss
         self.den = new_den
         self.n += 1
 

@@ -40,6 +40,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             IFS2D("flat", (m, m), (0, 0, 1, 0))
 
+    def test_numbers_stored_exactly(self):
+        # ints, floats and strings become Fractions, floats exactly
+        m = Similitude2D(0.5, (0, "3/4"))
+        assert (m.ratio, m.translation) == (Fraction(1, 2), (0, Fraction(3, 4)))
+        assert all(type(v) is Fraction for v in (m.ratio, *m.translation))
+        assert Similitude2D(0.1, (0, 0)).ratio == Fraction(0.1) != Fraction(1, 10)
+        ints = IFS2D("x", (m, Similitude2D.of("1/2", "1/2", "1/2")), (0, 0, 1, 1))
+        twin = IFS2D("x", ints.maps, tuple(Fraction(v) for v in (0, 0, 1, 1)))
+        assert all(type(v) is Fraction for v in ints.base)
+        assert ints == twin and hash(ints) == hash(twin)
+        assert dumps_config(ints) == dumps_config(twin)
+
+    @pytest.mark.parametrize("field, make", [
+        ("ratio", lambda v: Similitude2D(v, (0, 0))),
+        ("translation", lambda v: Similitude2D(0.5, (0, v))),
+        ("base", lambda v: IFS2D("x", four_corner().maps, (0, 0, v, 1))),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1/0", "x"])
+    def test_non_finite_numbers_rejected(self, field, make, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            make(value)
+
     @pytest.mark.parametrize("maps, base", [
         # the swap of the axes keeps the diagonal pair, the reflection not
         ((Similitude2D.of("1/4", 0, 0), Similitude2D.of("1/4", "3/4", "3/4")),

@@ -13,7 +13,7 @@ from favardlab.ifs import IFS2D, Similitude2D, four_corner, preset
 from favardlab.needle import (
     BATCH_SIZE,
     NeedleConfig,
-    _generation_squares,
+    _cylinder_tree,
     circumradius,
     estimate_favard_mc,
 )
@@ -149,6 +149,17 @@ class TestEstimator:
         b = estimate_favard_mc(four_corner(), cfg_small)
         assert a.estimate == b.estimate
 
+    def test_int_base_and_float_maps(self):
+        # numbers given as ints or floats are stored exactly
+        ifs = IFS2D("x", (Similitude2D(0.5, (0, 0)),
+                          Similitude2D(0.5, (0.5, 0.5))), (0, 0, 1, 1))
+        est = estimate_favard_mc(ifs, NeedleConfig(trials=200_000, seed=3,
+                                                   generation=1))
+        quad = favard(ifs, 1)
+        assert quad.value == pytest.approx(6.828, abs=1e-3)
+        assert abs(est.estimate - quad.value) <= \
+            3 * est.standard_error + quad.error
+
     def test_needs_square_base_and_equal_ratios(self):
         rect = IFS2D("rect", (Similitude2D.of(Fraction(1, 4), 0, 0),
                               Similitude2D.of(Fraction(1, 4), Fraction(3, 4), 0)),
@@ -176,11 +187,13 @@ class TestTreeDescent:
     @pytest.mark.parametrize("name,n", CASES)
     def test_leaf_centers_match_fraction_enumeration(self, name, n):
         ifs = preset(name)
-        cx, cy, half = _generation_squares(ifs, n)
+        levels, _, centres = _cylinder_tree(ifs, n, circumradius(ifs))
+        cx, cy = centres(np.arange(len(ifs.maps) ** n))
         ox, oy, ohalf = needle_squares_bruteforce(_maps(ifs), ifs.base, n)
         assert np.array_equal(cx, ox)
         assert np.array_equal(cy, oy)
-        assert half == ohalf
+        # a leaf's box is its square
+        assert levels[-1][2] == levels[-1][3] == ohalf
 
     @pytest.mark.parametrize("name,n", CASES)
     def test_hits_match_bruteforce(self, name, n):
@@ -208,13 +221,18 @@ class TestTreeDescent:
     @settings(max_examples=60, deadline=None)
     def test_random_systems_match_bruteforce(self, m, q, data):
         # translations on the 1/12 grid in [-1/6, 1]^2, so images may
-        # overlap each other or stick out of the base
+        # overlap each other or stick out of the base; the base square has
+        # a grid corner and a rational side, integer bounds given as ints
         grid = st.integers(-2, 12).map(lambda i: Fraction(i, 12))
         maps = tuple(Similitude2D(Fraction(1, q), (data.draw(grid),
                                                    data.draw(grid)))
                      for _ in range(m))
-        ifs = IFS2D("random", maps, (Fraction(0), Fraction(0),
-                                     Fraction(1), Fraction(1)))
+        x0, y0 = data.draw(grid), data.draw(grid)
+        side = data.draw(st.sampled_from([1, 2, Fraction(2, 3),
+                                          Fraction(5, 4)]))
+        base = (x0, y0, x0 + side, y0 + side)
+        ifs = IFS2D("random", maps, tuple(
+            int(v) if v.denominator == 1 else v for v in base))
         cfg = NeedleConfig(trials=500,
                            seed=data.draw(st.integers(0, 2 ** 64 - 1)),
                            generation=data.draw(st.integers(0, 4)))
