@@ -203,7 +203,7 @@ def _cmd_special_angle(args, ifs, d) -> Result:
     rep = special_slope_check(ifs, _rational("--slope", args.slope))
     word = "tiles" if rep.tiles else "does not tile"
     return Result(
-        f"special angle t={fmt(rep.slope)}: generation 1 {word}, "
+        f"special angle {rep.chart}:{fmt(rep.slope)}: generation 1 {word}, "
         f"defect {fmt(rep.defect)}",
         {"special_angle.json": _fields(rep)})
 

@@ -208,11 +208,12 @@ def favard(ifs: IFS2D, n: int,
 
 @dataclass(frozen=True)
 class SpecialSlopeReport:
-    slope: Fraction
+    slope: Fraction         # the slope in ``chart``: t, or 1/t in chart y
     tiles: bool
-    defect: Fraction        # alpha~_0 - alpha~_1, sheared, exact
+    defect: Fraction        # alpha~_0 - alpha~_1, sheared in the chart, exact
     pieces: int             # merged interval count of generation 1
-    base_measure: Fraction
+    base_measure: Fraction  # alpha~_0, sheared in the chart
+    chart: str              # the chart measured in, "y" for a steep t
 
 
 def special_slope_check(ifs: IFS2D, t) -> SpecialSlopeReport:
@@ -220,13 +221,16 @@ def special_slope_check(ifs: IFS2D, t) -> SpecialSlopeReport:
 
     Tiling means the union of images is a single interval of full base
     measure, which forces alpha_0 = alpha_1 and hence, with convexity,
-    alpha_n = alpha_0 for every n at this direction.
+    alpha_n = alpha_0 for every n at this direction.  Slope t is taken in
+    chart x, or as slope 1/t in chart y when |t| > 1
+    (``Direction.from_slope``); the sheared lengths depend on the chart,
+    so the report names the chart and the slope it measured in.
     """
-    t = to_fraction(t)
-    g0, g1 = iter_generations(ifs, Direction.from_slope(t), 1)
+    d = Direction.from_slope(to_fraction(t))
+    g0, g1 = iter_generations(ifs, d, 1)
     defect = g0.measure - g1.measure
     tiles = g1.count == 1 and defect == 0
-    return SpecialSlopeReport(t, tiles, defect, g1.count, g0.measure)
+    return SpecialSlopeReport(d.slope, tiles, defect, g1.count, g0.measure, d.chart)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,17 @@
 Exact rationals serialize as "p/q" strings (plain "p" for integers) and
 parse back to identical values; floats use repr, the shortest decimal that
 round-trips.  The interval CSVs (``generations.csv``, ``intervals.csv``)
-are written as finished text, a block of intervals per string
-(``IntervalSet.csv_text``): the exact endpoints are reduced p/q text
-computed from the integer numerators over each set's shared denominator,
-with no Fraction, tuple or ``csv.writer`` call per interval, and the bytes
-are those of a ``csv.writer`` formatting each endpoint as a Fraction.
-``write_csv`` writes such text blocks as they are and formats tuple rows
-value by value.  Every CLI run directory carries a manifest echoing the
-full parameter set, the backend, the package version, the wall time and
-the exit code, with the error of a failed run, so an exact-backend run can
-be reproduced bit for bit from its manifest.
+are written as finished text, one string per block of intervals
+(``IntervalSet.csv_text``).  numpy builds each block from the integer
+numerators over the set's shared denominator: it reduces them, writes
+their digits and the fixed text into a byte matrix and compacts it, with
+no Fraction, Python format, tuple or ``csv.writer`` call per endpoint.
+The bytes are those of a ``csv.writer`` formatting each endpoint as a
+Fraction.  ``write_csv`` writes such text blocks as they are and formats
+tuple rows value by value.  Every CLI run directory carries a manifest
+echoing the full parameter set, the backend, the package version, the wall
+time and the exit code, with the error of a failed run, so an exact-backend
+run can be reproduced bit for bit from its manifest.
 """
 
 from __future__ import annotations

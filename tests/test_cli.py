@@ -416,7 +416,7 @@ JSON_KEYS = {
          "claimed_bound", "status", "witness", "grid_count"}),
     "special_angle.json": (
         ("special-angle", "--preset", "four-corner", "--slope", "1/2"),
-        {"slope", "tiles", "defect", "pieces", "base_measure"}),
+        {"chart", "slope", "tiles", "defect", "pieces", "base_measure"}),
     "lipschitz.json": (
         ("lipschitz", "--preset", "four-corner", "--nodes", "11"),
         {"nodes", "spacing", "sup_slope", "argmin_theta", "min_value",
@@ -571,7 +571,24 @@ class TestOutputs:
         payload = json.loads((out / "special_angle.json").read_text())
         assert payload["tiles"] is True
         assert payload["defect"] == "0"
-        assert "tiles" in capsys.readouterr().out
+        assert "special angle x:1/2: generation 1 tiles" in capsys.readouterr().out
+
+    def test_special_angle_names_its_chart(self, tmp_path, capsys):
+        """Slope 5 is measured as slope 1/5 in chart y, and the printed
+        line and special_angle.json say so: their defect and base measure
+        are the sheared lengths of generations 0 and 1 at y:1/5."""
+        out = tmp_path / "sp"
+        assert run("special-angle", "--preset", "four-corner",
+                   "--slope", "5", "--out", str(out)) == 0
+        g0, g1 = iter_generations(four_corner(), Direction("y", Fraction(1, 5)), 1)
+        payload = json.loads((out / "special_angle.json").read_text())
+        assert payload == {"chart": "y", "slope": "1/5", "tiles": False,
+                           "defect": rational_str(g0.measure - g1.measure),
+                           "pieces": g1.count,
+                           "base_measure": rational_str(g0.measure)}
+        assert (payload["defect"], payload["base_measure"]) == ("3/10", "6/5")
+        assert capsys.readouterr().out.startswith(
+            "special angle y:1/5: generation 1 does not tile, defect 3/10")
 
     def test_lipschitz_files(self, tmp_path, capsys):
         out = tmp_path / "lip"
@@ -795,10 +812,13 @@ class TestIntervalCsvBytes:
     """The interval CSVs match a writer that formats one Fraction per
     endpoint, byte for byte, on the int64 and on the object path."""
 
+    # 3041/9973 at depth 9 is the size of the benchmark's generations.csv:
+    # 27 487 rows, 10-digit numerators over 2614362112.
     @pytest.mark.parametrize("chart, slope, depth, big", [
         ("y", Fraction(-2, 7), 6, False),
         ("x", Fraction(3, 10), 6, False),
         ("x", BIG_SLOPE, 4, True),
+        ("x", Fraction(3041, 9973), 9, False),
     ])
     def test_generations(self, tmp_path, capsys, chart, slope, depth, big):
         out = tmp_path / "gen"

@@ -342,13 +342,26 @@ class TestConstructorDtype:
         assert got._lo.dtype == want._lo.dtype and got._hi.dtype == want._hi.dtype
 
 
+def decimal_widths(least):
+    """Integers from ``least`` up to 2^62 - 1 of a drawn decimal width, 1 to
+    19 digits."""
+    return st.integers(1, 19).flatmap(lambda d: st.integers(
+        max(least, 10 ** (d - 1) if d > 1 else 0), min(10 ** d, 2 ** 62) - 1))
+
+
 @st.composite
 def scaled_sets(draw):
-    """Canonical sets over a drawn denominator, below or above 2^62."""
-    den = draw(st.one_of(st.integers(1, 60), st.integers(2 ** 62, 2 ** 80)))
-    reach = draw(st.sampled_from([3 * den, 2 ** 70]))
-    cuts = sorted(draw(st.lists(st.integers(-reach, reach), max_size=24,
-                                unique=True)))
+    """Canonical sets over a drawn denominator: below 60 or past 2^62, with
+    numerators within 3 times it or within 2^70, or int64 sets whose
+    denominator and numerators have every decimal width from 1 to 19."""
+    if draw(st.booleans()):
+        den = draw(decimal_widths(1))
+        ends = decimal_widths(0).flatmap(lambda v: st.sampled_from([v, -v]))
+    else:
+        den = draw(st.one_of(st.integers(1, 60), st.integers(2 ** 62, 2 ** 80)))
+        reach = draw(st.sampled_from([3 * den, 2 ** 70]))
+        ends = st.integers(-reach, reach)
+    cuts = sorted(draw(st.lists(ends, max_size=24, unique=True)))
     if len(cuts) % 2:
         cuts.pop()
     return IntervalSet.from_scaled(den, cuts[::2], cuts[1::2])
@@ -360,6 +373,30 @@ def fraction_strs(s):
             for a, b in zip(*s.numerators)]
 
 
+def writer_text(fields, pairs):
+    """``csv.writer`` text of the rows (*fields, lo, hi)."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows((*fields, lo, hi) for lo, hi in pairs)
+    return buf.getvalue()
+
+
+# 0, 1, 9, 10, 99, 100, ..., 10^18 - 1, 10^18 and 2^62 - 1: every decimal
+# width from 1 to 19 at its least and its largest value below 2^62.
+WIDTH_EDGES = sorted({0, 1, 2 ** 62 - 1,
+                      *(10 ** k - e for k in range(1, 19) for e in (1, 0))})
+
+
+def width_edge_set(den, past):
+    """The set with every ±WIDTH_EDGES value and ±den as an end, over den,
+    plus ±2^62 if ``past``: ±1 reads 1/den and ±den reads ±1."""
+    ends = {v * sign for v in (*WIDTH_EDGES, den, *([2 ** 62] if past else []))
+            for sign in (1, -1)}
+    if len(ends) % 2:
+        ends.add(2)
+    cuts = sorted(ends)
+    return IntervalSet.from_scaled(den, cuts[::2], cuts[1::2])
+
+
 class TestRationalStrs:
     @given(scaled_sets(), st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
@@ -367,7 +404,29 @@ class TestRationalStrs:
         # small blocks, so most sets cross a block boundary
         with patch.object(intervals, "_TEXT_BLOCK", block):
             got = list(s.rational_strs())
+            text = repr(s)
         assert got == fraction_strs(s)
+        assert text == ("IntervalSet(" + ", ".join(f"[{a}, {b}]" for a, b in got) + ")"
+                        if got else "IntervalSet(empty)")
+
+    # den = 2^62 - 1 and every end below 2^62 is the largest int64 set;
+    # den = 2^62, or an end of 2^62, makes the set an object one
+    @pytest.mark.parametrize("den, past, dtype", [
+        (1, False, np.int64), (7, False, np.int64), (10 ** 9, False, np.int64),
+        (2 ** 62 - 1, False, np.int64), (2 ** 62, False, object),
+        (7, True, object),
+    ])
+    def test_digit_width_edges(self, den, past, dtype):
+        s = width_edge_set(den, past)
+        assert s.denominator == den and s._lo.dtype == dtype
+        want = fraction_strs(s)
+        assert list(s.rational_strs()) == want
+        assert "".join(s.csv_text("9,y,-3/7,")) == writer_text(("9", "y", "-3/7"), want)
+        texts = [t for pair in want for t in pair]
+        assert {"0", "1", "-1"} <= set(texts)                   # q = 1
+        assert den == 1 or {f"1/{den}", f"-1/{den}"} <= set(texts)  # q = den
+        if den in (1, 7):
+            assert {len(t.lstrip("-").split("/")[0]) for t in texts} == set(range(1, 20))
 
     def test_signs_zero_and_integers(self):
         s = IntervalSet.from_intervals([(-3, Fraction(-5, 2)), (Fraction(-1, 6), 0),
@@ -399,9 +458,7 @@ class TestCsvText:
         prefix = "".join(f"{v}," for v in fields)
         with patch.object(intervals, "_TEXT_BLOCK", block):
             blocks = list(s.csv_text(prefix))
-        buf = io.StringIO(newline="")
-        csv.writer(buf).writerows((*fields, lo, hi) for lo, hi in s.rational_strs())
-        assert "".join(blocks) == buf.getvalue()
+        assert "".join(blocks) == writer_text(fields, fraction_strs(s))
         assert [b.count("\n") for b in blocks] == \
             [min(block, s.count - i) for i in range(0, s.count, block)]
 
