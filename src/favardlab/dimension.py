@@ -126,7 +126,8 @@ def cover_stats(ifs: IFS2D, d: Direction, r,
     den = cover.denominator
     # int / int rounds once, exactly as float(Fraction(b - a, den)) does
     true_lengths = [(b - a) / den * scale for a, b in zip(*cover.numerators)]
-    holder = {p: math.fsum(l ** float(p) for l in true_lengths) for p in ps}
+    holder = {p: math.fsum(l ** e for l in true_lengths)
+              for p, e in zip(ps, map(float, ps))}
     qs = {p: p / (1 - p) for p in ps}
     s2 = d.shear_norm_sq
     floor_ok = min_sh * min_sh >= 4 * r * r * s2

@@ -24,10 +24,12 @@ exact set built from unsorted intervals or grown by ``expand``) and
 float walk, gaps glued up to an absolute tolerance) sweep copies
 (``_swept``).  One row gathers its merged ends; several rows are laid out
 padded by a second sort of each row (``_padded``), with every end that
-bounds no merged interval replaced by the row's largest right end.  The
-generation engine sweeps its windows in its own scratch arrays and reads
-their overlap loss, the sum of max(0, H[i-1] - L[i]), off the sorted ends
-(``_overlap_loss``).
+bounds no merged interval replaced by the row's largest right end.  Rows
+that nothing steps again, the float walk's deepest generation, are swept
+in place and read off the sorted ends and the start mask with no layout
+(``_swept_in_place``).  The generation engine sweeps its windows in its
+own scratch arrays and reads their overlap loss, the sum of
+max(0, H[i-1] - L[i]), off the sorted ends (``_overlap_loss``).
 Summation order is fixed (ascending lo), so repeated runs are bit-identical.
 
 Every text of an exact set, the interval CSV rows (``csv_text``), the
@@ -213,11 +215,16 @@ def _swept(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
     lo, hi = lo.copy(), hi.copy()
     starts = np.empty(lo.shape, dtype=bool)
     _sweep(lo, hi, starts, eps)
-    # a merged interval ends just before the next one starts
+    return lo, hi, starts, _ends(starts)
+
+
+def _ends(starts: np.ndarray) -> np.ndarray:
+    """The mask of the ends of the merged intervals whose starts ``starts``
+    marks: a merged interval ends just before the next one starts."""
     ends = np.empty_like(starts)
     ends[..., :-1] = starts[..., 1:]
     ends[..., -1] = True
-    return lo, hi, starts, ends
+    return ends
 
 
 def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
@@ -279,6 +286,26 @@ def merge_float_arrays(
     keep = mhi > mlo
     mlo, mhi = mlo[keep], mhi[keep]
     return (mlo, mhi) if lo.ndim == 1 else (mlo[None], mhi[None])
+
+
+def _swept_in_place(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple:
+    """The merged rows of 2D float64 lo and hi, read without a layout.
+
+    The rows are ``_sweep``-ed in place at gap tolerance eps, with no copy,
+    and returned sorted with the mask of their starts, for a caller that
+    reads only measures and chains off the sorted ends.  A degenerate
+    merged interval [x, x], which ``merge_float_arrays`` drops, can only
+    begin at a start i with lo[i] == hi[i], since x = lo[i] <= hi[i] <= x
+    there: then the rows are laid out by ``_padded`` as
+    ``merge_float_arrays`` lays them out, and the mask is None.
+    """
+    starts = np.empty(lo.shape, dtype=bool)
+    _sweep(lo, hi, starts, eps)
+    flat = np.equal(lo, hi)
+    flat &= starts
+    if flat.any():
+        return (*_padded(lo, hi, starts, _ends(starts)), None)
+    return lo, hi, starts
 
 
 def _padded(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,

@@ -65,21 +65,27 @@ directions of the ``exact-deep`` benchmark.  Snapshots never share it:
 
 The float walk, ``_float_walk``, holds one row per direction of a
 ``DirectionBatch``.  Each row's merged endpoints are a per-direction float
-engine's bit for bit (reference in ``tests/oracles.py``); its measure is
-summed over the row padded to its group's width, so its last bits depend
-on that width.  It gives measures only, since generations are exact only.
-A batch takes float slopes, ``tan`` of the angles, and projects in float
-arithmetic with no snapping and no Fractions (``Direction.from_angle``
-snaps its row of a batch of one).  ``projected_lengths`` (``favard``,
-``lipschitz_scan``) and ``neighborhood_lengths`` (``decay_series``) walk
-all their angles once, projecting the system once.  A float step costs
-per-call overhead, so a group of rows steps at once while its images hold
-at most ``_GROUP_ENDPOINTS`` = 16384 endpoints, counted on the merged
-widths, and is halved by rows otherwise.  ``merge_float_arrays`` lays out
-the merged rows of a group, padded, by a second sort of each row, which
-costs about as much as the sweep's own sort; one row is merged by gathers.
+engine's bit for bit (reference in ``tests/oracles.py``).  It gives
+measures only, since generations are exact only.  A batch takes float
+slopes, ``tan`` of the angles, and projects in float arithmetic with no
+snapping and no Fractions (``Direction.from_angle`` snaps its row of a
+batch of one).  ``projected_lengths`` (``favard``, ``lipschitz_scan``) and
+``neighborhood_lengths`` (``decay_series``) walk all their angles once,
+projecting the system once.  A float step costs per-call overhead, so a
+group of rows steps at once while its images hold at most
+``_GROUP_ENDPOINTS`` = 16384 endpoints, counted on the merged widths, and
+is halved by rows otherwise.  Only rows that step again are laid out:
+``merge_float_arrays`` lays out the merged rows of such a group, padded,
+by a second sort of each row, which costs about as much as the sweep's own
+sort; one row is merged by gathers.  The deepest generation of a group of
+several rows, which nothing steps, is swept in place in the walk's own
+image arrays (``_swept_in_place``) and read off the sorted ends and the
+start mask: no copy and no layout.  A row's measure is summed over the
+row it is read from, so its last bits depend on the layout and the
+width: a one-row batch sums its merged row, as the reference does.
 Only the steps merge: each grown row of ``neighborhood_lengths`` is
-measured from its gaps under ``_apart``.
+measured from its chains under ``_apart``, the same bits on either
+layout.
 """
 
 from __future__ import annotations
@@ -103,6 +109,7 @@ from .intervals import (
     _extreme,
     _overlap_loss,
     _sweep,
+    _swept_in_place,
     merge_float_arrays,
     rational_str,
     to_fraction,
@@ -621,17 +628,24 @@ class DirectionBatch:
 
 def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple]:
     """The float generations 0..n_max of the system projected through each
-    row of ``batch``, as (rows, n, lo, hi): generation n of the rows of the
-    slice ``rows``, padded.  Each row comes once for each n.
+    row of ``batch``, as (rows, n, lo, hi, starts): generation n of the
+    rows of the slice ``rows``.  Each row comes once for each n.  With
+    ``starts`` None the rows are laid out, merged and padded; otherwise lo
+    and hi are the sorted ends of the row's images and ``starts`` marks
+    where ``_sweep`` starts a merged interval.
 
     The maps and base corners are projected once, for all rows.  A group
     steps all its rows at once through ``merge_float_arrays``, each row
     padded with degenerate copies [x, x] of its right end x.  The image of
     a pad is the right end of the image of the row's last interval, so it
     changes neither the union nor a gap, and the sweep sorts left and right
-    ends apart: every row merges as it would alone.  A group of several
-    rows whose images pass ``_GROUP_ENDPOINTS`` is halved instead, and each
-    half, cut to its widest row, goes on a depth-first stack.
+    ends apart: every row merges as it would alone.  The step of a group of
+    several rows to n_max, which nothing steps again, sweeps the images in
+    place instead (``_swept_in_place``), unless a merged interval there may
+    be degenerate.  ``SizeCapExceeded`` counts the merged intervals either
+    way.  A group of several rows whose images pass ``_GROUP_ENDPOINTS`` is
+    halved instead, and each half, cut to its widest row, goes on a
+    depth-first stack.
     """
     k = len(ifs.maps)
     ratios = np.array([float(m.ratio) for m in ifs.maps])[:, None]
@@ -642,7 +656,7 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
     corners = batch.functional(np.array([x0, x0, x1, x1]),
                                np.array([y0, y1, y0, y1]))
     lo, hi = corners.min(axis=1, keepdims=True), corners.max(axis=1, keepdims=True)
-    yield slice(0, len(batch)), 0, lo, hi
+    yield slice(0, len(batch)), 0, lo, hi, None
     stack = [(0, len(batch), lo, hi, 0)]
     while stack:
         a, b, lo, hi, n = stack.pop()
@@ -655,17 +669,41 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
                 width = np.count_nonzero(part_hi > part_lo, axis=1).max()
                 stack.append((i, j, part_lo[:, :width], part_hi[:, :width], n))
             continue
+        starts = None
         if lo.size:
             images = []
             for ends in (lo, hi):
                 image = ratios * ends[:, None, :]
                 image += offsets[a:b]
                 images.append(image.reshape(b - a, -1))
-            lo, hi = merge_float_arrays(*images)
-        # Rows are padded to the longest, so the width is the largest count.
-        _check_cap(lo.shape[1], n + 1)
-        yield slice(a, b), n + 1, lo, hi
+            if n + 1 < n_max or b - a == 1:
+                lo, hi = merge_float_arrays(*images)
+            else:
+                lo, hi, starts = _swept_in_place(*images, MERGE_EPSILON)
+        # Laid-out rows are padded to the longest, so the width is the
+        # largest count; a swept row counts its starts, at most the width.
+        count = lo.shape[1]
+        if starts is not None and count > MAX_COUNT:
+            count = int(np.count_nonzero(starts, axis=1).max())
+        _check_cap(count, n + 1)
+        yield slice(a, b), n + 1, lo, hi, starts
         stack.append((a, b, lo, hi, n + 1))
+
+
+def _row_measures(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
+    """The measure of each row of ``_float_walk``: the sum of hi - lo over
+    laid-out rows, or, with ``starts``, the sum over the merged intervals
+    of the sorted ends.  A merged interval from start s to the last index
+    e before the next start has length H[s] - L[s] plus H[i] - H[i-1] for
+    s < i <= e, the telescoped sum of (H - L) and L[i] - H[i-1] over the
+    indices that start no interval: every term is >= 0, so nothing
+    cancels."""
+    if starts is not None:
+        low = np.empty_like(lo)
+        low[:, 1:] = hi[:, :-1]
+        np.copyto(low, lo, where=starts)
+        lo = low
+    return np.sum(hi - lo, axis=1)
 
 
 def _engine(ifs: IFS2D, d: Direction, n: int,
@@ -711,7 +749,7 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     length of generation n is ``values[n] * d.scale``.  A DirectionBatch
     runs on the float walk, ``_float_walk``, and gives an array of shape
     (n_max + 1, len(d)), one column per direction, each summed over its
-    row padded to its group's width.
+    row as the walk gives it (``_row_measures``).
     """
     if not isinstance(d, DirectionBatch):
         eng = _engine(ifs, d, n_max, measure_only=True)
@@ -723,9 +761,41 @@ def sheared_measures(ifs: IFS2D, d: Union[Direction, DirectionBatch],
     if n_max < 0:
         raise ValueError("generation index must be >= 0")
     values = np.empty((n_max + 1, len(d)))
-    for rows, n, lo, hi in _float_walk(ifs, d, n_max):
-        values[n, rows] = np.sum(hi - lo, axis=1)
+    for rows, n, lo, hi, starts in _float_walk(ifs, d, n_max):
+        values[n, rows] = _row_measures(lo, hi, starts)
     return values
+
+
+def _grown_measures(lo: np.ndarray, hi: np.ndarray, starts,
+                    radius: np.ndarray) -> np.ndarray:
+    """The measure of each row of ``_float_walk`` grown by its own radius
+    p, one per row, with no second merge.
+
+    The grown intervals [l - p, h + p] of a merged row stay sorted, and
+    each chains into the one before it unless the merge rule ``_apart``
+    keeps them apart at MERGE_EPSILON.  Each chain is measured by its own
+    ends, h - l + 2p for the last h and the first l, and the chains of a
+    row are summed in order.  On swept rows (``starts``) a chain begins
+    only at a start, so the chains and their ends are those of the laid-out
+    rows, and both give the same bits.  A pad [x, x] lies in the chain
+    before it.  A row of no interval grows to nothing.
+    """
+    if not lo.shape[1]:
+        return np.zeros(len(lo))
+    first = np.empty(lo.shape, dtype=bool)
+    first[:, 0] = True
+    _apart(lo[:, 1:] - radius[:, None], hi[:, :-1] + radius[:, None],
+           MERGE_EPSILON, out=first[:, 1:])
+    if starts is not None:
+        first &= starts
+    # Every row's first column starts a chain, so in the flattened rows a
+    # chain ends just before the next one starts.
+    at = np.flatnonzero(first)
+    last = np.append(at[1:], lo.size) - 1
+    heads = np.searchsorted(at, np.arange(0, lo.size, lo.shape[1]))
+    lengths = hi.take(last) - lo.take(at)
+    return (np.add.reduceat(lengths, heads)
+            + 2 * radius * np.diff(heads, append=at.size))
 
 
 def projected_lengths(ifs: IFS2D, thetas, n_max: int) -> np.ndarray:
@@ -746,10 +816,9 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     The angles take one float walk, ``_float_walk``, to the deepest n.  At
     each generation that ``wanted`` names, each merged row grows by its own
     sheared radius p = r / scale and stays sorted, so its measure is read
-    from its gaps g = l_{j+1} - h_j with no second merge: the lengths, plus
-    2p, plus 2p for each gap the merge rule ``_apart`` keeps open between
-    grown intervals [l - p, h + p] at MERGE_EPSILON, and g for each other.
-    The pads [x, x] have g = 0.  No pairs give no rows.
+    with no second merge, from the chains of grown intervals that the
+    merge rule ``_apart`` glues at MERGE_EPSILON (``_grown_measures``).
+    No pairs give no rows.
     """
     measures = np.empty((len(wanted), len(thetas)))
     if not wanted:
@@ -761,13 +830,8 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
         at_depth.setdefault(n, []).append((i, r))
     batch = DirectionBatch.from_angles(thetas)
     scales = batch.scale
-    for rows, n, lo, hi in _float_walk(ifs, batch, max(wanted)[0]):
+    for rows, n, lo, hi, starts in _float_walk(ifs, batch, max(wanted)[0]):
         scale = scales[rows]
-        left, right = lo[:, 1:], hi[:, :-1]
         for i, r in at_depth.get(n, ()):
-            radius = (r / scale)[:, None]
-            apart = _apart(left - radius, right + radius, MERGE_EPSILON)
-            gaps = np.where(apart, 2 * radius, left - right).sum(axis=1)
-            measures[i, rows] = (np.sum(hi - lo, axis=1) + 2 * radius[:, 0]
-                                 + gaps) * scale
+            measures[i, rows] = _grown_measures(lo, hi, starts, r / scale) * scale
     return measures

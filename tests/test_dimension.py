@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favardlab import projection
+from favardlab import intervals, projection
 from favardlab.errors import DegenerateFitError, PreconditionError
 from favardlab.dimension import (
     DecayRecord,
@@ -269,21 +269,22 @@ class TestDecayAndFit:
 
     def test_one_pass_per_call(self, monkeypatch):
         # brackets 2..7: the call projects the system once and steps each
-        # node 7 times, where a pass per (scale, bracket) steps 54
+        # node 7 times, where a pass per (scale, bracket) steps 54; every
+        # step sweeps its images once, the deepest one in place
         sc = sparse_corner(8)
         calls = {"functional": 0, "rows": 0}
-        functional, merge = DirectionBatch.functional, projection.merge_float_arrays
+        functional, sweep = DirectionBatch.functional, intervals._sweep
 
         def counted_functional(self, *args):
             calls["functional"] += 1
             return functional(self, *args)
 
-        def counted_merge(lo, hi, *args):
+        def counted_sweep(lo, *args):
             calls["rows"] += lo.shape[0]
-            return merge(lo, hi, *args)
+            return sweep(lo, *args)
 
         monkeypatch.setattr(DirectionBatch, "functional", counted_functional)
-        monkeypatch.setattr(projection, "merge_float_arrays", counted_merge)
+        monkeypatch.setattr(intervals, "_sweep", counted_sweep)
         decay_series(sc, [Fraction(8) ** -k for k in (3, 4, 5, 6)],
                      sensitivity=True)
         nodes, _ = _panel_nodes(*_half_period(sc)[:2], 8, 16)
@@ -311,7 +312,7 @@ class TestDecayAndFit:
             assert row.tobytes() == alone.tobytes()
 
     def test_no_merge_after_the_engine(self, monkeypatch):
-        # a grown merged row is measured from its gaps: only the engine's
+        # a grown merged row is measured from its chains: only the engine's
         # steps call merge_float_arrays
         callers = []
         real = projection.merge_float_arrays

@@ -612,6 +612,28 @@ class TestMergeKernels:
             for got in (got_lo[n:], got_hi[n:]):
                 assert got.tobytes() == np.repeat(pad, got.size).tobytes()
 
+    @given(rows=float_rows(),
+           eps=st.sampled_from([MERGE_EPSILON, 4e-13, 0.05, 0.1, 0.25]))
+    @example(rows=(np.array([[0.1, 0.7, 0.3], [0.5, 0.6, 0.5]]),
+                   np.array([[0.2, 0.7, 0.4], [0.5, 0.8, 0.6]])), eps=0.05)
+    @settings(max_examples=300, deadline=None)
+    def test_swept_in_place_reads_the_merged_rows(self, rows, eps):
+        # the rows swept in place hold the merged rows of merge_float_arrays
+        # at their starts and ends; a row that may hold a degenerate merged
+        # interval (the example: the point 0.7 in row 0) is laid out instead
+        lo, hi = rows
+        mlo, mhi = merge_float_arrays(lo, hi, eps)
+        slo, shi, starts = intervals._swept_in_place(lo.copy(), hi.copy(), eps)
+        if starts is None:
+            assert slo.tobytes() == mlo.tobytes() and shi.tobytes() == mhi.tobytes()
+            return
+        ends = intervals._ends(starts)
+        assert np.count_nonzero(starts, axis=1).max() == mlo.shape[1]
+        for row in range(len(lo)):
+            n = np.count_nonzero(starts[row])
+            assert slo[row][starts[row]].tobytes() == mlo[row, :n].tobytes()
+            assert shi[row][ends[row]].tobytes() == mhi[row, :n].tobytes()
+
     def test_no_rows(self):
         for width in (0, 3):
             mlo, mhi = merge_float_arrays(np.empty((0, width)), np.empty((0, width)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favardlab import projection
+from favardlab import intervals, projection
 from favardlab.errors import SizeCapExceeded
 from favardlab.favard import QuadratureConfig, alpha_sequence, favard
 from favardlab.ifs import (
@@ -24,7 +24,7 @@ from favardlab.ifs import (
     sierpinski_gasket,
     sparse_corner,
 )
-from favardlab.intervals import MERGE_EPSILON, IntervalSet
+from favardlab.intervals import MERGE_EPSILON, IntervalSet, merge_float_arrays
 from favardlab.projection import (
     Direction,
     DirectionBatch,
@@ -34,6 +34,7 @@ from favardlab.projection import (
     _merge_images,
     generation,
     iter_generations,
+    neighborhood_lengths,
     project_ifs,
     projected_lengths,
     sheared_measures,
@@ -926,9 +927,63 @@ class TestFloatBatch:
             sets, want = _row_oracle(ifs, row, 6)
             assert sheared_measures(ifs, row, 6)[:, 0].tolist() == want
             walk = list(_float_walk(ifs, row, 6))
-            assert [n for _, n, _, _ in walk] == list(range(7))
-            for (_, _, lo, hi), (want_lo, want_hi) in zip(walk, sets):
+            assert [n for _, n, _, _, _ in walk] == list(range(7))
+            # one row is laid out at every generation, the deepest included
+            assert all(starts is None for *_, starts in walk)
+            for (_, _, lo, hi, _), (want_lo, want_hi) in zip(walk, sets):
                 assert np.array_equal(lo[0], want_lo) and np.array_equal(hi[0], want_hi)
+
+    @pytest.mark.parametrize("ifs", _BATCH_SYSTEMS, ids=lambda f: f.name)
+    def test_deepest_generation_read_off_the_sweep(self, ifs):
+        # a group of several rows reads generation n off its sweep when n is
+        # the deepest, and lays it out when the walk steps on, in the same
+        # groups; the neighborhoods read the same chains, so the same bits
+        thetas = np.linspace(-math.pi / 4, 3 * math.pi / 4, 48)
+        batch = DirectionBatch.from_angles(thetas)
+        laid_out = sheared_measures(ifs, batch, 5)
+        for n in range(1, 5):
+            walk = [(rows, starts) for rows, m, _, _, starts in _float_walk(ifs, batch, n)
+                    if m == n]
+            assert any(starts is not None and rows.stop - rows.start > 1
+                       for rows, starts in walk)
+            swept = sheared_measures(ifs, batch, n)
+            assert swept[:n].tobytes() == laid_out[:n].tobytes()
+            assert np.allclose(swept[n], laid_out[n], rtol=1e-15, atol=0)
+            for r in (4.0 ** -n, 0.5 * 4.0 ** -n, 8.0 ** -n, 1e-6):
+                alone = neighborhood_lengths(ifs, thetas, [(n, r)])
+                deeper = neighborhood_lengths(ifs, thetas, [(n, r), (n + 1, r)])
+                assert alone[0].tobytes() == deeper[0].tobytes()
+
+    def test_cap_counts_merged_intervals_of_swept_rows(self, monkeypatch):
+        # the gasket's images are 3 intervals a row, merged into 1: a cap
+        # of 2 counts the merged intervals of the deepest, swept group
+        monkeypatch.setattr(projection, "MAX_COUNT", 2)
+        batch = DirectionBatch.from_angles(np.linspace(0.1, 0.7, 5))
+        assert np.all(sheared_measures(sierpinski_gasket(), batch, 4) > 0)
+        monkeypatch.setattr(projection, "MAX_COUNT", 0)
+        with pytest.raises(SizeCapExceeded, match="generation 1"):
+            sheared_measures(sierpinski_gasket(), batch, 1)
+
+    def test_swept_point_grows_into_nothing(self):
+        # image rounding can collapse an interval to a point [x, x] that
+        # starts a merged interval of its own; the merge drops it, so it
+        # must not grow into a neighborhood of length 2p
+        lo = np.array([[0.0, 0.5, 0.9], [0.0, 0.2, 0.6]])
+        hi = np.array([[0.25, 0.5, 1.0], [0.1, 0.4, 0.8]])
+        swept = intervals._swept_in_place(lo.copy(), hi.copy(), MERGE_EPSILON)
+        assert swept[2] is None
+        laid_out = merge_float_arrays(lo, hi)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(swept, laid_out))
+        radius = np.array([0.01, 0.02])
+        got = projection._grown_measures(*swept, radius)
+        assert got == pytest.approx([0.27 + 0.12, 0.14 + 0.24 + 0.24], rel=1e-15)
+        assert projection._row_measures(*swept) == pytest.approx([0.35, 0.5], rel=1e-15)
+        # without the point, the same rows are read off the sweep
+        hi[0, 1] = 0.55
+        swept = intervals._swept_in_place(lo.copy(), hi.copy(), MERGE_EPSILON)
+        assert swept[2] is not None
+        got = projection._grown_measures(*swept, radius)
+        assert got == pytest.approx([0.27 + 0.07 + 0.12, 0.14 + 0.24 + 0.24], rel=1e-15)
 
     def test_from_angles_matches_from_angle(self):
         rng = random.Random(11)
@@ -949,18 +1004,19 @@ class TestFloatBatch:
         want = [projected_lengths(ifs, thetas, n) for n in ns]
         fav = favard(ifs, 2, QuadratureConfig(max_refinements=1))
         sizes = []
-        real = projection.merge_float_arrays
+        real = intervals._sweep
 
-        def spy(lo, hi, *args, **kwargs):
+        # every float step sweeps its images once, the deepest one in place
+        def spy(lo, *args, **kwargs):
             sizes.append(lo.shape)
-            return real(lo, hi, *args, **kwargs)
+            return real(lo, *args, **kwargs)
 
         monkeypatch.setattr(projection, "_GROUP_ENDPOINTS", 64)
-        monkeypatch.setattr(projection, "merge_float_arrays", spy)
+        monkeypatch.setattr(intervals, "_sweep", spy)
         for n, w in zip(ns, want):
             sizes.clear()
             got = projected_lengths(ifs, thetas, n)
-            # each shape is (rows, k * width) of the images merged
+            # each shape is (rows, k * width) of the images swept
             assert all(rows * k_width <= 64 or rows == 1 for rows, k_width in sizes)
             assert sum(rows for rows, _ in sizes) == n * len(thetas)
             assert np.max(np.abs(got - w)) <= 1e-12
@@ -971,15 +1027,15 @@ class TestFloatBatch:
 
     def test_narrow_rows_share_one_group(self, monkeypatch):
         # every projection of the gasket's generations is one interval, so
-        # 4096 rows stay one group: one merge per step
+        # 4096 rows stay one group: one sweep per step
         calls = []
-        real = projection.merge_float_arrays
+        real = intervals._sweep
 
         def spy(*args, **kwargs):
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(projection, "merge_float_arrays", spy)
+        monkeypatch.setattr(intervals, "_sweep", spy)
         thetas = np.linspace(-math.pi / 4, 3 * math.pi / 4, 4096)
         got = projected_lengths(sierpinski_gasket(), thetas, 9)
         assert calls == [(4096, 3)] * 9
