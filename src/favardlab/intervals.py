@@ -22,14 +22,17 @@ The sweep sorts the ends in place and marks the starts.
 exact set built from unsorted intervals or grown by ``expand``) and
 ``merge_float_arrays`` (binary64 rows of :class:`FloatIntervalSet` and the
 float walk, gaps glued up to an absolute tolerance) sweep copies
-(``_swept``).  One row gathers its merged ends; several rows are laid out
-padded by a second sort of each row (``_padded``), with every end that
-bounds no merged interval replaced by the row's largest right end.  Rows
-that nothing steps again, the float walk's deepest generation, are swept
-in place and read off the sorted ends and the start mask with no layout
-(``_swept_in_place``).  The generation engine sweeps its windows in its
-own scratch arrays and reads their overlap loss, the sum of
-max(0, H[i-1] - L[i]), off the sorted ends (``_overlap_loss``).
+(``_swept``).  Both keep every merged interval, a degenerate [x, x]
+included; only the set constructors, ``_merge_scaled`` and
+``FloatIntervalSet.from_intervals``, drop those.  One row gathers its
+merged ends; several rows are laid out padded by a second sort of each
+row (``_padded``), with every end that bounds no merged interval replaced
+by the row's last right end.  Rows that nothing steps again, the float
+walk's deepest generation, are swept in place and read off the sorted
+ends and the start mask with no layout (``_swept_in_place``).  The
+generation engine sweeps its windows in its own scratch arrays and reads
+their overlap loss, the sum of max(0, H[i-1] - L[i]), off the sorted ends
+(``_overlap_loss``).
 Summation order is fixed (ascending lo), so repeated runs are bit-identical.
 
 Every text of an exact set, the interval CSV rows (``csv_text``), the
@@ -267,14 +270,14 @@ def merge_float_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge float64 endpoints by ``_sweep``, one interval set per row.
 
-    Gaps of at most merge_eps, which must be finite and >= 0, are glued
-    and degenerate merged intervals dropped.  1D arrays are one row and
-    give 1D results.  2D results are padded to the longest row with
-    degenerate copies [x, x] of the row's last right end x: they lie in
-    the row's last interval, add nothing to its measure and merge away
-    again.  A row left empty is padded with zeros.  One row gathers its
-    merged ends; several rows are laid out by ``_padded``.  Empty input
-    gives empty rows, as many as there are rows and of width 0.
+    Gaps of at most merge_eps, which must be finite and >= 0, are glued.
+    Every merged interval is kept, a degenerate one [x, x] included, as
+    ``merge_int64_arrays`` keeps it.  1D arrays are one row and give 1D
+    results.  2D results are padded to the longest row with degenerate
+    copies [x, x] of the row's last right end x: they lie in the row's
+    last interval, add nothing to its measure and merge away again.  One
+    row gathers its merged ends; several rows are laid out by ``_padded``.
+    Empty input gives empty rows, as many as there are rows and of width 0.
     """
     if not (math.isfinite(merge_eps) and merge_eps >= 0):
         raise ValueError(f"merge_eps must be finite and >= 0, got {merge_eps!r}")
@@ -283,29 +286,20 @@ def merge_float_arrays(
     if lo.ndim == 2 and lo.shape[0] > 1:
         return _padded(*_swept(lo, hi, merge_eps))
     mlo, mhi, _ = _merged(lo, hi, merge_eps)
-    keep = mhi > mlo
-    mlo, mhi = mlo[keep], mhi[keep]
     return (mlo, mhi) if lo.ndim == 1 else (mlo[None], mhi[None])
 
 
-def _swept_in_place(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple:
-    """The merged rows of 2D float64 lo and hi, read without a layout.
+def _swept_in_place(lo: np.ndarray, hi: np.ndarray, eps: float) -> np.ndarray:
+    """``_sweep`` 2D float64 lo and hi in place, with no copy, at gap
+    tolerance eps, and return the mask of the starts.
 
-    The rows are ``_sweep``-ed in place at gap tolerance eps, with no copy,
-    and returned sorted with the mask of their starts, for a caller that
-    reads only measures and chains off the sorted ends.  A degenerate
-    merged interval [x, x], which ``merge_float_arrays`` drops, can only
-    begin at a start i with lo[i] == hi[i], since x = lo[i] <= hi[i] <= x
-    there: then the rows are laid out by ``_padded`` as
-    ``merge_float_arrays`` lays them out, and the mask is None.
+    The merged rows of ``merge_float_arrays`` then lie at the starts and
+    the ends (``_ends``) of the sorted rows, for a caller that reads only
+    measures and chains off the sorted ends.
     """
     starts = np.empty(lo.shape, dtype=bool)
     _sweep(lo, hi, starts, eps)
-    flat = np.equal(lo, hi)
-    flat &= starts
-    if flat.any():
-        return (*_padded(lo, hi, starts, _ends(starts)), None)
-    return lo, hi, starts
+    return starts
 
 
 def _padded(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
@@ -313,44 +307,20 @@ def _padded(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
     """The merged rows of 2D lo and hi swept by ``_swept``, with the masks
     of their starts and ends, padded as ``merge_float_arrays`` gives them.
 
-    Each row is laid out by ``_compacted`` with its largest right end x,
-    its last one, as pad.  That is exact unless a merged interval is
-    degenerate, which shows as one more column with equal ends than there
-    are pads.  Then, rarely, its start and end are unmarked and the rows
-    laid out again, each padded with its last right end kept, or with 0
-    when none is kept.
+    Every left end that starts no merged interval and every right end that
+    ends none is replaced by the pad, the row's last right end x, and a
+    second sort of each row puts the merged ends first, in order: the
+    merged left ends increase strictly and each lies at or below its right
+    end, so below x or at x; the merged right ends increase strictly, up to
+    x itself.  The ties are copies of x, so the sort need not be stable.
+    The longest row sets the width.
     """
-    counts = np.count_nonzero(starts, axis=1)
-    out_lo, out_hi = _compacted(lo, hi, starts, ends, hi[:, -1:], counts)
-    if np.count_nonzero(out_lo == out_hi) == out_lo.size - counts.sum():
-        return out_lo, out_hi
-    keep = hi[ends] > lo[starts]
-    starts[starts] = keep
-    ends[ends] = keep
-    counts = np.count_nonzero(starts, axis=1)
-    pad = np.max(hi, axis=1, where=ends, initial=-np.inf, keepdims=True)
-    pad[counts == 0] = 0.0
-    return _compacted(lo, hi, starts, ends, pad, counts)
-
-
-def _compacted(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
-               ends: np.ndarray, pad: np.ndarray, counts: np.ndarray) -> tuple:
-    """The intervals of each row of sorted 2D lo and hi that start at
-    ``starts`` and end at ``ends``, ``counts`` of them a row, in order and
-    padded with the row's ``pad``, a column no smaller than any end kept.
-
-    Every other left end and right end is replaced by the pad, and a
-    second sort of each row puts the kept ends first, when every kept
-    interval has positive length: each kept left end then lies below its
-    right end, so below the pad, and each kept right end lies below the
-    pad or is the pad itself.  The ties are copies of the pad, so the sort
-    need not be stable.  The longest row sets the width.
-    """
+    pad = hi[:, -1:]
     out_lo = np.where(starts, lo, pad)
     out_hi = np.where(ends, hi, pad)
     out_lo.sort()
     out_hi.sort()
-    width = int(counts.max())
+    width = int(np.count_nonzero(starts, axis=1).max())
     return out_lo[:, :width], out_hi[:, :width]
 
 
@@ -605,6 +575,8 @@ class FloatIntervalSet:
 
     @classmethod
     def from_intervals(cls, items: Iterable, merge_eps: float = MERGE_EPSILON) -> "FloatIntervalSet":
+        """Normalize arbitrary float intervals, merged by
+        ``merge_float_arrays`` with degenerate merged intervals dropped."""
         los = []
         his = []
         for item in items:
@@ -620,7 +592,8 @@ class FloatIntervalSet:
             his.append(b)
         lo, hi = merge_float_arrays(np.asarray(los, dtype=np.float64),
                                     np.asarray(his, dtype=np.float64), merge_eps)
-        return cls(lo, hi, merge_eps)
+        keep = hi > lo
+        return cls(lo[keep], hi[keep], merge_eps)
 
     @property
     def count(self) -> int:
@@ -629,20 +602,6 @@ class FloatIntervalSet:
     @property
     def measure(self) -> float:
         return float(np.sum(self._hi - self._lo))
-
-    @property
-    def merge_eps(self) -> float:
-        return self._eps
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(Interval(float(a), float(b)) for a, b in zip(self._lo, self._hi))
-
-    @property
-    def bounds(self):
-        if self._lo.size == 0:
-            return None
-        return float(self._lo[0]), float(self._hi[-1])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._lo, self._hi
@@ -668,15 +627,3 @@ class FloatIntervalSet:
             if i == my_lo.size or not (my_lo[i] <= a + slack and b <= my_hi[i] + slack):
                 return False
         return True
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self) -> int:
-        return int(self._lo.size)
-
-    def __repr__(self) -> str:
-        if self._lo.size == 0:
-            return "FloatIntervalSet(empty)"
-        parts = ", ".join(f"[{a!r}, {b!r}]" for a, b in zip(self._lo, self._hi))
-        return f"FloatIntervalSet({parts})"

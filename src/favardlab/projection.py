@@ -65,11 +65,14 @@ directions of the ``exact-deep`` benchmark.  Snapshots never share it:
 
 The float walk, ``_float_walk``, holds one row per direction of a
 ``DirectionBatch``.  Each row's merged endpoints are a per-direction float
-engine's bit for bit (reference in ``tests/oracles.py``).  It gives
-measures only, since generations are exact only.  A batch takes float
-slopes, ``tan`` of the angles, and projects in float arithmetic with no
-snapping and no Fractions (``Direction.from_angle`` snaps its row of a
-batch of one).  ``projected_lengths`` (``favard``, ``lipschitz_scan``) and
+engine's bit for bit (reference in ``tests/oracles.py``).  Every merged
+interval is kept, a point [x, x] that rounding makes of an image
+included, so its neighborhoods and its descendants count as the exact
+engine counts them.  It gives measures only, since generations are exact
+only.  A batch takes float slopes, ``tan`` of the angles, and projects in
+float arithmetic with no snapping and no Fractions
+(``Direction.from_angle`` snaps its row of a batch of one).
+``projected_lengths`` (``favard``, ``lipschitz_scan``) and
 ``neighborhood_lengths`` (``decay_series``) walk all their angles once,
 projecting the system once.  A float step costs per-call overhead, so a
 group of rows steps at once while its images hold at most
@@ -632,7 +635,8 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
     rows of the slice ``rows``.  Each row comes once for each n.  With
     ``starts`` None the rows are laid out, merged and padded; otherwise lo
     and hi are the sorted ends of the row's images and ``starts`` marks
-    where ``_sweep`` starts a merged interval.
+    where ``_sweep`` starts a merged interval.  Every merged interval is
+    kept, points included.
 
     The maps and base corners are projected once, for all rows.  A group
     steps all its rows at once through ``merge_float_arrays``, each row
@@ -641,11 +645,11 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
     changes neither the union nor a gap, and the sweep sorts left and right
     ends apart: every row merges as it would alone.  The step of a group of
     several rows to n_max, which nothing steps again, sweeps the images in
-    place instead (``_swept_in_place``), unless a merged interval there may
-    be degenerate.  ``SizeCapExceeded`` counts the merged intervals either
-    way.  A group of several rows whose images pass ``_GROUP_ENDPOINTS`` is
-    halved instead, and each half, cut to its widest row, goes on a
-    depth-first stack.
+    place instead (``_swept_in_place``).  ``SizeCapExceeded`` counts the
+    merged intervals either way.  A group of several rows whose images pass
+    ``_GROUP_ENDPOINTS`` is halved instead, and each half goes on a
+    depth-first stack, cut to its widest row: a row's merged right ends
+    before its last lie below the last, and its pads equal it.
     """
     k = len(ifs.maps)
     ratios = np.array([float(m.ratio) for m in ifs.maps])[:, None]
@@ -666,7 +670,8 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
             m = (a + b) // 2
             for i, j in ((m, b), (a, m)):
                 part_lo, part_hi = lo[i - a:j - a], hi[i - a:j - a]
-                width = np.count_nonzero(part_hi > part_lo, axis=1).max()
+                last = part_hi[:, -1:]
+                width = np.count_nonzero(part_hi < last, axis=1).max() + 1
                 stack.append((i, j, part_lo[:, :width], part_hi[:, :width], n))
             continue
         starts = None
@@ -679,7 +684,8 @@ def _float_walk(ifs: IFS2D, batch: DirectionBatch, n_max: int) -> Iterator[tuple
             if n + 1 < n_max or b - a == 1:
                 lo, hi = merge_float_arrays(*images)
             else:
-                lo, hi, starts = _swept_in_place(*images, MERGE_EPSILON)
+                lo, hi = images
+                starts = _swept_in_place(lo, hi, MERGE_EPSILON)
         # Laid-out rows are padded to the longest, so the width is the
         # largest count; a swept row counts its starts, at most the width.
         count = lo.shape[1]
@@ -777,10 +783,10 @@ def _grown_measures(lo: np.ndarray, hi: np.ndarray, starts,
     ends, h - l + 2p for the last h and the first l, and the chains of a
     row are summed in order.  On swept rows (``starts``) a chain begins
     only at a start, so the chains and their ends are those of the laid-out
-    rows, and both give the same bits.  A pad [x, x] lies in the chain
-    before it.  A row of no interval grows to nothing.
+    rows, and both give the same bits.  A merged point grows into 2p, and a
+    pad [x, x] lies in the chain before it.  No rows give no measures.
     """
-    if not lo.shape[1]:
+    if not lo.size:
         return np.zeros(len(lo))
     first = np.empty(lo.shape, dtype=bool)
     first[:, 0] = True
@@ -818,7 +824,7 @@ def neighborhood_lengths(ifs: IFS2D, thetas, wanted) -> np.ndarray:
     sheared radius p = r / scale and stays sorted, so its measure is read
     with no second merge, from the chains of grown intervals that the
     merge rule ``_apart`` glues at MERGE_EPSILON (``_grown_measures``).
-    No pairs give no rows.
+    No pairs give no rows, and no angles no columns.
     """
     measures = np.empty((len(wanted), len(thetas)))
     if not wanted:

@@ -280,16 +280,15 @@ def float_step_reference(lo, hi, maps, eps):
 
     The per-direction step the row-batched engine replaced: the k images
     are concatenated map by map and merged by ``reference_sweep``, which
-    glues gaps of at most eps, and degenerate merged intervals are
-    dropped.  maps are float (ratio, offset) pairs.
+    glues gaps of at most eps.  Every merged interval is kept, a point
+    [x, x] included, as the integer merge keeps it.  maps are float
+    (ratio, offset) pairs.
     """
     cat_lo = np.concatenate([r * lo + c for r, c in maps])
     cat_hi = np.concatenate([r * hi + c for r, c in maps])
     if cat_lo.size == 0:
         return cat_lo, cat_hi
-    mlo, mhi, _ = reference_sweep(cat_lo, cat_hi, eps)
-    keep = mhi > mlo
-    return mlo[keep], mhi[keep]
+    return reference_sweep(cat_lo, cat_hi, eps)[:2]
 
 
 def float_generations_reference(maps, base, n_max, eps):

@@ -31,6 +31,7 @@ from favardlab.projection import (
     Direction,
     DirectionBatch,
     neighborhood_lengths,
+    projected_lengths,
 )
 
 from oracles import (
@@ -295,6 +296,10 @@ class TestDecayAndFit:
         thetas, _ = _panel_nodes(-0.5, 2.0, 4, 8)
         rows = neighborhood_lengths(four_corner(), thetas, [])
         assert rows.shape == (0, len(thetas))
+        # and no angles give no columns, as they do for projected_lengths
+        rows = neighborhood_lengths(four_corner(), [], [(2, 0.01), (0, 0.5)])
+        assert rows.shape == (2, 0)
+        assert projected_lengths(four_corner(), [], 2).shape == (3, 0)
 
     @pytest.mark.parametrize("ifs", [four_corner(), sierpinski_gasket()],
                              ids=["four-corner", "gasket"])

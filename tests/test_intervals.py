@@ -505,17 +505,16 @@ class TestMergeKernels:
     @given(integer_rows())
     def test_float_rows_follow_the_int64_rule(self, rows):
         # integers below 2^40 are exact in binary64, so with no tolerance
-        # both kernels apply the one merge rule: every float row is the
-        # int64 merge of its integers once degenerate merged intervals
-        # (which the float kernel drops) and the pads are left out
+        # both kernels apply the one merge rule and keep the same merged
+        # intervals, points included: every float row is the int64 merge of
+        # its integers, then pads, copies of its last right end
         lo, hi = rows
         mlo, mhi = merge_float_arrays(lo.astype(float), hi.astype(float), 0.0)
         for row in range(len(lo)):
             klo, khi = merge_int64_arrays(lo[row], hi[row])
-            kept = khi > klo
-            real = mhi[row] > mlo[row]
-            assert mlo[row][real].tolist() == klo[kept].tolist()
-            assert mhi[row][real].tolist() == khi[kept].tolist()
+            pads = [float(khi[-1])] * (mlo.shape[1] - klo.size)
+            assert mlo[row].tolist() == klo.tolist() + pads
+            assert mhi[row].tolist() == khi.tolist() + pads
 
     @pytest.mark.parametrize("kind, eps", [
         ("int64", None), ("object", None), ("float", 0.0),
@@ -567,16 +566,17 @@ class TestMergeKernels:
 
     def test_float_merge_rows(self):
         # rows merge as they would alone, padded with their own right end;
-        # degenerate results are dropped, so row 2 comes back empty
-        lo = np.array([[3.0, 0.0, 1.0, 5.0], [0.0, 0.0, 2.0, 2.0],
+        # degenerate results are kept, so row 1 keeps its point [2, 2] and
+        # row 2, all copies of one point, comes back as that one point
+        lo = np.array([[3.0, 0.0, 1.0, 5.0], [0.0, 0.0, 2.0, 2.5],
                        [4.0, 4.0, 4.0, 4.0]])
         hi = np.array([[4.0, 1.0, 2.0, 6.0], [0.5, 1.0, 2.0, 3.0],
                        [4.0, 4.0, 4.0, 4.0]])
         mlo, mhi = merge_float_arrays(lo, hi)
-        assert mlo.tolist() == [[0.0, 3.0, 5.0], [0.0, 2.0, 3.0],
-                                [0.0, 0.0, 0.0]]
-        assert mhi.tolist() == [[2.0, 4.0, 6.0], [1.0, 3.0, 3.0],
-                                [0.0, 0.0, 0.0]]
+        assert mlo.tolist() == [[0.0, 3.0, 5.0], [0.0, 2.0, 2.5],
+                                [4.0, 4.0, 4.0]]
+        assert mhi.tolist() == [[2.0, 4.0, 6.0], [1.0, 2.0, 3.0],
+                                [4.0, 4.0, 4.0]]
         for row in range(3):
             want = merge_float_arrays(lo[row], hi[row])
             n = len(want[0])
@@ -587,8 +587,10 @@ class TestMergeKernels:
         assert again[0].tolist() == mlo.tolist()
         assert again[1].tolist() == mhi.tolist()
         points = np.full((2, 4), 4.0)
-        empty = merge_float_arrays(points, points)
-        assert empty[0].shape == empty[1].shape == (2, 0)
+        for got in merge_float_arrays(points, points):
+            assert got.tolist() == [[4.0], [4.0]]
+        one = merge_float_arrays(points[0], points[0])
+        assert one[0].tolist() == one[1].tolist() == [4.0]
 
     @given(rows=float_rows(),
            eps=st.sampled_from([MERGE_EPSILON, 4e-13, 0.05, 0.1, 0.25]))
@@ -597,20 +599,20 @@ class TestMergeKernels:
     @settings(max_examples=300, deadline=None)
     def test_rows_merge_as_they_would_alone(self, rows, eps):
         # each row of a multi-row merge is its one-row merge byte for byte,
-        # padded with copies of its last right end, or with zeros when the
-        # row is left empty (the example: an isolated point in row 0, and
-        # row 1 all one point)
+        # points kept, padded with copies of its last right end, which is
+        # the row's largest right end (the example: an isolated point in
+        # row 0, and row 1 all one point, kept as that point)
         lo, hi = rows
         mlo, mhi = merge_float_arrays(lo, hi, eps)
         alone = [merge_float_arrays(r_lo, r_hi, eps) for r_lo, r_hi in zip(lo, hi)]
         assert mlo.shape == mhi.shape == (len(lo), max(a.size for a, _ in alone))
-        for got_lo, got_hi, (a_lo, a_hi) in zip(mlo, mhi, alone):
+        for got_lo, got_hi, (a_lo, a_hi), r_hi in zip(mlo, mhi, alone, hi):
             n = a_lo.size
+            assert n >= 1 and a_hi[-1] == r_hi.max()
             assert got_lo[:n].tobytes() == a_lo.tobytes()
             assert got_hi[:n].tobytes() == a_hi.tobytes()
-            pad = a_hi[-1:] if n else np.zeros(1)
             for got in (got_lo[n:], got_hi[n:]):
-                assert got.tobytes() == np.repeat(pad, got.size).tobytes()
+                assert got.tobytes() == np.repeat(a_hi[-1:], got.size).tobytes()
 
     @given(rows=float_rows(),
            eps=st.sampled_from([MERGE_EPSILON, 4e-13, 0.05, 0.1, 0.25]))
@@ -619,14 +621,14 @@ class TestMergeKernels:
     @settings(max_examples=300, deadline=None)
     def test_swept_in_place_reads_the_merged_rows(self, rows, eps):
         # the rows swept in place hold the merged rows of merge_float_arrays
-        # at their starts and ends; a row that may hold a degenerate merged
-        # interval (the example: the point 0.7 in row 0) is laid out instead
+        # at their starts and ends, sorted in place, a degenerate merged
+        # interval included (the example: the point 0.7 in row 0)
         lo, hi = rows
         mlo, mhi = merge_float_arrays(lo, hi, eps)
-        slo, shi, starts = intervals._swept_in_place(lo.copy(), hi.copy(), eps)
-        if starts is None:
-            assert slo.tobytes() == mlo.tobytes() and shi.tobytes() == mhi.tobytes()
-            return
+        slo, shi = lo.copy(), hi.copy()
+        starts = intervals._swept_in_place(slo, shi, eps)
+        assert slo.tobytes() == np.sort(lo).tobytes()
+        assert shi.tobytes() == np.sort(hi).tobytes()
         ends = intervals._ends(starts)
         assert np.count_nonzero(starts, axis=1).max() == mlo.shape[1]
         for row in range(len(lo)):
@@ -661,7 +663,9 @@ class TestOverlapLoss:
 
 class TestFloatSet:
     def test_basic(self):
-        s = FloatIntervalSet.from_intervals([(0.0, 0.5), (0.5, 1.0), (2.0, 2.5)])
+        # the constructor drops the point [3, 3] that the merge keeps
+        s = FloatIntervalSet.from_intervals([(0.0, 0.5), (0.5, 1.0), (2.0, 2.5),
+                                             (3.0, 3.0)])
         assert s.count == 2
         assert s.measure == pytest.approx(1.5)
         assert s.min_length() == pytest.approx(0.5)

@@ -899,6 +899,25 @@ def _row_oracle(ifs, row, n_max):
                                        n_max, MERGE_EPSILON)
 
 
+# Two ratio-1/2 maps on a base square of side 1e-20: projected, the image
+# at offset about 1/2 is a point in binary64, which holds it to 17 digits.
+_THIN_BASE = IFS2D("thin-base", (Similitude2D.of("1/2", "0", "0"),
+                                 Similitude2D.of("1/2", "1/2", "1/2")),
+                   (0, 0, Fraction(1, 10 ** 20), Fraction(1, 10 ** 20)))
+
+
+def _exact_neighborhoods(ifs, batch, n, r):
+    """The true length of the exact r-neighborhood of generation n in each
+    direction of ``batch``, at the batch's own float slopes and sheared
+    radii, as ``neighborhood_lengths`` measures it."""
+    out = []
+    for chart_y, slope, scale in zip(batch.chart_y, batch.slope, batch.scale):
+        d = Direction("y" if chart_y else "x", Fraction(float(slope)))
+        grown = generation(ifs, d, n).expand(Fraction(float(r / scale)))
+        out.append(float(grown.measure) * scale)
+    return out
+
+
 def _float_slopes():
     rng = random.Random(20261018)
     return ([0.0, 1.0, -1.0, 0.5, -0.5, math.tan(0.3), 1 / 3]
@@ -964,26 +983,59 @@ class TestFloatBatch:
         with pytest.raises(SizeCapExceeded, match="generation 1"):
             sheared_measures(sierpinski_gasket(), batch, 1)
 
-    def test_swept_point_grows_into_nothing(self):
+    def test_swept_point_grows_into_its_neighborhood(self):
         # image rounding can collapse an interval to a point [x, x] that
-        # starts a merged interval of its own; the merge drops it, so it
-        # must not grow into a neighborhood of length 2p
+        # starts a merged interval of its own; the merge keeps it, as the
+        # int64 merge keeps one, so it grows into a neighborhood of length
+        # 2p, and the rows read off the sweep are the laid-out rows
         lo = np.array([[0.0, 0.5, 0.9], [0.0, 0.2, 0.6]])
         hi = np.array([[0.25, 0.5, 1.0], [0.1, 0.4, 0.8]])
-        swept = intervals._swept_in_place(lo.copy(), hi.copy(), MERGE_EPSILON)
-        assert swept[2] is None
         laid_out = merge_float_arrays(lo, hi)
+        assert laid_out[0].tolist() == lo.tolist()
+        assert laid_out[1].tolist() == hi.tolist()
+        swept = lo.copy(), hi.copy()
+        starts = intervals._swept_in_place(*swept, MERGE_EPSILON)
+        assert starts.all()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(swept, laid_out))
         radius = np.array([0.01, 0.02])
-        got = projection._grown_measures(*swept, radius)
-        assert got == pytest.approx([0.27 + 0.12, 0.14 + 0.24 + 0.24], rel=1e-15)
-        assert projection._row_measures(*swept) == pytest.approx([0.35, 0.5], rel=1e-15)
-        # without the point, the same rows are read off the sweep
-        hi[0, 1] = 0.55
-        swept = intervals._swept_in_place(lo.copy(), hi.copy(), MERGE_EPSILON)
-        assert swept[2] is not None
-        got = projection._grown_measures(*swept, radius)
-        assert got == pytest.approx([0.27 + 0.07 + 0.12, 0.14 + 0.24 + 0.24], rel=1e-15)
+        grown = [projection._grown_measures(*rows, radius)
+                 for rows in ((*laid_out, None), (*swept, starts))]
+        assert grown[0] == pytest.approx([0.27 + 0.02 + 0.12, 0.14 + 0.24 + 0.24],
+                                         rel=1e-15)
+        assert grown[0].tobytes() == grown[1].tobytes()
+        assert projection._row_measures(*swept, starts) == \
+            pytest.approx([0.35, 0.5], rel=1e-15)
+
+    @pytest.mark.parametrize("thetas", [[0.0], [0.0, 0.3, 1.0, math.pi / 2, 2.0]],
+                             ids=["one", "several"])
+    def test_rounded_points_keep_their_neighborhoods(self, thetas):
+        # on a base of side 1e-20 the image at offset about 1/2 rounds to a
+        # point in binary64; it and its images keep their neighborhoods, as
+        # in the exact expanded generation (the point's images are 2r long)
+        batch = DirectionBatch.from_angles(thetas)
+        r = 1e-3
+        for wanted in ([(1, r)], [(2, r)], [(1, r), (2, r)]):
+            got = neighborhood_lengths(_THIN_BASE, thetas, wanted)
+            for (n, _), row in zip(wanted, got):
+                want = _exact_neighborhoods(_THIN_BASE, batch, n, r)
+                assert row == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_split_keeps_a_point_in_the_last_column(self, monkeypatch):
+        # four rows of generation 1 are [0, tiny] and a point [c, c] in
+        # their last column; 16 endpoints of images pass a budget of 8, so
+        # the walk splits the rows into halves, cut to the widest row
+        monkeypatch.setattr(projection, "_GROUP_ENDPOINTS", 8)
+        thetas = [0.0, 0.3, 1.0, 2.0]
+        batch = DirectionBatch.from_angles(thetas)
+        walk = [(rows, n, lo, hi) for rows, n, lo, hi, _
+                in _float_walk(_THIN_BASE, batch, 3)]
+        (_, _, lo, hi), = [w for w in walk if w[1] == 1]
+        assert lo.shape == (4, 2) and np.all(lo[:, 1] == hi[:, 1])
+        assert [rows.stop - rows.start for rows, n, _, _ in walk if n == 2] == [2, 2]
+        got = neighborhood_lengths(_THIN_BASE, thetas, [(2, 1e-3), (3, 1e-4)])
+        for (n, r), row in zip([(2, 1e-3), (3, 1e-4)], got):
+            want = _exact_neighborhoods(_THIN_BASE, batch, n, r)
+            assert row == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_from_angles_matches_from_angle(self):
         rng = random.Random(11)
