@@ -21,7 +21,9 @@ takes --backend, whose one value is ``exact``.
 Each JSON file is its report's fields (``_fields``): favard.json adds
 ``tol`` and ``panel_order``; certificate.json has ``grid_count`` for the
 grid, and lipschitz.json and cover.json leave out arrays, direction and
-intervals; fit.json nests the ``DecayRecord`` fields under ``records``;
+intervals; fit.json nests the ``DecayRecord`` fields under ``records``,
+and under --sensitivity the fits of the shallower and deeper brackets
+under ``fit_shallower`` and ``fit_deeper`` (null over fewer than 3 scales);
 needle.json writes ``standard_error`` as ``se``, and validate.json
 ``nesting`` as "pass"/"fail".  counterexample.json lists its own keys.
 
@@ -239,14 +241,27 @@ def _cmd_dimension(args, ifs, d) -> Result:
     series = decay_series(ifs, scales, window=window, panels=args.panels,
                           order=args.order, sensitivity=args.sensitivity)
     fit = exponent_fit(series)
+    line = (f"dimension: s={fit.s:.4f}, fitted dim estimate {fit.dim_bound:.4f}, "
+            f"residual {fit.residual:.2e} over {len(series)} scales")
+    brackets = {}
+    if args.sensitivity:
+        for side in ("shallower", "deeper"):
+            # a scale at depth 0 has no shallower bracket
+            recs = [dataclasses.replace(rec, total=total) for rec in series
+                    if (total := getattr(rec, f"total_{side}")) is not None]
+            brackets[side] = exponent_fit(recs) if len(recs) >= 3 else None
+        line += "; brackets " + ", ".join(
+            f"{side} s=" + ("n/a" if f is None else f"{f.s:.4f}")
+            for side, f in brackets.items())
     return Result(
-        f"dimension: s={fit.s:.4f}, fitted dim estimate {fit.dim_bound:.4f}, "
-        f"residual {fit.residual:.2e} over {len(series)} scales",
+        line,
         {"decay.csv": (("r", "total", "slope_so_far"),
                        ((rec.r, rec.total,
                          exponent_fit(series[:i + 1]).s if i >= 2 else "")
                         for i, rec in enumerate(series))),
-         "fit.json": _fields(fit, records=[_fields(rec) for rec in series])})
+         "fit.json": _fields(fit, records=[_fields(rec) for rec in series],
+                             **{f"fit_{side}": None if f is None else _fields(f)
+                                for side, f in brackets.items()})})
 
 
 def _cmd_cover(args, ifs, d) -> Result:

@@ -237,24 +237,29 @@ def _merged(lo: np.ndarray, hi: np.ndarray, eps=None) -> tuple:
     return lo[starts], hi[ends], starts
 
 
-def _overlap_loss(lo: np.ndarray, hi: np.ndarray, gaps: np.ndarray) -> int:
+def _overlap_loss(lo: np.ndarray, hi: np.ndarray, gaps: np.ndarray,
+                  pieces: int) -> int:
     """The summed lengths minus the length of the union of the integer
     intervals whose ends ``_sweep`` sorted into lo and hi.
 
     That is the sum of max(0, H[i-1] - L[i]) over i >= 1: within a merged
     interval each later left end L[i] lies at or before H[i-1], and the
     lengths there overlap by H[i-1] - L[i], while a start adds 0.
-    ``gaps`` is scratch of lo.size - 1 entries in the dtype of lo; object
-    ends sum in Python ints.  An int64 term lies in [0, hull], hull =
-    H[-1] - L[0] < 2^63, so chunks of (2^63 - 1) // hull terms sum without
-    wrapping, and the chunk sums add in Python ints.
+    ``gaps`` is scratch of lo.size - 1 entries in the dtype of lo, and may
+    be hi[:-1]: only H[-1] is read after it is written.  The intervals
+    fall into ``pieces`` runs of disjoint ones (at most lo.size), each of
+    measure at most the union's, so the loss is at most (pieces - 1) *
+    hull, hull = H[-1] - L[0].  Every term is >= 0, so every partial sum
+    is at most the loss: int64 gaps sum in one reduction when that bound
+    lies below 2^63, and in Python ints otherwise, as object ends always
+    do.
     """
+    hull = int(hi[-1]) - int(lo[0])
     gaps = np.subtract(hi[:-1], lo[1:], out=gaps)
     np.maximum(gaps, 0, out=gaps)
-    if gaps.dtype == object:
+    if gaps.dtype == object or (pieces - 1) * hull < 1 << 63:
         return int(gaps.sum())
-    chunk = ((1 << 63) - 1) // max(int(hi[-1]) - int(lo[0]), 1)
-    return sum(int(gaps[i:i + chunk].sum()) for i in range(0, gaps.size, chunk))
+    return sum(gaps.tolist())
 
 
 def merge_int64_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,9 +59,13 @@ ends of E_{n-1}; the last step then runs on those and adds k times the
 number left out to its count (``_ExactEngine.measure_at``).  The window
 scratch and, for ``sheared_measures``, the int64 generations live in a
 per-thread ``_Workspace`` that outlives the call, so repeated calls touch
-no fresh pages; it holds about 36 MB after the 33 depth-12 four-corner
-directions of the ``exact-deep`` benchmark.  Snapshots never share it:
-``generation`` and ``iter_generations`` build new arrays.
+no fresh pages.  The last step sweeps its windows in the arrays of
+E_{n-2}, which nothing reads by then, and writes the gaps of its loss over
+the window's own right ends, so only the windows of steps that keep their
+set take scratch of their own; the workspace holds about 27 MB after the
+33 depth-12 four-corner directions of the ``exact-deep`` benchmark.
+Snapshots never share it: ``generation`` and ``iter_generations`` build
+new arrays.
 
 The float walk, ``_float_walk``, holds one row per direction of a
 ``DirectionBatch``.  Each row's merged endpoints are a per-direction float
@@ -285,18 +289,23 @@ def _write_images(dst_lo: np.ndarray, dst_hi: np.ndarray, w: int,
         end = w + i1 - i0
         for src, dst in ((lo, dst_lo), (hi, dst_hi)):
             part = dst[w:end]
-            np.multiply(a, src[i0:i1], out=part)
-            part += c
+            if a == 1:
+                np.add(src[i0:i1], c, out=part)
+            else:
+                np.multiply(a, src[i0:i1], out=part)
+                part += c
         w = end
     return w
 
 
 class _Workspace(threading.local):
     """One thread's scratch arrays, kept between calls so that a repeated
-    step touches no fresh pages: the window ends, starts and gaps of every
-    exact step, and the two generations that ``sheared_measures`` steps
-    between.  Each array is made on its first use and grown, never shrunk.
-    Object arrays are never pooled."""
+    step touches no fresh pages: the two generations that
+    ``sheared_measures`` steps between, and the window ends, starts and
+    gaps of every exact step that keeps its set.  The last step, which
+    keeps none, sweeps in the generation it no longer reads and needs only
+    its starts.  Each array is made on its first use and grown, never
+    shrunk.  Object arrays are never pooled."""
 
     def __init__(self):
         self.arrays = {}
@@ -315,18 +324,22 @@ _WORKSPACE = _Workspace()
 
 
 def _sweep_window(lo: np.ndarray, hi: np.ndarray, coeffs: list, pieces: list,
-                  slot: int) -> tuple:
+                  slot, keep: bool) -> tuple:
     """Write the image pieces (j, i0, i1) of one window into the thread's
-    scratch window ``slot`` and ``_sweep`` them there.  Returns the merged
-    count, the ``_overlap_loss`` and the sorted (lo, hi, starts)."""
+    scratch arrays ``(slot, "lo")``, ``(slot, "hi")`` and ``(slot,
+    "starts")`` and ``_sweep`` them there.  Returns the merged count, the
+    ``_overlap_loss`` and the sorted (lo, hi, starts).  Without ``keep``
+    the gaps of the loss are written over the sorted right ends but the
+    last, hi[:-1], which nothing reads after a step that builds no set;
+    with it they go to separate scratch."""
     size = sum(i1 - i0 for _, i0, i1 in pieces)
-    wlo = _WORKSPACE.take(("lo", slot), size, lo.dtype)
-    whi = _WORKSPACE.take(("hi", slot), size, lo.dtype)
-    starts = _WORKSPACE.take(("starts", slot), size, bool)
-    gaps = _WORKSPACE.take("gaps", size - 1, lo.dtype)
+    wlo, whi = (_WORKSPACE.take((slot, side), size, lo.dtype) for side in ("lo", "hi"))
+    starts = _WORKSPACE.take((slot, "starts"), size, bool)
     _write_images(wlo, whi, 0, lo, hi, coeffs, pieces)
     _sweep(wlo, whi, starts)
-    return int(np.count_nonzero(starts)), _overlap_loss(wlo, whi, gaps), (wlo, whi, starts)
+    count = int(np.count_nonzero(starts))
+    gaps = _WORKSPACE.take("gaps", size - 1, lo.dtype) if keep else whi[:-1]
+    return count, _overlap_loss(wlo, whi, gaps, len(pieces)), (wlo, whi, starts)
 
 
 def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
@@ -339,15 +352,17 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
     each image of a set sorted with positive gaps is sorted with positive
     gaps, so the images are stacked in order of their left ends and only
     the windows where image hulls overlap are written, into the thread's
-    scratch, and swept there in place (``_sweep_window``); everything
-    between them is already merged.  Returns ``(count, loss, lo, hi)``:
-    the merged interval count; the overlap loss, the summed lengths of the
-    images minus the length of their union, as an exact int read off the
-    sorted window ends; and, when ``keep`` is set, the merged endpoints,
-    with each clean stretch written straight into its final slot of new
-    arrays, or of the scratch arrays keyed ``out``.  Without ``keep`` the
-    clean stretches are never computed and lo, hi are None; so too when
-    the count passes ``cap``, before anything is allocated.  With ``ends``
+    scratch, and swept there in place (``_sweep_window``): without
+    ``keep``, into the arrays keyed ``out``, which the caller no longer
+    reads.  Everything between them is already merged.  Returns
+    ``(count, loss, lo, hi)``: the merged interval count; the overlap
+    loss, the summed lengths of the images minus the length of their
+    union, as an exact int read off the sorted window ends; and, when
+    ``keep`` is set, the merged endpoints, with each clean stretch
+    written straight into its final slot of new arrays, or of the scratch
+    arrays keyed ``out``.  Without ``keep`` the clean stretches are never
+    computed and lo, hi are None; so too when the count passes ``cap``,
+    before anything is allocated.  With ``ends``
     = (h, t) only the first h and the last t merged intervals are written,
     when h + t < count, and all ``count`` otherwise; a merged window is
     written whole or not at all, so h and t may grow.
@@ -394,7 +409,7 @@ def _merge_images(lo: np.ndarray, hi: np.ndarray, coeffs: list,
             pieces = [(j, i0, b) for j, i0, i1 in pieces if i0 < (b := min(
                 i1, int(np.searchsorted(lo, (last - coeffs[j][1]) // coeffs[j][0],
                                         "right"))))]
-        m, lost, win = _sweep_window(lo, hi, coeffs, pieces, i if keep else 0)
+        m, lost, win = _sweep_window(lo, hi, coeffs, pieces, i if keep else out, keep)
         middle = False
         if centre:
             top = int(win[1][-1])
@@ -493,8 +508,11 @@ class _ExactEngine:
     reads (``sheared_measures``): the step to it leaves the set unbuilt
     (lo and hi None), so it is the last one.  The int64 generations then
     live in two scratch arrays of the thread's ``_Workspace``, written in
-    turn, and the step before the last writes only what the last one
-    reads: the first h and the last t intervals.
+    turn.  The last step sweeps its windows in the pair that holds
+    E_{n-2}, spent once E_{n-1} is written, with its gaps over each
+    window's right ends but the last, which is all that a centre window
+    reads after its loss.  The step before the last writes only what the
+    last one reads: the first h and the last t intervals.
     From the last step's maps and the ends of the new set, which the step
     knows before it merges, ``_window_bounds`` gives the last step's
     bounds; h counts the image elements of this step whose left ends lie

@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from favardlab import intervals, projection, serialize
@@ -618,7 +619,38 @@ class TestOutputs:
                                   "total_deeper"} for rec in payload["records"])
         assert payload["dim_bound"] == pytest.approx(1 - payload["s"])
         assert 0 < payload["s"] < 1
+        assert "fit_shallower" not in payload and "fit_deeper" not in payload
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, shallower", [
+        (("--preset", "sparse-corner(8)", "--depth-min", "3", "--depth-max", "5"), True),
+        # the scale r = 1 has depth 0 and no shallower bracket, which
+        # leaves 2 scales, too few to fit
+        (("--preset", "four-corner", "--scale-base", "2", "--depth-min", "0",
+          "--depth-max", "2"), False),
+    ], ids=["both", "no-shallower"])
+    def test_dimension_sensitivity_fits(self, argv, shallower, tmp_path, capsys):
+        out = tmp_path / "dim"
+        assert run("dimension", *argv, "--panels", "2", "--order", "8",
+                   "--sensitivity", "--out", str(out)) == 0
+        line = capsys.readouterr().out
+        payload = json.loads((out / "fit.json").read_text())
+        records = payload["records"]
+        assert "over 3 scales; brackets shallower s=" in line
+        for side, fitted in (("shallower", shallower), ("deeper", True)):
+            got = payload[f"fit_{side}"]
+            if not fitted:
+                assert got is None
+                assert f"{side} s=n/a" in line
+                continue
+            rows = [(rec["r"], rec[f"total_{side}"]) for rec in records]
+            assert len(rows) == 3
+            slope, intercept = np.polyfit(np.log([r for r, _ in rows]),
+                                          np.log([t for _, t in rows]), 1)
+            assert got.keys() == {"s", "C", "residual", "dim_bound"}
+            assert got["s"] == pytest.approx(slope, rel=1e-12)
+            assert got["C"] == pytest.approx(math.exp(intercept), rel=1e-12)
+            assert f"{side} s={got['s']:.4f}" in line
 
     def test_cover_files(self, tmp_path, capsys):
         out = tmp_path / "cov"

@@ -554,7 +554,7 @@ class TestMergeKernels:
         for (r_lo, r_hi), (s_lo, s_hi), (k_lo, k_hi, _) in zip(rows, sorted_rows, want):
             gaps = np.empty(r_lo.size - 1, dtype=r_lo.dtype)
             loss = int(np.sum(r_hi - r_lo)) - int(np.sum(k_hi - k_lo))
-            assert intervals._overlap_loss(s_lo, s_hi, gaps) == loss
+            assert intervals._overlap_loss(s_lo, s_hi, gaps, r_lo.size) == loss
 
     def test_float_merge_uses_epsilon(self):
         lo = np.array([0.0, 1.0 + 1e-13])
@@ -656,9 +656,32 @@ class TestOverlapLoss:
         # and their sum (copies - 1) * 2*top is not
         lo = np.full(copies, -top, dtype=np.int64)
         hi = np.full(copies, top, dtype=np.int64)
-        loss = intervals._overlap_loss(lo, hi, np.empty(copies - 1, dtype=np.int64))
+        loss = intervals._overlap_loss(lo, hi, np.empty(copies - 1, dtype=np.int64),
+                                       copies)
         assert loss == (copies - 1) * 2 * top
         assert loss >= 1 << 63
+
+    @pytest.mark.parametrize("pieces", [2, 3])
+    def test_pieces_near_int64(self, pieces):
+        # runs of disjoint intervals, each covering all but small gaps of
+        # [-top, top]: two runs lose nearly 2^63 and sum in one int64
+        # reduction, three lose nearly 2^64 and sum in Python ints
+        top = (1 << 62) - 1
+        rng = random.Random(pieces)
+        pairs = []
+        for _ in range(pieces):
+            cuts = sorted(rng.sample(range(-top + 10 ** 6, top - 10 ** 6), 6))
+            ends = [-top] + [x for c in cuts for x in (c, c + rng.randint(1, 10 ** 6))] + [top]
+            pairs += list(zip(ends[::2], ends[1::2]))
+        lo = np.array([a for a, _ in pairs], dtype=np.int64)
+        hi = np.array([b for _, b in pairs], dtype=np.int64)
+        want = sum(b - a for a, b in pairs) - union_measure(pairs)
+        assert want > (pieces - 1.01) * 2 * top
+        intervals._sweep(lo, hi, np.empty(lo.size, dtype=bool))
+        gaps = np.empty(lo.size - 1, dtype=np.int64)
+        assert intervals._overlap_loss(lo, hi, gaps, pieces) == want
+        # the gaps may be written over the right ends, all but the last
+        assert intervals._overlap_loss(lo, hi.copy(), hi.copy()[:-1], pieces) == want
 
 
 class TestFloatSet:

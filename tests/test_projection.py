@@ -875,6 +875,80 @@ class TestWorkspace:
         assert proc.stdout == "0\n"
 
 
+def _last_step_windows(monkeypatch):
+    """Record each window swept by a step that builds no set, as (span,
+    lo, hi): the span of its step and the window's sorted ends."""
+    seen, step = [], {}
+    merge, sweep = projection._merge_images, projection._sweep_window
+
+    def merge_spy(lo, hi, coeffs, keep=True, span=None, *rest):
+        step.update(keep=keep, span=span)
+        return merge(lo, hi, coeffs, keep, span, *rest)
+
+    def sweep_spy(*args):
+        count, lost, win = sweep(*args)
+        if not step["keep"]:
+            seen.append((step["span"], win[0], win[1]))
+        return count, lost, win
+    monkeypatch.setattr(projection, "_merge_images", merge_spy)
+    monkeypatch.setattr(projection, "_sweep_window", sweep_spy)
+    return seen
+
+
+_BIG_SLOPE = Fraction(3, 10) + Fraction(1, 2 ** 63)
+
+
+class TestLastStep:
+    """The last step of ``sheared_measures`` sweeps in the spent
+    generation's arrays and writes its gaps over its window's right ends."""
+
+    # middle: a centre window with a middle interval, whose largest right
+    # end is read after the gaps are written; object: past 2^62
+    @pytest.mark.parametrize("ifs, d, n, kind", [
+        (four_corner(), Direction("x", Fraction(3, 5)), 8, "middle"),
+        (four_corner(), Direction("y", Fraction(-7, 10)), 8, "middle"),
+        (four_corner(), Direction("x", Fraction(9, 16)), 1, "middle"),
+        (four_corner(), Direction("x", _BIG_SLOPE), 6, "object"),
+        (four_corner(), Direction("y", _BIG_SLOPE), 1, "object"),
+        (_UNEQUAL, Direction("x", Fraction(0)), 8, None),
+        (_UNEQUAL, Direction("y", Fraction(2, 5)), 8, None),
+        (_UNEQUAL, Direction("x", Fraction(1, 3)), 1, None),
+    ], ids=["x:3/5", "y:-7/10", "x:9/16-n1", "object", "object-n1",
+            "unequal-x:0", "unequal-y:2/5", "unequal-n1"])
+    def test_matches_snapshots(self, ifs, d, n, kind, monkeypatch):
+        seen = _last_step_windows(monkeypatch)
+        want = [g.measure for g in iter_generations(ifs, d, n)]
+        assert sheared_measures(ifs, d, n) == want
+        assert seen
+        if kind == "middle":
+            assert any(span is not None and 2 * int(hi[-1]) >= span
+                       for span, _, hi in seen)
+        assert all((lo.dtype == object) == (kind == "object") for _, lo, _ in seen)
+
+    def test_last_window_takes_no_scratch(self, monkeypatch):
+        # a fresh thread starts with an empty workspace
+        seen = _last_step_windows(monkeypatch)
+        held = {}
+
+        def run():
+            sheared_measures(four_corner(), Direction("y", Fraction(-3, 5)), 12)
+            held.update(projection._WORKSPACE.arrays)
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        last = max(lo.size for _, lo, _ in seen)
+        generations = [held[("generation", k), side] for k in (0, 1)
+                       for side in ("lo", "hi")]
+        # the window lies in a generation's arrays, and no other int64
+        # scratch is as large as it
+        assert all(any(np.shares_memory(end, buf) for buf in generations)
+                   for _, lo, hi in seen for end in (lo, hi))
+        scratch = [buf.size for buf in held.values()
+                   if buf.dtype == np.int64 and not any(buf is g for g in generations)]
+        assert scratch and max(scratch) < last
+
+
 _BATCH_SYSTEMS = [four_corner(), sierpinski_gasket(), sparse_corner(8)]
 
 
